@@ -186,83 +186,6 @@ func BenchmarkE11_Malignant(b *testing.B) {
 	}
 }
 
-// --- E21: hash-consing + transition memoization ---------------------------
-
-// deepQuantExpr is a deep quantified constraint (nested quantifier under
-// a parallel quantifier) whose transitions walk a large state term, and a
-// steady-state workload for it: K patients cycle call → assist → perform
-// in interleaved phases, so up to K branches are live at once and the
-// global state sequence is periodic — exactly the regime where a manager
-// re-derives structurally identical transitions forever.
-func deepQuantExpr() (*expr.Expr, func(i int) expr.Action) {
-	e := ix.MustParse("all p: (call(p) - (any q: assist(p,q)) - perform(p))*")
-	const K = 8
-	gen := func(i int) expr.Action {
-		phase := (i % (3 * K)) / K
-		p := fmt.Sprintf("pat%d", i%K)
-		switch phase {
-		case 0:
-			return expr.ConcreteAct("call", p)
-		case 1:
-			return expr.ConcreteAct("assist", p, "helper")
-		default:
-			return expr.ConcreteAct("perform", p)
-		}
-	}
-	return e, gen
-}
-
-// BenchmarkStateMemoized (E21): the per-action transition cost of the
-// deep quantified expression with and without the hash-consing +
-// memoization cache. In steady state the memoized engine serves
-// transitions from the (stateID, action) memo — expect ≥3x ops/s over
-// the unmemoized walk.
-func BenchmarkStateMemoized(b *testing.B) {
-	run := func(b *testing.B, cache *state.Cache) {
-		e, gen := deepQuantExpr()
-		en := state.MustEngine(e)
-		if cache != nil {
-			en.UseCache(cache)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := en.Step(gen(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-	}
-	b.Run("unmemoized", func(b *testing.B) { run(b, nil) })
-	b.Run("memoized", func(b *testing.B) { run(b, state.NewCache(0)) })
-}
-
-// BenchmarkStateSharedAcrossEngines (E22): many engines executing the
-// same constraint template share one cache — the "manager holding
-// thousands of live workflow constraints" scenario. Engine 0 pays the
-// derivation; engines 1..n-1 ride on interned structure and memo hits.
-func BenchmarkStateSharedAcrossEngines(b *testing.B) {
-	const engines = 64
-	run := func(b *testing.B, cache *state.Cache) {
-		e, gen := deepQuantExpr()
-		ens := make([]*state.Engine, engines)
-		for i := range ens {
-			ens[i] = state.MustEngine(e)
-			if cache != nil {
-				ens[i].UseCache(cache)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ens[i%engines].Step(gen(i / engines)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-	}
-	b.Run("private-state", func(b *testing.B) { run(b, nil) })
-	b.Run("shared-cache", func(b *testing.B) { run(b, state.NewCache(0)) })
-}
-
 // --- E8: word and action problems ----------------------------------------
 
 // BenchmarkWordProblem solves the word problem on the Fig 7 constraint.

@@ -46,7 +46,6 @@ func main() {
 		batchMax   = flag.Int("batch", 0, "group commit: coalesce up to N concurrent requests per commit (0/1 = off)")
 		batchDelay = flag.Duration("batch-delay", 0, "upper bound on the straggler wait of an open batch (default 200µs with -batch)")
 		syncWrites = flag.Bool("sync", false, "fsync the action log at every durability point (once per batch with -batch)")
-		memoCap    = flag.Int("memo", 0, "hash-consing + transition memoization: bound the memo LRU at N entries (0 = off)")
 		replicaCSV = flag.String("replicas", "", "comma-separated follower server addresses to stream commits to")
 		syncRepl   = flag.Bool("sync-replicas", false, "acknowledge commits only after every follower acked (no-loss failover)")
 		follower   = flag.Bool("follower", false, "start as a read-only follower (writes fail until promoted)")
@@ -95,7 +94,6 @@ func main() {
 		BatchMaxSize:        *batchMax,
 		BatchMaxDelay:       *batchDelay,
 		SyncWrites:          *syncWrites,
-		MemoCapacity:        *memoCap,
 		Replicas:            replicas,
 		SyncReplicas:        *syncRepl,
 		Follower:            *follower,
@@ -142,10 +140,9 @@ func main() {
 	st := m.Stats()
 	fmt.Printf("ixmanager: shutting down: %d asks, %d grants, %d denies, %d confirms, %d informs\n",
 		st.Asks, st.Grants, st.Denies, st.Confirms, st.Informs)
-	if cs, ok := m.CacheStats(); ok {
-		fmt.Printf("ixmanager: state cache: %d nodes, %d/%d memo hits/misses, %d evictions\n",
-			cs.Nodes, cs.MemoHits, cs.MemoMisses, cs.MemoEvictions)
-	}
+	cs, _ := m.CacheStats()
+	fmt.Printf("ixmanager: state cache: %d nodes, %d/%d memo hits/misses, %d evictions\n",
+		cs.Nodes, cs.MemoHits, cs.MemoMisses, cs.MemoEvictions)
 }
 
 // serveMetrics exposes the registry in Prometheus text format.

@@ -191,7 +191,9 @@ func (r *Rebalancer) Move(ctx context.Context, shard int, target string, retire 
 
 // primaryConn returns the shard's elected serving connection and its
 // address. The connection is shared with ordinary traffic (the wire
-// client multiplexes); callers must not close it.
+// client multiplexes); callers must not close it. It is not counted as a
+// call in flight: an endpoint change that retires the connection may
+// close it under the caller, who then sees a connection error.
 func (s *ShardClient) primaryConn(ctx context.Context) (*manager.Client, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -111,6 +111,8 @@ type ShardClient struct {
 	cl     *manager.Client
 	gen    uint64 // route-table generation: bumped on failover and endpoint changes
 	closed bool
+	// inflight holds the connections with do() operations in flight.
+	inflight map[*manager.Client]connUse
 
 	rmu  sync.Mutex
 	rcur int // read rotation cursor (follower offload)
@@ -141,7 +143,8 @@ func NewShardClient(addr string) *ShardClient {
 // always could.
 func NewShardClientSet(addrs []string, opts ShardOptions) *ShardClient {
 	s := &ShardClient{addrs: addrs, opts: opts, drainDelay: opts.DrainRetryDelay,
-		clk: clock.Or(opts.Clock), smux: make(map[string]*subMux)}
+		clk: clock.Or(opts.Clock), smux: make(map[string]*subMux),
+		inflight: make(map[*manager.Client]connUse)}
 	if s.drainDelay == 0 {
 		s.drainDelay = drainRetryDelay
 	}
@@ -193,7 +196,8 @@ func (s *ShardClient) Generation() uint64 {
 // SetAddrs replaces the endpoint list — the route-table update a live
 // migration ends with. The serving connection survives when its endpoint
 // is still listed (requests in flight are not dropped); when it is not,
-// the connection is invalidated and the generation bumps, so in-flight
+// the connection is retired (no new request uses it, the ones in flight
+// still get their replies) and the generation bumps, so in-flight
 // two-phase grants settle through the resume path instead of trusting a
 // retired server. The read-offload rotation restarts against the new
 // table either way. An empty list is ignored.
@@ -220,7 +224,9 @@ func (s *ShardClient) SetAddrs(addrs []string) {
 	} else {
 		s.cur = 0
 		if s.cl != nil {
-			stale, s.cl = s.cl, nil
+			if cl := s.cl; s.retireLocked(cl, false) {
+				stale = cl
+			}
 			s.gen++
 		}
 	}
@@ -271,17 +277,67 @@ func (s *ShardClient) RemoveAddr(addr string) {
 // electTimeout bounds each role probe and promotion during an election.
 const electTimeout = 5 * time.Second
 
-// client returns the live connection, electing a replica if necessary.
-func (s *ShardClient) client(ctx context.Context) (*manager.Client, error) {
+// connUse is the use of one connection: the calls in flight on it, and
+// whether it was taken out of service while a live server still owed
+// them replies, in which case the last call to return closes it.
+type connUse struct {
+	n       int
+	retired bool
+}
+
+// acquire returns the live connection, electing a replica if necessary,
+// with one more call counted in flight on it; release ends the call.
+func (s *ShardClient) acquire(ctx context.Context) (*manager.Client, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, manager.ErrClosed
 	}
-	if s.cl != nil {
-		return s.cl, nil
+	cl := s.cl
+	if cl == nil {
+		var err error
+		if cl, err = s.electLocked(ctx); err != nil {
+			return nil, err
+		}
 	}
-	return s.electLocked(ctx)
+	u := s.inflight[cl]
+	u.n++
+	s.inflight[cl] = u
+	return cl, nil
+}
+
+// release ends one call on cl.
+func (s *ShardClient) release(cl *manager.Client) {
+	s.mu.Lock()
+	u := s.inflight[cl]
+	u.n--
+	if u.n == 0 {
+		delete(s.inflight, cl)
+	} else {
+		s.inflight[cl] = u
+	}
+	s.mu.Unlock()
+	if u.n == 0 && u.retired {
+		cl.Close()
+	}
+}
+
+// retireLocked takes cl out of service and reports whether the caller
+// must close it now (outside the lock). A dead connection always closes
+// now. A live one — its server is about to answer the calls in flight
+// on it, and they are not all safe to retry — is left to the last
+// release when there are any. Callers hold s.mu.
+func (s *ShardClient) retireLocked(cl *manager.Client, dead bool) bool {
+	if s.cl == cl {
+		s.cl = nil
+	}
+	u, busy := s.inflight[cl]
+	if dead || !busy {
+		return true
+	}
+	u.retired = true
+	s.inflight[cl] = u
+	return false
 }
 
 // electLocked (re)connects: with a single endpoint it plainly dials;
@@ -401,16 +457,17 @@ func better(a, b manager.ReplStatus) bool {
 	return a.Steps > b.Steps
 }
 
-// invalidate discards cl if it is still the current connection, so the
-// next operation re-elects. Another goroutine may have reconnected
-// already; its fresh connection is left alone.
-func (s *ShardClient) invalidate(cl *manager.Client) {
+// discard stops handing out cl, so the next operation re-elects; another
+// goroutine may have reconnected already, and its fresh connection is
+// left alone. dead says the connection is lost, as opposed to answered
+// by a deposed but live server (see retireLocked).
+func (s *ShardClient) discard(cl *manager.Client, dead bool) {
 	s.mu.Lock()
-	if s.cl == cl {
-		s.cl = nil
-	}
+	closeNow := s.retireLocked(cl, dead)
 	s.mu.Unlock()
-	cl.Close()
+	if closeNow {
+		cl.Close()
+	}
 }
 
 // connErr reports whether err indicates a dead connection (as opposed to
@@ -452,9 +509,12 @@ const drainRetryDelay = 2 * time.Millisecond
 func (s *ShardClient) do(ctx context.Context, idempotent bool, op func(*manager.Client) error) error {
 	attempts := 0
 	for {
-		cl, err := s.client(ctx)
+		cl, err := s.acquire(ctx)
 		if err == nil {
-			err = op(cl)
+			err = func() error {
+				defer s.release(cl)
+				return op(cl)
+			}()
 			if err == nil {
 				return nil
 			}
@@ -478,12 +538,10 @@ func (s *ShardClient) do(ctx context.Context, idempotent bool, op func(*manager.
 				}
 				continue
 			}
-			if connErr(err) {
-				s.invalidate(cl)
-			} else if errors.Is(err, manager.ErrNotPrimary) {
-				// The server is alive but deposed; drop the connection and let
-				// the election find the replica that fenced it.
-				s.invalidate(cl)
+			if failoverErr(err) {
+				// Dead, or alive but deposed: stop using the connection and
+				// let the election find the replica that serves now.
+				s.discard(cl, connErr(err))
 			}
 		}
 		attempts++

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/state"
 	"repro/internal/storage"
 )
 
@@ -273,22 +274,14 @@ func (m *Manager) commitBatch(batch []commitReq, admitted bool) {
 			errs[i] = err
 			continue
 		}
-		if !m.en.Try(r.a) {
+		next := m.en.Advance(r.a)
+		if !next.Permissible() {
 			m.stats.Denies++
 			m.metrics.denies.Inc()
-			errs[i] = deniedErr(r.a)
+			errs[i] = &deniedError{r.a}
 			continue
 		}
-		if m.store != nil {
-			le := storage.Entry{Name: r.a.Name, Args: r.a.Values(), Seq: uint64(m.en.Steps()) + 1}
-			if err := m.store.Buffer(le); err != nil {
-				errs[i] = err
-				continue
-			}
-		}
-		if err := m.en.Step(r.a); err != nil {
-			// Cannot happen: Try held the lock since the check.
-			errs[i] = err
+		if errs[i] = m.stageLocked(r.a, next); errs[i] != nil {
 			continue
 		}
 		m.stats.Grants++
@@ -350,9 +343,20 @@ func (m *Manager) commitBatch(batch []commitReq, admitted bool) {
 	}
 }
 
-// deniedErr wraps ErrDenied with the refused action.
-func deniedErr(a expr.Action) error {
-	return &deniedError{a: a}
+// stageLocked stages one admitted action in the log's write buffer and
+// installs the successor its admission computed. The caller owes the
+// batch one store.Commit.
+func (m *Manager) stageLocked(a expr.Action, next state.Successor) error {
+	if err := m.en.Check(next); err != nil {
+		return err // refused before the log sees it
+	}
+	if m.store != nil {
+		le := storage.Entry{Name: a.Name, Args: a.Values(), Seq: uint64(m.en.Steps()) + 1}
+		if err := m.store.Buffer(le); err != nil {
+			return err
+		}
+	}
+	return m.en.Commit(next)
 }
 
 // deniedError keeps the refused action while remaining errors.Is-equal to

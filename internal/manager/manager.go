@@ -118,18 +118,6 @@ type Options struct {
 	// commit. Off, the log is flushed to the OS but survives only process
 	// crashes, not machine crashes (the seed behavior).
 	SyncWrites bool
-	// StateCache, if non-nil, attaches a shared hash-consing and
-	// transition-memo cache (internal/state) to the manager's engine.
-	// Sharing one cache across the managers of a process lets
-	// structurally identical sub-states — common when many expressions
-	// instantiate the same workflow template — be one object, and lets a
-	// transition derived by one manager be a map lookup for the next.
-	StateCache *state.Cache
-	// MemoCapacity, when > 0 and StateCache is nil, gives the manager a
-	// private cache whose transition memo holds at most this many
-	// entries. Zero with a nil StateCache leaves memoization off (the
-	// seed behavior).
-	MemoCapacity int
 	// Replicas lists the wire addresses of follower servers. Every
 	// committed batch is streamed to them as a seq-numbered replication
 	// frame; a follower that falls behind (or diverged under a deposed
@@ -178,6 +166,7 @@ type Manager struct {
 	draining    bool // migration drain: new asks refused, in-flight settles
 	ticket      Ticket
 	reservedAct expr.Action
+	reservedNxt state.Successor // τ̂ computed at the grant; zero after a checkpoint restore
 	reservedAt  time.Time
 	nextTicket  Ticket        // ticket counter (low bits; the epoch fills the high bits)
 	confirmed   *ticketWindow // recently confirmed tickets (idempotent retry dedup)
@@ -195,19 +184,18 @@ type Manager struct {
 	ckptOn    bool // the backend stores checkpoints
 	snapEvery int
 	sinceSnap int
-	snapErr   error // first failed background checkpoint since last Snapshot
-	fullEvery int   // delta-chain length bound (1 = every checkpoint full)
-	sinceFull int   // delta pieces since the chain's full base
+	snapErr   error                  // first failed background checkpoint since last Snapshot
+	fullEvery int                    // delta-chain length bound (1 = every checkpoint full)
+	sinceFull int                    // delta pieces since the chain's full base
 	deltaM    *state.DeltaMarshaller // non-nil iff a delta chain is live
 
 	syncWrites bool
 	batch      *commitQueue // non-nil iff group commit is enabled
-	cache      *state.Cache // non-nil iff memoization is enabled
 	repl       *replicator  // non-nil iff replication is enabled
 
-	reg     *obs.Registry  // nil: metrics disabled
-	metrics managerMetrics // cached handles; nil members no-op
-	syncRepl   bool         // replication settings, kept for replicators
+	reg        *obs.Registry  // nil: metrics disabled
+	metrics    managerMetrics // cached handles; nil members no-op
+	syncRepl   bool           // replication settings, kept for replicators
 	ackTimeout time.Duration
 }
 
@@ -309,20 +297,8 @@ func New(e *expr.Expr, opts Options) (*Manager, error) {
 		// reservation would block every Ask (no timeout) or let a retried
 		// Confirm apply its action twice.
 		if replayed > 0 && m.reserved {
-			m.reserved = false
+			m.releaseLocked()
 		}
-	}
-	// Memoization attaches after recovery so the replay (one pass, mostly
-	// unique states) does not churn the memo of a shared cache. The batch
-	// path benefits doubly: its admission Try and the committed Step of
-	// the same action share one memo entry.
-	if cache := opts.StateCache; cache != nil {
-		m.cache = cache
-	} else if opts.MemoCapacity > 0 {
-		m.cache = state.NewCache(opts.MemoCapacity)
-	}
-	if m.cache != nil {
-		m.en.UseCache(m.cache)
 	}
 	if opts.BatchMaxSize > 1 {
 		m.batch = newCommitQueue(opts.BatchMaxSize, opts.BatchMaxDelay)
@@ -334,7 +310,7 @@ func New(e *expr.Expr, opts Options) (*Manager, error) {
 		m.repl = newReplicator(m, opts.Replicas, opts.SyncReplicas, opts.ReplAckTimeout)
 	}
 	// Metrics attach last so the gauge callbacks see the final batch
-	// queue and cache wiring.
+	// queue wiring.
 	m.initMetrics(opts.Metrics)
 	return m, nil
 }
@@ -351,13 +327,20 @@ func MustNew(e *expr.Expr, opts Options) *Manager {
 // Expr returns the managed expression.
 func (m *Manager) Expr() *expr.Expr { return m.en.Expr() }
 
+// releaseLocked frees the critical region, drops the successor the
+// reservation held and wakes the asks waiting for it.
+func (m *Manager) releaseLocked() {
+	m.reserved = false
+	m.reservedNxt = state.Successor{}
+	m.cond.Broadcast()
+}
+
 // expireLocked aborts a reservation whose timeout elapsed.
 func (m *Manager) expireLocked() {
 	if m.reserved && m.timeout > 0 && m.clk.Since(m.reservedAt) >= m.timeout {
-		m.reserved = false
+		m.releaseLocked()
 		m.stats.Aborts++
 		m.metrics.aborts.Inc()
-		m.cond.Broadcast()
 	}
 }
 
@@ -394,15 +377,16 @@ func (m *Manager) Ask(ctx context.Context, a expr.Action) (Ticket, error) {
 		// reservation expiry even without other activity.
 		waitCond(m.cond, ctx, m.clk, m.timeout)
 	}
-	if !m.en.Try(a) {
+	next := m.en.Advance(a)
+	if !next.Permissible() {
 		m.stats.Denies++
 		m.metrics.denies.Inc()
-		return 0, fmt.Errorf("%w: %s", ErrDenied, a)
+		return 0, &deniedError{a}
 	}
 	m.reserved = true
 	m.nextTicket++
 	m.ticket = makeTicket(m.epoch, uint64(m.nextTicket))
-	m.reservedAct = a
+	m.reservedAct, m.reservedNxt = a, next
 	m.reservedAt = m.clk.Now()
 	m.stats.Grants++
 	m.metrics.grants.Inc()
@@ -475,28 +459,27 @@ func (m *Manager) confirmSettle(t Ticket) (func() error, error) {
 		}
 		return nil, ErrUnknownTicket
 	}
-	a := m.reservedAct
-	if m.store != nil {
-		if err := m.appendDurable(a); err != nil {
-			return nil, err
+	a, next := m.reservedAct, m.reservedNxt
+	if m.en.Check(next) != nil {
+		// Restored from a checkpoint, the reservation holds no successor of
+		// the current state: compute it, or free the region if it has none.
+		if next = m.en.Advance(a); !next.Permissible() {
+			m.releaseLocked()
+			return nil, &deniedError{a}
 		}
 	}
-	base := uint64(m.en.Steps())
-	if err := m.en.Step(a); err != nil {
-		// Cannot happen: the state did not change since the grant.
-		m.reserved = false
-		m.cond.Broadcast()
-		return nil, err
+	base, err := m.commitLocked(a, next)
+	if err != nil {
+		return nil, err // a failed log write: the reservation stays for a retry or Abort
 	}
 	m.stats.Confirms++
 	m.stats.Transits++
 	m.metrics.confirms.Inc()
-	m.reserved = false
+	m.releaseLocked() // before the checkpoint below, which records an open reservation
 	m.confirmed.add(t)
-	wait := m.replicateLocked(base, []expr.Action{a}, []Ticket{t})
+	wait := m.replicateOneLocked(base, a, t)
 	m.notifyLocked()
 	m.maybeSnapshotLocked()
-	m.cond.Broadcast()
 	return wait, nil
 }
 
@@ -512,10 +495,9 @@ func (m *Manager) Abort(t Ticket) error {
 	if !m.reserved || m.ticket != t {
 		return ErrUnknownTicket
 	}
-	m.reserved = false
+	m.releaseLocked()
 	m.stats.Aborts++
 	m.metrics.aborts.Inc()
-	m.cond.Broadcast()
 	return nil
 }
 
@@ -565,18 +547,14 @@ func (m *Manager) requestSettle(ctx context.Context, a expr.Action) (func() erro
 		}
 		waitCond(m.cond, ctx, m.clk, m.timeout)
 	}
-	if !m.en.Try(a) {
+	next := m.en.Advance(a)
+	if !next.Permissible() {
 		m.stats.Denies++
 		m.metrics.denies.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrDenied, a)
+		return nil, &deniedError{a}
 	}
-	if m.store != nil {
-		if err := m.appendDurable(a); err != nil {
-			return nil, err
-		}
-	}
-	base := uint64(m.en.Steps())
-	if err := m.en.Step(a); err != nil {
+	base, err := m.commitLocked(a, next)
+	if err != nil {
 		return nil, err
 	}
 	m.stats.Grants++
@@ -584,27 +562,37 @@ func (m *Manager) requestSettle(ctx context.Context, a expr.Action) (func() erro
 	m.stats.Transits++
 	m.metrics.grants.Inc()
 	m.metrics.confirms.Inc()
-	wait := m.replicateLocked(base, []expr.Action{a}, nil)
+	wait := m.replicateOneLocked(base, a, 0)
 	m.notifyLocked()
 	m.maybeSnapshotLocked()
 	return wait, nil
 }
 
-// appendDurable writes one confirmed action through the log's per-action
-// durability point (flush, plus fsync under SyncWrites). The group-commit
-// path uses Buffer/Commit instead, paying these once per batch.
-func (m *Manager) appendDurable(a expr.Action) error {
-	e := storage.Entry{Name: a.Name, Args: a.Values(), Seq: uint64(m.en.Steps()) + 1}
-	if err := m.store.Append(e); err != nil {
-		return err
+// commitLocked makes one admitted action durable and installs the
+// successor its admission computed; it returns the step count the action
+// was applied on. The log write goes through the per-action durability
+// point (flush, plus fsync under SyncWrites); the group-commit path uses
+// Buffer/Commit instead, paying these once per batch.
+func (m *Manager) commitLocked(a expr.Action, next state.Successor) (uint64, error) {
+	base := uint64(m.en.Steps())
+	if err := m.en.Check(next); err != nil {
+		return base, err // refused before the log sees it
 	}
-	if m.syncWrites {
-		start := m.clk.Now()
-		err := m.store.Sync()
-		m.metrics.flushNs.ObserveDuration(m.clk.Since(start))
-		return err
+	if m.store != nil {
+		e := storage.Entry{Name: a.Name, Args: a.Values(), Seq: base + 1}
+		if err := m.store.Append(e); err != nil {
+			return base, err
+		}
+		if m.syncWrites {
+			start := m.clk.Now()
+			err := m.store.Sync()
+			m.metrics.flushNs.ObserveDuration(m.clk.Since(start))
+			if err != nil {
+				return base, err
+			}
+		}
 	}
-	return nil
+	return base, m.en.Commit(next)
 }
 
 // Try reports whether the action is currently permissible, without
@@ -647,15 +635,13 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// CacheStats reports the state-cache counters when memoization is
-// enabled (StateCache or MemoCapacity in Options); ok is false
-// otherwise. With a shared StateCache the numbers cover every manager
-// attached to it.
+// CacheStats reports the counters of the engine's state cache. Every
+// manager has one, so ok is always true. A snapshot resync replaces the
+// engine and restarts the counters.
 func (m *Manager) CacheStats() (state.CacheStats, bool) {
-	if m.cache == nil {
-		return state.CacheStats{}, false
-	}
-	return m.cache.Stats(), true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.en.CacheStats(), true
 }
 
 // Subscribe registers interest in one action (step 1 of the subscription

@@ -11,6 +11,8 @@ import (
 	"repro/internal/expr"
 	"repro/internal/paper"
 	"repro/internal/parse"
+	"repro/internal/state"
+	"repro/internal/storage"
 )
 
 var bg = context.Background()
@@ -28,6 +30,166 @@ func act(s string) expr.Action {
 		panic(err)
 	}
 	return a
+}
+
+// TestOneTransitionPerAdmission: with no subscriptions to re-evaluate,
+// every admission — granted or denied, on the single, group-committed,
+// burst and ask/confirm paths, and on a follower applying a replicated
+// frame — costs exactly one τ̂ evaluation (one memo lookup: a hit, or a
+// miss and the term walk behind it).
+func TestOneTransitionPerAdmission(t *testing.T) {
+	e := parse.MustParse("(a - b)*")
+	lookups := func(m *Manager) uint64 {
+		cs, _ := m.CacheStats()
+		return cs.MemoHits + cs.MemoMisses
+	}
+	request := func(m *Manager, a expr.Action) error { return m.Request(bg, a) }
+	for _, path := range []struct {
+		name string
+		opts Options
+		do   func(*Manager, expr.Action) error
+	}{
+		{"single", Options{}, request},
+		{"batched", Options{BatchMaxSize: 8}, request},
+		{"burst", Options{}, func(m *Manager, a expr.Action) error { return m.RequestMany(bg, []expr.Action{a})[0] }},
+		{"ask-confirm", Options{}, func(m *Manager, a expr.Action) error {
+			tk, err := m.Ask(bg, a)
+			if err != nil {
+				return err
+			}
+			return m.Confirm(tk)
+		}},
+	} {
+		m := MustNew(e, path.opts)
+		before, granted, denied := lookups(m), 0, 0
+		for i := 0; i < 5; i++ {
+			for _, s := range []string{"a", "a", "b", "b"} { // grant, deny, grant, deny
+				switch err := path.do(m, act(s)); {
+				case err == nil:
+					granted++
+				case errors.Is(err, ErrDenied):
+					denied++
+				default:
+					t.Fatalf("%s: %s: %v", path.name, s, err)
+				}
+			}
+		}
+		if granted != 10 || denied != 10 {
+			t.Fatalf("%s: %d granted, %d denied, want 10 and 10", path.name, granted, denied)
+		}
+		if got := lookups(m) - before; got != uint64(granted+denied) {
+			t.Errorf("%s: %d transitions evaluated for %d admissions", path.name, got, granted+denied)
+		}
+		m.Close()
+	}
+
+	f := MustNew(e, Options{Follower: true})
+	defer f.Close()
+	before := lookups(f)
+	for _, frame := range []ReplFrame{
+		{Base: 0, Actions: []expr.Action{act("a")}},
+		{Base: 1, Actions: []expr.Action{act("b"), act("a"), act("b")}},
+	} {
+		if _, err := f.ApplyReplicated(frame); err != nil {
+			t.Fatalf("follower frame at %d: %v", frame.Base, err)
+		}
+	}
+	if got := lookups(f) - before; got != 4 {
+		t.Errorf("follower: %d transitions evaluated for 4 replicated actions", got)
+	}
+}
+
+// TestRecurringRequestDoesNotAllocate: on an unreplicated, unlogged manager
+// whose states recur, a granted Request allocates nothing and a denied one
+// only its error value. The heap such a manager feeds is what made
+// admit_uniform's runs differ from one another: at 2.4 M requests a second
+// 60 B per request is 140 MB/s of fresh pages, and the cost of faulting
+// those in is the host's, not the program's.
+func TestRecurringRequestDoesNotAllocate(t *testing.T) {
+	m := MustNew(parse.MustParse("(a - b)*"), Options{})
+	defer m.Close()
+	a, b := act("a"), act("b")
+	round := func() {
+		if m.Request(bg, a) != nil || m.Request(bg, b) != nil {
+			t.Fatal("a, b refused")
+		}
+	}
+	round() // the two memo misses
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("two granted requests allocate %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !errors.Is(m.Request(bg, b), ErrDenied) {
+			t.Fatal("b granted out of turn")
+		}
+	}); n > 1 {
+		t.Errorf("a denied request allocates %v times, want at most 1", n)
+	}
+}
+
+// TestStaleSuccessorNeverReachesTheLog: a reservation whose successor was
+// computed on an engine the manager no longer runs (a snapshot install
+// replaced it) is recomputed by Confirm; if the state no longer permits
+// the action the region is freed; and a commit handed a stale successor
+// is refused before the log is written, so no sequence number is reused.
+func TestStaleSuccessorNeverReachesTheLog(t *testing.T) {
+	e := parse.MustParse("(a - b)*")
+	store := storage.NewMemory()
+	m := MustNew(e, Options{Storage: store})
+	defer m.Close()
+	swapEngine := func(word ...string) {
+		en := state.MustEngine(e)
+		for _, s := range word {
+			if err := en.Step(act(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.mu.Lock()
+		m.en = en
+		m.mu.Unlock()
+	}
+
+	tk, err := m.Ask(bg, act("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := m.reservedNxt
+	swapEngine() // same state, another engine: the held successor is stale
+	if err := m.Confirm(tk); err != nil {
+		t.Fatalf("confirm after the engine was replaced: %v", err)
+	}
+	if m.Steps() != 1 || m.reservedNxt.Permissible() {
+		t.Fatalf("steps %d, successor still held %t", m.Steps(), m.reservedNxt.Permissible())
+	}
+
+	logBytes := mustLogBytes(t, store)
+	m.mu.Lock()
+	_, err = m.commitLocked(act("a"), stale)
+	if err == nil {
+		err = m.stageLocked(act("a"), stale)
+	}
+	m.mu.Unlock()
+	if !errors.Is(err, state.ErrStaleSuccessor) {
+		t.Fatalf("stale commit: %v, want ErrStaleSuccessor", err)
+	}
+	if got := mustLogBytes(t, store); got != logBytes || m.Steps() != 1 {
+		t.Fatalf("refused commit left a trace: log %d bytes (had %d), steps %d", got, logBytes, m.Steps())
+	}
+
+	tk, err = m.Ask(bg, act("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapEngine() // back at the start: b is no longer permissible
+	if err := m.Confirm(tk); !errors.Is(err, ErrDenied) {
+		t.Fatalf("confirm of an action the state no longer permits: %v, want ErrDenied", err)
+	}
+	if got := mustLogBytes(t, store); got != logBytes {
+		t.Fatalf("denied confirm wrote to the log: %d bytes, had %d", got, logBytes)
+	}
+	if err := m.Request(bg, act("a")); err != nil { // would block forever on a leaked reservation
+		t.Fatalf("request after the denied confirm: %v", err)
+	}
 }
 
 // TestCoordinationProtocol (E13): the four-step ask/reply/execute/confirm

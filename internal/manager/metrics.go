@@ -81,13 +81,13 @@ func (m *Manager) initMetrics(reg *obs.Registry) {
 		q := m.batch
 		reg.GaugeFunc(mQueueDepth, func() int64 { return q.pending.Load() })
 	}
-	if m.cache != nil {
-		c := m.cache
-		reg.GaugeFunc(mMemoHits, func() int64 { return int64(c.Stats().MemoHits) })
-		reg.GaugeFunc(mMemoMisses, func() int64 { return int64(c.Stats().MemoMisses) })
-		reg.GaugeFunc(mMemoEntries, func() int64 { return int64(c.Stats().MemoEntries) })
-		reg.GaugeFunc(mStateNodes, func() int64 { return int64(c.Stats().Nodes) })
+	cacheGauge := func(name string, pick func(state.CacheStats) int64) {
+		reg.GaugeFunc(name, func() int64 { cs, _ := m.CacheStats(); return pick(cs) })
 	}
+	cacheGauge(mMemoHits, func(cs state.CacheStats) int64 { return int64(cs.MemoHits) })
+	cacheGauge(mMemoMisses, func(cs state.CacheStats) int64 { return int64(cs.MemoMisses) })
+	cacheGauge(mMemoEntries, func(cs state.CacheStats) int64 { return int64(cs.MemoEntries) })
+	cacheGauge(mStateNodes, func(cs state.CacheStats) int64 { return int64(cs.Nodes) })
 }
 
 // MetricsRegistry returns the registry the manager reports into (nil when
@@ -103,46 +103,37 @@ func (m *Manager) MetricsRegistry() *obs.Registry { return m.reg }
 // the three signals the autopilot roadmap item names: AskRate (asks/s),
 // QueueDepth, and MemoHitRate.
 type StatsSnapshot struct {
-	Role        string            `json:"role"`
-	Epoch       uint64            `json:"epoch"`
-	Steps       int               `json:"steps"`
-	Draining    bool              `json:"draining"`
-	Final       bool              `json:"final"`
-	Protocol    Stats             `json:"protocol"`
-	Cache       *state.CacheStats `json:"cache,omitempty"`
-	MemoHitRate float64           `json:"memo_hit_rate"`
-	AskRate     float64           `json:"ask_rate"`
-	QueueDepth  int64             `json:"queue_depth"`
-	Metrics     *obs.Snapshot     `json:"metrics,omitempty"`
+	Role        string           `json:"role"`
+	Epoch       uint64           `json:"epoch"`
+	Steps       int              `json:"steps"`
+	Draining    bool             `json:"draining"`
+	Final       bool             `json:"final"`
+	Protocol    Stats            `json:"protocol"`
+	Cache       state.CacheStats `json:"cache"`
+	MemoHitRate float64          `json:"memo_hit_rate"`
+	AskRate     float64          `json:"ask_rate"`
+	QueueDepth  int64            `json:"queue_depth"`
+	Metrics     *obs.Snapshot    `json:"metrics,omitempty"`
 }
 
 // StatsSnapshot collects the manager's observability readout.
 func (m *Manager) StatsSnapshot() StatsSnapshot {
 	m.mu.Lock()
 	s := StatsSnapshot{
+		Role:     m.statusLocked().Role,
 		Epoch:    m.epoch,
 		Steps:    m.en.Steps(),
 		Draining: m.draining,
 		Final:    m.en.Final(),
 		Protocol: m.stats,
+		Cache:    m.en.CacheStats(),
 	}
-	if m.role == rolePrimary {
-		s.Role = RolePrimary
-	} else {
-		s.Role = RoleFollower
-	}
-	cache := m.cache
-	batch := m.batch
 	m.mu.Unlock()
-	if cache != nil {
-		cs := cache.Stats()
-		s.Cache = &cs
-		if total := cs.MemoHits + cs.MemoMisses; total > 0 {
-			s.MemoHitRate = float64(cs.MemoHits) / float64(total)
-		}
+	if total := s.Cache.MemoHits + s.Cache.MemoMisses; total > 0 {
+		s.MemoHitRate = float64(s.Cache.MemoHits) / float64(total)
 	}
-	if batch != nil {
-		s.QueueDepth = batch.pending.Load()
+	if m.batch != nil { // set once, in New
+		s.QueueDepth = m.batch.pending.Load()
 	}
 	s.AskRate = m.metrics.askMeter.Rate()
 	s.Metrics = m.reg.Snapshot()

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/expr"
-	"repro/internal/state"
 )
 
 // Router distributes one coupled interaction expression over multiple
@@ -80,12 +79,6 @@ func NewRouter(e *expr.Expr, opts Options) (*Router, error) {
 	parts := []*expr.Expr{e}
 	if e.Op == expr.OpSync {
 		parts = e.Kids
-	}
-	// One memo cache for the whole router: coupling operands frequently
-	// share sub-expressions (templates instantiated per operand), so the
-	// shard engines intern into one structural-sharing table.
-	if opts.StateCache == nil && opts.MemoCapacity > 0 {
-		opts.StateCache = state.NewCache(opts.MemoCapacity)
 	}
 	r := &Router{}
 	for i, part := range parts {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/state"
-	"repro/internal/storage"
 )
 
 // Primary/follower replication. A manager with Options.Replicas streams
@@ -507,6 +506,19 @@ func (m *Manager) replicateLocked(base uint64, acts []expr.Action, tks []Ticket)
 	})
 }
 
+// replicateOneLocked is replicateLocked for one action and its ticket
+// (0 = none). It builds the frame's slices only when a follower will get
+// them, so an unreplicated manager's admission does not allocate.
+func (m *Manager) replicateOneLocked(base uint64, a expr.Action, t Ticket) func() error {
+	if m.repl == nil {
+		return m.replicateLocked(base, nil, nil)
+	}
+	if t == 0 {
+		return m.replicateLocked(base, []expr.Action{a}, nil)
+	}
+	return m.replicateLocked(base, []expr.Action{a}, []Ticket{t})
+}
+
 // replSnapshot captures the full replication state under the lock.
 func (m *Manager) replSnapshot() (ReplSnapshot, error) {
 	m.mu.Lock()
@@ -541,12 +553,11 @@ func (m *Manager) demoteTo(epoch uint64) {
 	}
 	if m.role != roleFollower {
 		m.role = roleFollower
-		m.reserved = false
 		// The role is now what refuses writes; a drain left over from the
 		// migration that fenced this node is meaningless on a follower
 		// and must not outlive a later re-promotion by surprise.
 		m.draining = false
-		m.cond.Broadcast()
+		m.releaseLocked()
 	}
 }
 
@@ -579,11 +590,7 @@ func (m *Manager) Promote() (uint64, error) {
 func (m *Manager) Status() ReplStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	role := RolePrimary
-	if m.role == roleFollower {
-		role = RoleFollower
-	}
-	return ReplStatus{Role: role, Epoch: m.epoch, Steps: uint64(m.en.Steps())}
+	return m.statusLocked()
 }
 
 // StateKey returns the canonical key of the current engine state
@@ -615,20 +622,15 @@ func (m *Manager) ApplyReplicated(f ReplFrame) (ReplStatus, error) {
 			ErrReplGap, f.Base, f.PrevEpoch, steps, m.commitEpoch)
 	}
 	for i, a := range f.Actions {
-		if !m.en.Try(a) {
+		next := m.en.Advance(a)
+		if !next.Permissible() {
 			// Divergence despite matching positions — a malformed frame.
 			// The partial application is healed by the snapshot resync the
 			// gap answer provokes.
 			return m.statusLocked(), fmt.Errorf("%w: replicated action %s rejected", ErrReplGap, a)
 		}
-		if m.store != nil {
-			le := storage.Entry{Name: a.Name, Args: a.Values(), Seq: uint64(m.en.Steps()) + 1}
-			if err := m.store.Buffer(le); err != nil {
-				return m.statusLocked(), err
-			}
-		}
-		if err := m.en.Step(a); err != nil {
-			return m.statusLocked(), fmt.Errorf("%w: %v", ErrReplGap, err)
+		if err := m.stageLocked(a, next); err != nil {
+			return m.statusLocked(), err
 		}
 		if i < len(f.Tickets) && f.Tickets[i] != 0 {
 			m.confirmed.add(f.Tickets[i])
@@ -670,9 +672,6 @@ func (m *Manager) InstallReplSnapshot(s ReplSnapshot) (ReplStatus, error) {
 	en, err := state.RestoreEngine(m.en.Expr(), s.Engine)
 	if err != nil {
 		return m.statusLocked(), fmt.Errorf("manager: install replication snapshot: %w", err)
-	}
-	if m.cache != nil {
-		en.UseCache(m.cache)
 	}
 	m.en = en
 	m.commitEpoch = s.CommitEpoch
@@ -726,10 +725,9 @@ func (m *Manager) adoptEpochLocked(epoch uint64) (ReplStatus, error) {
 	}
 	if m.role != roleFollower {
 		m.role = roleFollower
-		m.reserved = false
 		// See demoteTo: a fenced migration source must not stay draining.
 		m.draining = false
-		m.cond.Broadcast()
+		m.releaseLocked()
 	}
 	return ReplStatus{}, nil
 }

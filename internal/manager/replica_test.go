@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/parse"
+	"repro/internal/storage"
 )
 
 // Manager-level replication tests: frames, epochs, fencing, resync.
@@ -218,6 +219,44 @@ func TestReplicationEpochFencing(t *testing.T) {
 	if st := m.Status(); st.Role != RoleFollower || st.Epoch != epoch+1 {
 		t.Fatalf("deposed status: %+v", st)
 	}
+}
+
+// TestReplicatedImpermissibleActionIsGap: a frame that lines up by
+// position and epoch but carries an action the follower's state does not
+// permit is divergence — the follower's one τ̂ evaluation finds no
+// successor, answers ErrReplGap (provoking the snapshot resync) and
+// leaves its engine and its log as they were.
+func TestReplicatedImpermissibleActionIsGap(t *testing.T) {
+	store := storage.NewMemory()
+	m := MustNew(parse.MustParse("(a - b)*"), Options{Follower: true, Storage: store})
+	defer m.Close()
+	if _, err := m.ApplyReplicated(ReplFrame{Epoch: 1, Actions: []expr.Action{act("a")}}); err != nil {
+		t.Fatalf("first frame: %v", err)
+	}
+	key, logBytes := m.StateKey(), mustLogBytes(t, store)
+	st, err := m.ApplyReplicated(ReplFrame{Epoch: 1, PrevEpoch: 1, Base: 1, Actions: []expr.Action{act("a")}})
+	if !errors.Is(err, ErrReplGap) {
+		t.Fatalf("impermissible replicated action: want ErrReplGap, got %v", err)
+	}
+	if st.Steps != 1 || m.Steps() != 1 || m.StateKey() != key {
+		t.Fatalf("refused frame moved the follower: status %+v, steps %d, state %s", st, m.Steps(), m.StateKey())
+	}
+	if got := mustLogBytes(t, store); got != logBytes {
+		t.Fatalf("refused frame wrote to the log: %d bytes, had %d", got, logBytes)
+	}
+	// The follower is still in step with the primary's timeline.
+	if _, err := m.ApplyReplicated(ReplFrame{Epoch: 1, PrevEpoch: 1, Base: 1, Actions: []expr.Action{act("b")}}); err != nil {
+		t.Fatalf("frame after the refused one: %v", err)
+	}
+}
+
+func mustLogBytes(t *testing.T, b storage.Backend) int64 {
+	t.Helper()
+	n, err := b.LogBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestFollowerRejectsWrites: a follower serves reads and refuses writes

@@ -226,6 +226,7 @@ func (m *Manager) applySnapshotMeta(snap *managerSnap) {
 		m.reserved = true
 		m.ticket = Ticket(r.Ticket)
 		m.reservedAct = expr.ConcreteAct(r.Name, r.Args...)
+		m.reservedNxt = state.Successor{} // Confirm computes it from the restored state
 		m.reservedAt = at
 	}
 }

@@ -112,11 +112,8 @@ type DeltaRestorer struct {
 // NewDeltaRestorer returns a restorer for chains of engine checkpoints
 // of the closed expression e.
 func NewDeltaRestorer(e *expr.Expr) (*DeltaRestorer, error) {
-	if e == nil {
-		return nil, fmt.Errorf("state: nil expression")
-	}
-	if !e.Closed() {
-		return nil, fmt.Errorf("state: expression has free parameters: %s", e)
+	if err := checkClosed(e); err != nil {
+		return nil, err
 	}
 	return &DeltaRestorer{e: e, d: &decoder{exprs: make(map[string]*expr.Expr)}}, nil
 }
@@ -171,7 +168,7 @@ func (dr *DeltaRestorer) Engine() (*Engine, error) {
 	if dr.next == 0 {
 		return nil, fmt.Errorf("state: no checkpoint loaded")
 	}
-	return &Engine{e: dr.e, cur: dr.cur, steps: dr.st}, nil
+	return newEngine(dr.e, dr.cur, dr.st), nil
 }
 
 // Marshaller returns a DeltaMarshaller that continues the restored

@@ -18,8 +18,8 @@ import (
 //
 //   - hash-consing: states are interned in a structural-sharing table
 //     keyed by their canonical Key, so identical sub-states — across
-//     quantifier branches, parallel arms, and across distinct engines
-//     sharing one Cache — are one object with a small integer identity.
+//     quantifier branches and parallel arms — are one object with a
+//     small integer identity.
 //     Interned states form a DAG; because states are immutable,
 //     transitions are copy-on-write against that DAG and a snapshot
 //     shares structure with the live state instead of deep-copying it.
@@ -29,21 +29,27 @@ import (
 //     action hash), hits confirmed by structural comparison against the
 //     stored action. A hit turns a term walk into a map lookup;
 //     rejections (successor = nil) are memoized too, which is what makes
-//     repeated Try probes — the manager's subscription re-evaluation and
-//     batch admission paths — almost free in steady state.
+//     repeated Try probes — the manager's subscription re-evaluation —
+//     almost free in steady state.
 //
-// A Cache is safe for concurrent use by multiple engines. Sharing one
-// Cache across the managers of one process maximizes structural sharing
-// ("many expressions, one table") at the cost of contention on one
-// mutex; per-manager caches trade memory for isolation.
+// Every Engine owns one Cache; nothing shares a Cache across engines.
+// Both tables are bounded by the constants below, so the heap a cache
+// can retain is bounded too: at most DefaultMemoCapacity memo entries,
+// and defaultInternCapacity interned nodes or internKeyBudget bytes of
+// their keys (plus one descent), whatever the expression does.
 
-// DefaultMemoCapacity bounds the transition memo when NewCache is given
-// a non-positive capacity.
+// DefaultMemoCapacity bounds the transition memo (LRU eviction).
 const DefaultMemoCapacity = 1 << 16
 
 // defaultInternCapacity bounds the interning table; overflowing it
 // flushes both tables (see maybeFlushLocked).
 const defaultInternCapacity = 1 << 20
+
+// internKeyBudget bounds the key bytes the interning table holds, with
+// the same flush. A node count does not bound the heap: a node's key is
+// as long as the sub-state it names, and a state that grows with every
+// action would leave every one of its predecessors interned.
+const internKeyBudget = 64 << 20
 
 // CacheStats reports the cache's traffic counters. All counters are
 // cumulative; Nodes and MemoEntries are current sizes.
@@ -90,8 +96,10 @@ type Cache struct {
 	buckets   map[uint64][]*internEntry // expr.HashKey(state key) → chain
 	byState   map[State]*internEntry    // identity fast path for canonical states
 	nodes     int
+	keyBytes  int
 	nextID    uint64 // monotone across flushes, so stale memo keys never alias
 	internCap int
+	keyCap    int
 
 	memo    map[memoKey]*list.Element
 	lru     *list.List // front = most recently used
@@ -100,19 +108,16 @@ type Cache struct {
 	stats CacheStats
 }
 
-// NewCache creates a cache whose transition memo holds at most memoCap
-// entries (DefaultMemoCapacity if memoCap <= 0).
-func NewCache(memoCap int) *Cache {
-	if memoCap <= 0 {
-		memoCap = DefaultMemoCapacity
-	}
+// NewCache creates an empty cache with the constant bounds.
+func NewCache() *Cache {
 	return &Cache{
 		buckets:   make(map[uint64][]*internEntry),
 		byState:   make(map[State]*internEntry),
 		internCap: defaultInternCapacity,
+		keyCap:    internKeyBudget,
 		memo:      make(map[memoKey]*list.Element),
 		lru:       list.New(),
-		memoCap:   memoCap,
+		memoCap:   DefaultMemoCapacity,
 	}
 }
 
@@ -182,6 +187,7 @@ func (c *Cache) canon(s State) (State, uint64) {
 	c.buckets[h] = append(c.buckets[h], e)
 	c.byState[cs] = e
 	c.nodes++
+	c.keyBytes += len(k)
 	c.stats.InternMisses++
 	return cs, e.id
 }
@@ -196,19 +202,19 @@ func (c *Cache) findLocked(h uint64, k string) *internEntry {
 }
 
 // maybeFlushLocked resets both tables when the interning table outgrows
-// its bound. Eviction from a hash-consing table is delicate — memo
+// either of its bounds. Eviction from a hash-consing table is delicate — memo
 // entries reference node identities — so overflow drops everything at
 // once: correctness is untouched (interning is an optimization) and the
 // working set re-interns within a few transitions. nextID keeps
 // counting, so memo keys minted before the flush can never collide with
 // nodes minted after it.
 func (c *Cache) maybeFlushLocked() {
-	if c.nodes < c.internCap {
+	if c.nodes < c.internCap && c.keyBytes < c.keyCap {
 		return
 	}
 	c.buckets = make(map[uint64][]*internEntry)
 	c.byState = make(map[State]*internEntry)
-	c.nodes = 0
+	c.nodes, c.keyBytes = 0, 0
 	c.memo = make(map[memoKey]*list.Element)
 	c.lru = list.New()
 	c.stats.Flushes++
@@ -265,14 +271,6 @@ func (c *Cache) Transition(s State, a expr.Action) State {
 		c.stats.MemoEvictions++
 	}
 	return next
-}
-
-// Probe is the memoized permissibility test: whether a is currently
-// permissible in s. It shares memo entries with Transition, so an
-// admission probe immediately followed by the committed transition (the
-// manager's batch path) pays for the term walk once.
-func (c *Cache) Probe(s State, a expr.Action) bool {
-	return c.Transition(s, a) != nil
 }
 
 // canonAll canonicalizes a slice of states, preserving order.

@@ -11,7 +11,7 @@ import (
 // TestCacheInterningSharesStructure: canonicalizing two structurally
 // equal states yields the same object, across engines and expressions.
 func TestCacheInterningSharesStructure(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	e1 := parse.MustParse("(a - b)* || c")
 	e2 := parse.MustParse("(a - b)* || c")
 	s1 := c.Canon(Initial(e1))
@@ -37,15 +37,15 @@ func TestCacheInterningSharesStructure(t *testing.T) {
 // TestCacheMemoizesRejections: an impermissible probe is derived once
 // and served from the memo afterwards.
 func TestCacheMemoizesRejections(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	s := c.Canon(Initial(parse.MustParse("a - b")))
 	bad := expr.ConcreteAct("b")
-	if c.Probe(s, bad) {
+	if c.Transition(s, bad) != nil {
 		t.Fatal("b before a should be impermissible")
 	}
 	before := c.Stats()
 	for i := 0; i < 5; i++ {
-		if c.Probe(s, bad) {
+		if c.Transition(s, bad) != nil {
 			t.Fatal("b before a should stay impermissible")
 		}
 	}
@@ -58,7 +58,8 @@ func TestCacheMemoizesRejections(t *testing.T) {
 // TestCacheLRUEviction: the memo respects its bound and keeps working
 // correctly after evictions.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache()
+	c.memoCap = 4 // tiny bound for the test
 	e := parse.MustParse("(a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)*")
 	s := c.Canon(Initial(e))
 	for round := 0; round < 3; round++ {
@@ -78,39 +79,44 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheFlushOnInternOverflow: overflowing the interning table resets
-// both tables but never corrupts behaviour.
+// TestCacheFlushOnInternOverflow: overflowing either bound of the
+// interning table resets both tables but never corrupts behaviour.
 func TestCacheFlushOnInternOverflow(t *testing.T) {
-	c := NewCache(0)
-	c.internCap = 8 // tiny bound for the test
 	e := parse.MustParse("all p: (call(p) - perform(p))*")
-	en := MustEngine(e)
-	en.UseCache(c)
-	ref := MustEngine(e)
-	for i := 0; i < 30; i++ {
-		p := "pat" + string(rune('a'+i%5))
-		for _, a := range []expr.Action{expr.ConcreteAct("call", p), expr.ConcreteAct("perform", p)} {
-			if err := en.Step(a); err != nil {
-				t.Fatalf("step %s: %v", a, err)
-			}
-			if err := ref.Step(a); err != nil {
-				t.Fatalf("ref step %s: %v", a, err)
-			}
-			if en.StateKey() != ref.StateKey() {
-				t.Fatalf("states diverge after flush: %s vs %s", en.StateKey(), ref.StateKey())
+	for name, shrink := range map[string]func(*Cache){
+		"nodes":     func(c *Cache) { c.internCap = 8 },
+		"key bytes": func(c *Cache) { c.keyCap = 512 },
+	} {
+		en := MustEngine(e)
+		shrink(en.cache) // tiny bound for the test
+		ref := newPlainRef(e)
+		for i := 0; i < 30; i++ {
+			p := "pat" + string(rune('a'+i%5))
+			for _, a := range []expr.Action{expr.ConcreteAct("call", p), expr.ConcreteAct("perform", p)} {
+				if err := en.Step(a); err != nil {
+					t.Fatalf("%s: step %s: %v", name, a, err)
+				}
+				if !ref.step(a) {
+					t.Fatalf("%s: ref step %s rejected", name, a)
+				}
+				if en.StateKey() != ref.key() {
+					t.Fatalf("%s: states diverge after flush: %s vs %s", name, en.StateKey(), ref.key())
+				}
 			}
 		}
-	}
-	if c.Stats().Flushes == 0 {
-		t.Fatalf("expected at least one flush: %+v", c.Stats())
+		if en.CacheStats().Flushes == 0 {
+			t.Fatalf("%s: expected at least one flush: %+v", name, en.CacheStats())
+		}
 	}
 }
 
-// TestCacheConcurrentEngines: many goroutines drive private engines
-// through one shared cache; run under -race this is the interning-table
-// and memo-cache race check the CI soak job repeats.
+// TestCacheConcurrentEngines: many goroutines drive engines through one
+// cache (no production engine shares one; the test wires it by hand).
+// Run under -race this is the interning-table and memo-cache race check
+// the CI soak job repeats: the Cache keeps its mutex.
 func TestCacheConcurrentEngines(t *testing.T) {
-	c := NewCache(1 << 10)
+	c := NewCache()
+	c.memoCap = 1 << 10
 	e := parse.MustParse("all p: (call(p) - (any q: assist(p,q)) - perform(p))*")
 	const workers = 8
 	var wg sync.WaitGroup
@@ -118,8 +124,7 @@ func TestCacheConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			en := MustEngine(e)
-			en.UseCache(c)
+			en := &Engine{e: e, cur: c.Canon(Initial(e)), cache: c}
 			p := "pat" + string(rune('0'+w%4)) // overlapping populations → shared states
 			for i := 0; i < 50; i++ {
 				for _, a := range []expr.Action{

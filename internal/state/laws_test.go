@@ -109,7 +109,7 @@ func stateKey(s State) string {
 func assertStateLaw(t *testing.T, name string, law func(x, y, z *expr.Expr) (*expr.Expr, *expr.Expr)) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(int64(expr.HashKey(name))))
-	cache := NewCache(0)
+	cache := NewCache()
 	for i := 0; i < 25; i++ {
 		g := &exprGen{rnd: rnd}
 		x, y, z := g.gen(2), g.gen(2), g.gen(1)
@@ -215,7 +215,7 @@ func assertUnrolling(t *testing.T, name string, wrap func(p string, body *expr.E
 	expand func(concretions []*expr.Expr) *expr.Expr, fresh int, depth int, bodyDepth int) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(int64(expr.HashKey(name))))
-	cache := NewCache(0)
+	cache := NewCache()
 	domain := []string{"v1", "v2"}
 	for i := 0; i < fresh; i++ {
 		domain = append(domain, fmt.Sprintf("w%d", i+1))
@@ -286,38 +286,66 @@ func TestStateLawAllQUnrolling(t *testing.T) {
 		3, 3, 1)
 }
 
-// TestMemoizationPreservesSemantics drives random expressions through a
-// cached and an uncached engine in lockstep: every step must agree on
-// acceptance, finality and the canonical state key. This is the direct
-// behavior-preservation property of the hash-consing refactor (the law
-// tests above additionally prove it across *different* expressions).
+// plainRef is the tests' reference engine: the plain recursion
+// Initial/Trans, with no cache anywhere.
+type plainRef struct {
+	e     *expr.Expr
+	cur   State
+	steps int
+}
+
+func newPlainRef(e *expr.Expr) *plainRef { return &plainRef{e: e, cur: Initial(e)} }
+
+// step consumes a if Trans permits it and reports whether it did.
+func (p *plainRef) step(a expr.Action) bool {
+	next := Trans(p.cur, a)
+	if next == nil {
+		return false
+	}
+	p.cur = next
+	p.steps++
+	return true
+}
+
+func (p *plainRef) key() string { return stateKey(p.cur) }
+
+// TestMemoizationPreservesSemantics drives random expressions through an
+// engine and the plain recursion in lockstep: every step must agree on
+// the tentative transition (Advance), acceptance, finality and the
+// canonical state key. This is the direct behavior-preservation property
+// of the hash-consing refactor (the law tests above additionally prove
+// it across *different* expressions).
 func TestMemoizationPreservesSemantics(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20010421))
 	sigma := acts("a", "b", "x(v1)", "x(v2)", "y(v1)")
-	cache := NewCache(0)
+	var st CacheStats
 	for i := 0; i < 300; i++ {
 		g := &exprGen{rnd: rnd}
 		e := g.gen(3)
-		plain := MustEngine(e)
+		plain := newPlainRef(e)
 		memo := MustEngine(e)
-		memo.UseCache(cache)
 		for step := 0; step < 8; step++ {
 			a := sigma[rnd.Intn(len(sigma))]
-			errP := plain.Step(a)
-			errM := memo.Step(a)
-			if (errP == nil) != (errM == nil) {
-				t.Fatalf("expr %s step %d (%s): plain err=%v memo err=%v", e, step, a, errP, errM)
+			if got, want := stateKey(memo.Advance(a).next), stateKey(Trans(plain.cur, a)); got != want {
+				t.Fatalf("expr %s step %d (%s): Advance diverges:\n plain %s\n memo  %s", e, step, a, want, got)
 			}
-			if plain.Final() != memo.Final() {
+			okP := plain.step(a)
+			errM := memo.Step(a)
+			if okP != (errM == nil) {
+				t.Fatalf("expr %s step %d (%s): plain ok=%v memo err=%v", e, step, a, okP, errM)
+			}
+			if Final(plain.cur) != memo.Final() {
 				t.Fatalf("expr %s step %d: finality diverges", e, step)
 			}
-			if plain.StateKey() != memo.StateKey() {
+			if plain.key() != memo.StateKey() {
 				t.Fatalf("expr %s step %d: state keys diverge:\n plain %s\n memo  %s",
-					e, step, plain.StateKey(), memo.StateKey())
+					e, step, plain.key(), memo.StateKey())
 			}
 		}
+		cs := memo.CacheStats()
+		st.MemoHits += cs.MemoHits
+		st.InternHits += cs.InternHits
 	}
-	st := cache.Stats()
 	if st.MemoHits == 0 || st.InternHits == 0 {
 		t.Fatalf("cache never hit: %+v", st)
 	}

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,29 @@ func TestEngineRejectsNonConcrete(t *testing.T) {
 	if err := en.Step(expr.Act("a", expr.Prm("p"))); err == nil {
 		t.Error("non-concrete action must be rejected")
 	}
+}
+
+// TestCommitRefusesStaleSuccessor: a successor is only installable on the
+// state it was computed from; a refused commit changes nothing.
+func TestCommitRefusesStaleSuccessor(t *testing.T) {
+	en := MustEngine(parse.MustParse("(a | b) - c"))
+	viaA, viaB := en.Advance(ca("a")), en.Advance(ca("b"))
+	if err := en.Commit(en.Advance(ca("c"))); !errors.Is(err, ErrRejected) {
+		t.Fatalf("committing an impermissible advance: %v, want ErrRejected", err)
+	}
+	if err := en.Commit(viaA); err != nil {
+		t.Fatal(err)
+	}
+	key := en.StateKey()
+	for _, stale := range []Successor{viaA, viaB} {
+		if err := en.Commit(stale); !errors.Is(err, ErrStaleSuccessor) {
+			t.Fatalf("stale commit: %v, want ErrStaleSuccessor", err)
+		}
+	}
+	if en.Steps() != 1 || en.StateKey() != key {
+		t.Fatalf("refused commits moved the engine: steps %d, state %s", en.Steps(), en.StateKey())
+	}
+	mustStep(t, en, ca("c"))
 }
 
 func TestNewEngineErrors(t *testing.T) {
