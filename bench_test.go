@@ -1,6 +1,5 @@
-// Benchmark harness: one benchmark per experiment of the reproduction
-// (see the experiment index in DESIGN.md and the recorded results in
-// EXPERIMENTS.md). Run with:
+// Benchmark harness: one benchmark per experiment of the reproduction,
+// named E1–E12 after the paper's figures and claims it measures. Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -57,7 +56,7 @@ func BenchmarkE1_Operational(b *testing.B) {
 
 // BenchmarkE12_NaiveBlowup shows the oracle's exponential growth in the
 // word length; compare the /len=... variants against the flat
-// operational ones (E12 of EXPERIMENTS.md).
+// operational ones.
 func BenchmarkE12_NaiveBlowup(b *testing.B) {
 	e := ix.MustParse("(a - b)# & (a | b)*")
 	for _, n := range []int{5, 9, 13} {

@@ -13,8 +13,8 @@
 //     constructed deliberately together with an adversarial word.
 //
 // The growth half of the package measures actual state sizes along a word
-// and estimates the growth class empirically, which is how EXPERIMENTS.md
-// tables E9–E11 are produced.
+// and estimates the growth class empirically; the E9–E11 benchmarks of
+// the root bench_test.go drive its three reference expressions.
 package complexity
 
 import (

@@ -1,7 +1,7 @@
 package state
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -43,10 +43,11 @@ import (
 // need no representation beyond the nullability flag.
 type allQState struct {
 	e        *expr.Expr
+	sigma                   // the body y (p free) and σ(y), the template of fresh branches
 	strictA  *expr.Alphabet // α of the body with p free: parameter-free atoms
 	nullable bool           // ϕ(σ(y)): whether every untouched branch may stay empty
 	alts     []allQAlt
-	key      string
+	keyed
 }
 
 type allQAlt struct {
@@ -83,12 +84,12 @@ func mergeExcl(excl, vals []string) []string {
 			out = append(out, v)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
 func sortAnon(abs []anonBranch) []anonBranch {
-	sort.Slice(abs, func(i, j int) bool { return abs[i].key() < abs[j].key() })
+	slices.SortFunc(abs, func(x, y anonBranch) int { return strings.Compare(x.key(), y.key()) })
 	return abs
 }
 
@@ -116,12 +117,9 @@ func (a allQAlt) key() string {
 }
 
 func newAllQState(e *expr.Expr) State {
-	return &allQState{
-		e:        e,
-		strictA:  expr.AlphabetOf(e.Kids[0]),
-		nullable: Initial(e.Kids[0]).Final(),
-		alts:     []allQAlt{{}},
-	}
+	s := &allQState{e: e, sigma: sigma{y: e.Kids[0]}, strictA: expr.AlphabetOf(e.Kids[0]), alts: []allQAlt{{}}}
+	s.nullable = s.initial().Final()
+	return s
 }
 
 func (s *allQState) Key() string {
@@ -130,7 +128,7 @@ func (s *allQState) Key() string {
 		for i, a := range s.alts {
 			keys[i] = a.key()
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		s.key = "all<" + s.e.Key() + ">{" + strings.Join(keys, ";") + "}"
 	}
 	return s.key
@@ -159,9 +157,9 @@ func (s *allQState) Size() int {
 	return n
 }
 
-func (s *allQState) trans(act expr.Action) State {
+func (s *allQState) trans(act expr.Action, sh sharing) State {
 	p := s.e.Param
-	template := Initial(s.e.Kids[0])
+	template := s.initial()
 	templateKey := template.Key()
 	// Values that some $p pattern of the body matches act under: binding
 	// them is what an anonymous consumption of act rules out.
@@ -226,7 +224,7 @@ func (s *allQState) trans(act expr.Action) State {
 			if !branchCanAct(b.val, act, s.strictA) {
 				continue // the action cannot belong to this branch's word
 			}
-			nst := b.st.trans(act)
+			nst := sh.trans(b.st, act)
 			if nst == nil {
 				continue
 			}
@@ -243,7 +241,7 @@ func (s *allQState) trans(act expr.Action) State {
 			}
 			// (2a) ... without binding its value. Consuming with p free
 			// commits the branch to being none of the taint values.
-			if nm := m.st.trans(act); nm != nil {
+			if nm := sh.trans(m.st, act); nm != nil {
 				anon := make([]anonBranch, len(alt.anon))
 				copy(anon, alt.anon)
 				anon[i] = anonBranch{st: compress(nm), excl: mergeExcl(m.excl, taint)}
@@ -255,7 +253,7 @@ func (s *allQState) trans(act expr.Action) State {
 				if containsStr(m.excl, v) {
 					continue
 				}
-				nm := m.st.subst(p, v).trans(act)
+				nm := m.st.subst(p, v).trans(act, sh)
 				if nm == nil {
 					continue
 				}
@@ -271,7 +269,7 @@ func (s *allQState) trans(act expr.Action) State {
 
 		// (3) A fresh branch starts with this action...
 		// (3a) ... anonymously (matching a parameter-free atom).
-		if nm := template.trans(act); nm != nil {
+		if nm := sh.trans(template, act); nm != nil {
 			anon := make([]anonBranch, len(alt.anon), len(alt.anon)+1)
 			copy(anon, alt.anon)
 			anon = append(anon, anonBranch{st: compress(nm), excl: append([]string(nil), taint...)})
@@ -279,7 +277,7 @@ func (s *allQState) trans(act expr.Action) State {
 		}
 		// (3b) ... bound to a newly mentioned value.
 		for _, v := range fresh {
-			nm := template.subst(p, v).trans(act)
+			nm := template.subst(p, v).trans(act, sh)
 			if nm == nil {
 				continue
 			}
@@ -292,7 +290,7 @@ func (s *allQState) trans(act expr.Action) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &allQState{e: s.e, strictA: s.strictA, nullable: s.nullable, alts: next}
+	return &allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: next}
 }
 
 func (s *allQState) subst(p, v string) State {
@@ -311,7 +309,7 @@ func (s *allQState) subst(p, v string) State {
 			anon:  sortAnon(anon),
 		}
 	}
-	return &allQState{e: ne, strictA: expr.AlphabetOf(ne.Kids[0]), nullable: s.nullable, alts: alts}
+	return &allQState{e: ne, sigma: sigma{y: ne.Kids[0]}, strictA: expr.AlphabetOf(ne.Kids[0]), nullable: s.nullable, alts: alts}
 }
 
 func (s *allQState) inert() bool { return false }
@@ -325,5 +323,5 @@ func (s *allQState) internParts(c *Cache) State {
 		}
 		alts[i] = allQAlt{named: a.named.internParts(c), anon: anon}
 	}
-	return &allQState{e: s.e, strictA: s.strictA, nullable: s.nullable, alts: alts, key: s.Key()}
+	return &allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: alts, keyed: s.keyed}
 }

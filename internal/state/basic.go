@@ -24,7 +24,7 @@ func (s *atomState) Key() string {
 func (s *atomState) Final() bool { return s.done }
 func (s *atomState) Size() int   { return 1 }
 
-func (s *atomState) trans(a expr.Action) State {
+func (s *atomState) trans(a expr.Action, _ sharing) State {
 	if s.done || !s.atom.StrictMatch(a) {
 		return nil
 	}
@@ -44,19 +44,21 @@ func (s *atomState) subst(p, v string) State {
 func (s *atomState) inert() bool { return s.done }
 
 func (s *atomState) internParts(c *Cache) State { return s }
+func (s *atomState) keys() *keyed               { return nil }
 
 // emptyState is the (single) state of the neutral expression ε.
 type emptyState struct{}
 
 var theEmptyState State = emptyState{}
 
-func (emptyState) Key() string              { return "eps" }
-func (emptyState) Final() bool              { return true }
-func (emptyState) Size() int                { return 1 }
-func (emptyState) trans(expr.Action) State  { return nil }
-func (emptyState) subst(p, v string) State  { return theEmptyState }
-func (emptyState) inert() bool              { return true }
-func (emptyState) internParts(*Cache) State { return theEmptyState }
+func (emptyState) Key() string                      { return "eps" }
+func (emptyState) Final() bool                      { return true }
+func (emptyState) Size() int                        { return 1 }
+func (emptyState) trans(expr.Action, sharing) State { return nil }
+func (emptyState) subst(p, v string) State          { return theEmptyState }
+func (emptyState) inert() bool                      { return true }
+func (emptyState) internParts(*Cache) State         { return theEmptyState }
+func (emptyState) keys() *keyed                     { return nil }
 
 // orState is the state of a disjunction: the walker is in exactly one
 // branch, but which one is not yet determined, so all still-valid branch
@@ -64,7 +66,7 @@ func (emptyState) internParts(*Cache) State { return theEmptyState }
 // none remains the whole state is invalid.
 type orState struct {
 	kids []State
-	key  string
+	keyed
 }
 
 func newOrState(kids []State) State {
@@ -98,10 +100,10 @@ func (s *orState) Final() bool {
 
 func (s *orState) Size() int { return 1 + sumSizes(s.kids) }
 
-func (s *orState) trans(a expr.Action) State {
+func (s *orState) trans(a expr.Action, sh sharing) State {
 	next := make([]State, 0, len(s.kids))
 	for _, k := range s.kids {
-		if nk := k.trans(a); nk != nil {
+		if nk := sh.trans(k, a); nk != nil {
 			next = append(next, compress(nk))
 		}
 	}
@@ -115,14 +117,14 @@ func (s *orState) subst(p, v string) State {
 func (s *orState) inert() bool { return allInert(s.kids) }
 
 func (s *orState) internParts(c *Cache) State {
-	return &orState{kids: canonAll(c, s.kids), key: s.Key()}
+	return &orState{kids: canonAll(c, s.kids), keyed: s.keyed}
 }
 
 // andState is the state of a strict conjunction: every branch must accept
 // every action; a single dying branch invalidates the whole state.
 type andState struct {
 	kids []State
-	key  string
+	keyed
 }
 
 func newAndState(kids []State) State {
@@ -144,10 +146,10 @@ func (s *andState) Key() string {
 func (s *andState) Final() bool { return allFinal(s.kids) }
 func (s *andState) Size() int   { return 1 + sumSizes(s.kids) }
 
-func (s *andState) trans(a expr.Action) State {
+func (s *andState) trans(a expr.Action, sh sharing) State {
 	next := make([]State, len(s.kids))
 	for i, k := range s.kids {
-		nk := k.trans(a)
+		nk := sh.trans(k, a)
 		if nk == nil {
 			return nil
 		}
@@ -172,5 +174,5 @@ func (s *andState) inert() bool {
 }
 
 func (s *andState) internParts(c *Cache) State {
-	return &andState{kids: canonAll(c, s.kids), key: s.Key()}
+	return &andState{kids: canonAll(c, s.kids), keyed: s.keyed}
 }

@@ -2,7 +2,6 @@ package state
 
 import (
 	"container/list"
-	"sync"
 
 	"repro/internal/expr"
 )
@@ -14,7 +13,7 @@ import (
 // constraints walks its state term on every action, and most of that
 // term is unchanged from the previous action (quantifier branch release
 // even makes whole cycles of states recur exactly). A Cache removes the
-// repeated work on two levels:
+// repeated work on three levels:
 //
 //   - hash-consing: states are interned in a structural-sharing table
 //     keyed by their canonical Key, so identical sub-states — across
@@ -32,17 +31,21 @@ import (
 //     repeated Try probes — the manager's subscription re-evaluation —
 //     almost free in steady state.
 //
-// Every Engine owns one Cache; nothing shares a Cache across engines.
-// Both tables are bounded by the constants below, so the heap a cache
-// can retain is bounded too: at most DefaultMemoCapacity memo entries,
-// and defaultInternCapacity interned nodes or internKeyBudget bytes of
-// their keys (plus one descent), whatever the expression does.
+//   - sharing: a miss transitions each distinct node of the canonical DAG
+//     once, however many paths reach it (see sharing).
+//
+// Every Engine owns one Cache; nothing shares a Cache across engines,
+// and a Cache, like its Engine, is not safe for concurrent use. Both
+// tables are bounded by the constants below, so the heap a cache can
+// retain is bounded too: at most DefaultMemoCapacity memo entries, and
+// defaultInternCapacity interned nodes or internKeyBudget bytes of their
+// keys (plus one descent), whatever the expression does.
 
 // DefaultMemoCapacity bounds the transition memo (LRU eviction).
 const DefaultMemoCapacity = 1 << 16
 
 // defaultInternCapacity bounds the interning table; overflowing it
-// flushes both tables (see maybeFlushLocked).
+// flushes both tables (see maybeFlush).
 const defaultInternCapacity = 1 << 20
 
 // internKeyBudget bounds the key bytes the interning table holds, with
@@ -90,9 +93,9 @@ type memoEnt struct {
 	next State
 }
 
-// Cache is a hash-consing table plus a bounded transition memo.
+// Cache is a hash-consing table plus a bounded transition memo, owned by
+// one Engine.
 type Cache struct {
-	mu        sync.Mutex
 	buckets   map[uint64][]*internEntry // expr.HashKey(state key) → chain
 	byState   map[State]*internEntry    // identity fast path for canonical states
 	nodes     int
@@ -105,6 +108,7 @@ type Cache struct {
 	lru     *list.List // front = most recently used
 	memoCap int
 
+	walk  sharing // scratch table of the transition being derived
 	stats CacheStats
 }
 
@@ -118,13 +122,12 @@ func NewCache() *Cache {
 		memo:      make(map[memoKey]*list.Element),
 		lru:       list.New(),
 		memoCap:   DefaultMemoCapacity,
+		walk:      make(sharing),
 	}
 }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := c.stats
 	s.Nodes = c.nodes
 	s.MemoEntries = c.lru.Len()
@@ -150,38 +153,24 @@ func (c *Cache) canon(s State) (State, uint64) {
 	// (an engine's current state after the first step, every interned
 	// child) resolves without hashing or comparing its key string — this
 	// keeps the memoized transition hit path O(1) in the term size.
-	c.mu.Lock()
 	if e, ok := c.byState[s]; ok {
 		c.stats.InternHits++
-		c.mu.Unlock()
 		return e.st, e.id
 	}
-	c.mu.Unlock()
-	k := s.Key() // materializes the key cache before the node is shared
-	h := expr.HashKey(k)
-	c.mu.Lock()
-	if e := c.findLocked(h, k); e != nil {
+	// Materialize the key and hash caches before the node is shared.
+	k, h := s.Key(), keyHash(s)
+	if e := c.find(h, k); e != nil {
 		c.stats.InternHits++
-		c.mu.Unlock()
 		return e.st, e.id
 	}
 	// Flush on overflow BEFORE descending, so the node and the children
 	// interned for it land in the same table generation (the cap is soft
 	// by the size of one descent).
-	c.maybeFlushLocked()
-	c.mu.Unlock()
-	// Miss: canonicalize the children outside the lock (each child looks
-	// itself up, so an unchanged subtree stops descending at its first
-	// interned node), then publish.
+	c.maybeFlush()
+	// Miss: canonicalize the children (each child looks itself up, so an
+	// unchanged subtree stops descending at its first interned node),
+	// then publish. No child has s's key, so s is still absent.
 	cs := s.internParts(c)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.findLocked(h, k); e != nil {
-		// Another goroutine interned the same structure first; its
-		// representative wins so identity stays unique.
-		c.stats.InternHits++
-		return e.st, e.id
-	}
 	c.nextID++
 	e := &internEntry{id: c.nextID, key: k, st: cs}
 	c.buckets[h] = append(c.buckets[h], e)
@@ -192,7 +181,7 @@ func (c *Cache) canon(s State) (State, uint64) {
 	return cs, e.id
 }
 
-func (c *Cache) findLocked(h uint64, k string) *internEntry {
+func (c *Cache) find(h uint64, k string) *internEntry {
 	for _, e := range c.buckets[h] {
 		if e.key == k {
 			return e
@@ -201,14 +190,14 @@ func (c *Cache) findLocked(h uint64, k string) *internEntry {
 	return nil
 }
 
-// maybeFlushLocked resets both tables when the interning table outgrows
+// maybeFlush resets both tables when the interning table outgrows
 // either of its bounds. Eviction from a hash-consing table is delicate — memo
 // entries reference node identities — so overflow drops everything at
 // once: correctness is untouched (interning is an optimization) and the
 // working set re-interns within a few transitions. nextID keeps
 // counting, so memo keys minted before the flush can never collide with
 // nodes minted after it.
-func (c *Cache) maybeFlushLocked() {
+func (c *Cache) maybeFlush() {
 	if c.nodes < c.internCap && c.keyBytes < c.keyCap {
 		return
 	}
@@ -221,47 +210,34 @@ func (c *Cache) maybeFlushLocked() {
 }
 
 // Transition is the memoized τ̂: it interns s, consults the memo for
-// (state, action), and on a miss derives the successor by the ordinary
-// term walk, interns it and records it. A nil result means the action is
-// not permissible in s, exactly like Trans; nil results are memoized so
-// repeated probes of an impermissible action cost one lookup.
+// (state, action), and on a miss derives the successor by a term walk
+// that shares the transitions of shared sub-states, interns it and
+// records it. A nil result means the action is not permissible in s,
+// exactly like Trans; nil results are memoized so repeated probes of an
+// impermissible action cost one lookup.
 func (c *Cache) Transition(s State, a expr.Action) State {
 	if s == nil {
 		return nil
 	}
 	cs, sid := c.canon(s)
 	mk := memoKey{sid: sid, ah: a.Hash()}
-	c.mu.Lock()
 	if el, ok := c.memo[mk]; ok {
 		if ent := el.Value.(*memoEnt); ent.act.Equal(a) {
 			c.lru.MoveToFront(el)
 			c.stats.MemoHits++
-			next := ent.next
-			c.mu.Unlock()
-			return next
+			return ent.next
 		}
-		// Hash collision between distinct actions: fall through as a
-		// miss; the store below replaces the colliding entry.
+		// Hash collision between distinct actions: evict the colliding
+		// entry in favour of the fresh result derived below.
+		c.lru.Remove(el)
+		delete(c.memo, mk)
 	}
 	c.stats.MemoMisses++
-	c.mu.Unlock()
 
-	next := Trans(cs, a)
-	if next != nil {
-		next, _ = c.canon(next)
-	}
+	next := cs.trans(a, c.walk)
+	clear(c.walk)
+	next, _ = c.canon(next)
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.memo[mk]; ok {
-		if ent := el.Value.(*memoEnt); !ent.act.Equal(a) {
-			// Evict the colliding entry in favour of the fresh result.
-			c.lru.Remove(el)
-			delete(c.memo, mk)
-		} else {
-			return next // another goroutine memoized the same transition
-		}
-	}
 	el := c.lru.PushFront(&memoEnt{k: mk, act: a, next: next})
 	c.memo[mk] = el
 	for c.lru.Len() > c.memoCap {

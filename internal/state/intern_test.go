@@ -1,6 +1,7 @@
 package state
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -110,13 +111,11 @@ func TestCacheFlushOnInternOverflow(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentEngines: many goroutines drive engines through one
-// cache (no production engine shares one; the test wires it by hand).
-// Run under -race this is the interning-table and memo-cache race check
-// the CI soak job repeats: the Cache keeps its mutex.
+// TestCacheConcurrentEngines: engines over one shared expression, each
+// with its own cache, stepped on their own goroutines. Nothing mutable
+// may be shared between them: run under -race (as the CI soak job does)
+// this fails on any package-level table or cross-engine state.
 func TestCacheConcurrentEngines(t *testing.T) {
-	c := NewCache()
-	c.memoCap = 1 << 10
 	e := parse.MustParse("all p: (call(p) - (any q: assist(p,q)) - perform(p))*")
 	const workers = 8
 	var wg sync.WaitGroup
@@ -124,8 +123,8 @@ func TestCacheConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			en := &Engine{e: e, cur: c.Canon(Initial(e)), cache: c}
-			p := "pat" + string(rune('0'+w%4)) // overlapping populations → shared states
+			en := MustEngine(e)
+			p := "pat" + string(rune('0'+w%4)) // overlapping populations → equal states
 			for i := 0; i < 50; i++ {
 				for _, a := range []expr.Action{
 					expr.ConcreteAct("call", p),
@@ -138,11 +137,44 @@ func TestCacheConcurrentEngines(t *testing.T) {
 					}
 				}
 			}
+			if st := en.CacheStats(); st.MemoHits == 0 {
+				t.Errorf("worker %d: recurring states never hit the memo: %+v", w, st)
+			}
 		}(w)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.MemoHits == 0 {
-		t.Fatalf("expected cross-engine memo hits: %+v", st)
+}
+
+// TestMalignantStepAllocations pins the cost of τ̂ on a state whose tree
+// unfolding is far larger than its DAG: Sec 6's ((a - b?)# - c)# after
+// 14 a's has 11,791 tree nodes but few distinct ones. The atoms are
+// renamed on every run, so no run hits another's memo entries.
+func TestMalignantStepAllocations(t *testing.T) {
+	const runs, word = 10, 14
+	es := make([]*expr.Expr, runs+1) // AllocsPerRun makes one extra warm-up run
+	as := make([]expr.Action, runs+1)
+	for i := range es {
+		tag := fmt.Sprint(i)
+		a, b, c := expr.AtomNamed("a"+tag), expr.AtomNamed("b"+tag), expr.AtomNamed("c"+tag)
+		es[i] = expr.ParIter(expr.Seq(expr.ParIter(expr.Seq(a, expr.Option(b))), c))
+		as[i] = expr.ConcreteAct("a" + tag)
+	}
+	run, size := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		en := MustEngine(es[run])
+		for i := 0; i < word; i++ {
+			if err := en.Step(as[run]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size = en.StateSize()
+		run++
+	})
+	t.Logf("NewEngine + %d steps: %.0f allocations", word, allocs)
+	if size != 11791 {
+		t.Fatalf("state size after %d a's: %d, want 11791", word, size)
+	}
+	if allocs > 8000 {
+		t.Fatalf("NewEngine + %d steps: %.0f allocations, want ≤ 8000", word, allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/parse"
 )
 
 // Property-test harness for the paper's algebraic laws, checked between
@@ -348,5 +349,40 @@ func TestMemoizationPreservesSemantics(t *testing.T) {
 	}
 	if st.MemoHits == 0 || st.InternHits == 0 {
 		t.Fatalf("cache never hit: %+v", st)
+	}
+
+	// Shapes whose states share sub-states heavily, which random depth-3
+	// expressions rarely build: here the engine's walk transitions each
+	// shared sub-state once and hands the successor to every parent.
+	repeat := func(n int, names ...string) []string {
+		var out []string
+		for i := 0; i < n; i++ {
+			out = append(out, names...)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		src  string
+		word []expr.Action
+	}{
+		{"((a - b?)# - c)#", acts(append(repeat(14, "a"), repeat(4, "b", "c")...)...)},
+		{"((a - (b - c?)#)# - d) | ((a - b)# - c)#", acts("a", "b", "a", "b", "c", "b", "a", "c", "b", "d", "c", "a")},
+		{"all p: (call(p) - perform(p))*", acts("call(v1)", "call(v2)", "perform(v1)", "call(v3)",
+			"perform(v3)", "call(v1)", "perform(v2)", "call(v4)", "perform(v1)", "perform(v4)", "perform(v4)")},
+	} {
+		e := parse.MustParse(c.src)
+		plain, memo := newPlainRef(e), MustEngine(e)
+		for step, a := range c.word {
+			if got, want := stateKey(memo.Advance(a).next), stateKey(Trans(plain.cur, a)); got != want {
+				t.Fatalf("%s step %d (%s): Advance diverges:\n plain %s\n memo  %s", c.src, step, a, want, got)
+			}
+			if okP, errM := plain.step(a), memo.Step(a); okP != (errM == nil) {
+				t.Fatalf("%s step %d (%s): plain ok=%v memo err=%v", c.src, step, a, okP, errM)
+			}
+			if plain.key() != memo.StateKey() || Final(plain.cur) != memo.Final() || Size(plain.cur) != memo.StateSize() {
+				t.Fatalf("%s step %d (%s): states diverge:\n plain %s (final %v, size %d)\n memo  %s (final %v, size %d)",
+					c.src, step, a, plain.key(), Final(plain.cur), Size(plain.cur), memo.StateKey(), memo.Final(), memo.StateSize())
+			}
+		}
 	}
 }

@@ -366,7 +366,7 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &seqIterState{y: y, insts: insts, boundary: n.Done}, nil
+		return &seqIterState{sigma: sigma{y: y}, insts: insts, boundary: n.Done}, nil
 	case tagPar:
 		alts, err := d.alts(n.Alts)
 		if err != nil {
@@ -388,7 +388,7 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &parIterState{y: y, alts: alts}, nil
+		return &parIterState{sigma: sigma{y: y}, alts: alts}, nil
 	case tagSync:
 		if len(n.Es) != len(n.Kids) {
 			return nil, fmt.Errorf("state: malformed sync snapshot")
@@ -468,11 +468,8 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &allQState{
-			e:        e,
-			strictA:  expr.AlphabetOf(e.Kids[0]),
-			nullable: Initial(e.Kids[0]).Final(),
-		}
+		s := &allQState{e: e, sigma: sigma{y: e.Kids[0]}, strictA: expr.AlphabetOf(e.Kids[0])}
+		s.nullable = s.initial().Final()
 		for _, qa := range n.QA {
 			named, err := d.branches(qa.Named)
 			if err != nil {

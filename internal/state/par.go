@@ -1,7 +1,7 @@
 package state
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -15,7 +15,7 @@ import (
 // deduplicates the rest.
 type parState struct {
 	alts [][]State
-	key  string
+	keyed
 }
 
 func newParState(e *expr.Expr) State {
@@ -37,16 +37,25 @@ func altKey(alt []State) string {
 	return b.String()
 }
 
-// dedupAlts removes duplicate alternatives (tuples compared slot-wise).
+// dedupAlts removes duplicate alternatives (tuples compared slot-wise),
+// keeping first occurrences in order. Alternatives are bucketed by a hash
+// folded from their slots' cached key hashes, and a bucket hit is
+// confirmed slot by slot.
 func dedupAlts(alts [][]State) [][]State {
-	seen := make(map[string]bool, len(alts))
+	first := make(map[uint64]int, len(alts)) // alternative hash → first index in out
 	out := alts[:0]
 	for _, alt := range alts {
-		k := altKey(alt)
-		if seen[k] {
+		h := uint64(len(alt))
+		for _, st := range alt {
+			h = (h ^ keyHash(st)) * 1099511628211 // FNV-1a, a word at a time
+		}
+		i, seen := first[h]
+		if seen && slices.ContainsFunc(out[i:], func(o []State) bool { return slices.EqualFunc(o, alt, sameState) }) {
 			continue
 		}
-		seen[k] = true
+		if !seen {
+			first[h] = len(out)
+		}
 		out = append(out, alt)
 	}
 	return out
@@ -60,7 +69,7 @@ func (s *parState) Key() string {
 		}
 		// Alternatives are kept in insertion order but the set semantics
 		// requires order independence; sort the rendered keys.
-		sortStrings(keys)
+		slices.Sort(keys)
 		s.key = "par{" + strings.Join(keys, ";") + "}"
 	}
 	return s.key
@@ -83,11 +92,11 @@ func (s *parState) Size() int {
 	return n
 }
 
-func (s *parState) trans(a expr.Action) State {
+func (s *parState) trans(a expr.Action, sh sharing) State {
 	var next [][]State
 	for _, alt := range s.alts {
 		for i, kid := range alt {
-			nk := kid.trans(a)
+			nk := sh.trans(kid, a)
 			if nk == nil {
 				continue
 			}
@@ -121,7 +130,7 @@ func (s *parState) inert() bool {
 }
 
 func (s *parState) internParts(c *Cache) State {
-	return &parState{alts: canonAlts(c, s.alts), key: s.Key()}
+	return &parState{alts: canonAlts(c, s.alts), keyed: s.keyed}
 }
 
 // multState is the state of a multiplier mult(n, y): exactly n
@@ -132,7 +141,7 @@ func (s *parState) internParts(c *Cache) State {
 // optimizations ρ is responsible for in the paper.
 type multState struct {
 	alts [][]State // each sorted, length n
-	key  string
+	keyed
 }
 
 func newMultState(e *expr.Expr) State {
@@ -150,7 +159,7 @@ func (s *multState) Key() string {
 		for i, alt := range s.alts {
 			keys[i] = altKey(alt)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		s.key = "mult{" + strings.Join(keys, ";") + "}"
 	}
 	return s.key
@@ -173,7 +182,7 @@ func (s *multState) Size() int {
 	return n
 }
 
-func (s *multState) trans(a expr.Action) State {
+func (s *multState) trans(a expr.Action, sh sharing) State {
 	var next [][]State
 	for _, alt := range s.alts {
 		for i, inst := range alt {
@@ -182,7 +191,7 @@ func (s *multState) trans(a expr.Action) State {
 			if i > 0 && alt[i].Key() == alt[i-1].Key() {
 				continue
 			}
-			ni := inst.trans(a)
+			ni := sh.trans(inst, a)
 			if ni == nil {
 				continue
 			}
@@ -220,7 +229,7 @@ func (s *multState) inert() bool {
 }
 
 func (s *multState) internParts(c *Cache) State {
-	return &multState{alts: canonAlts(c, s.alts), key: s.Key()}
+	return &multState{alts: canonAlts(c, s.alts), keyed: s.keyed}
 }
 
 // parIterState is the state of a parallel iteration y#: an unbounded
@@ -229,13 +238,13 @@ func (s *multState) internParts(c *Cache) State {
 // ρ — they can never move again and a final instance never blocks
 // finality — which keeps states of benign expressions small.
 type parIterState struct {
-	y    *expr.Expr
-	alts [][]State // sorted multisets (possibly empty)
-	key  string
+	sigma           // the body y and σ(y)
+	alts  [][]State // sorted multisets (possibly empty)
+	keyed
 }
 
 func newParIterState(y *expr.Expr) State {
-	return &parIterState{y: y, alts: [][]State{nil}}
+	return &parIterState{sigma: sigma{y: y}, alts: [][]State{nil}}
 }
 
 func (s *parIterState) Key() string {
@@ -244,7 +253,7 @@ func (s *parIterState) Key() string {
 		for i, alt := range s.alts {
 			keys[i] = altKey(alt)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		s.key = "piter<" + s.y.Key() + ">{" + strings.Join(keys, ";") + "}"
 	}
 	return s.key
@@ -280,7 +289,7 @@ func compactInstances(alt []State) []State {
 	return out
 }
 
-func (s *parIterState) trans(a expr.Action) State {
+func (s *parIterState) trans(a expr.Action, sh sharing) State {
 	var next [][]State
 	for _, alt := range s.alts {
 		// An existing instance consumes the action...
@@ -288,7 +297,7 @@ func (s *parIterState) trans(a expr.Action) State {
 			if i > 0 && alt[i].Key() == alt[i-1].Key() {
 				continue
 			}
-			ni := inst.trans(a)
+			ni := sh.trans(inst, a)
 			if ni == nil {
 				continue
 			}
@@ -298,7 +307,7 @@ func (s *parIterState) trans(a expr.Action) State {
 			next = append(next, sortStatesKeepDup(compactInstances(nalt)))
 		}
 		// ... or a fresh instance starts with it.
-		if ni := Initial(s.y).trans(a); ni != nil {
+		if ni := sh.trans(s.initial(), a); ni != nil {
 			nalt := make([]State, len(alt), len(alt)+1)
 			copy(nalt, alt)
 			nalt = append(nalt, ni)
@@ -308,7 +317,7 @@ func (s *parIterState) trans(a expr.Action) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &parIterState{y: s.y, alts: dedupAlts(next)}
+	return &parIterState{sigma: s.sigma, alts: dedupAlts(next)}
 }
 
 func (s *parIterState) subst(p, v string) State {
@@ -319,7 +328,7 @@ func (s *parIterState) subst(p, v string) State {
 	for i, alt := range s.alts {
 		next[i] = sortStatesKeepDup(substAll(alt, p, v))
 	}
-	return &parIterState{y: s.y.Subst(p, v), alts: dedupAlts(next)}
+	return &parIterState{sigma: sigma{y: s.y.Subst(p, v)}, alts: dedupAlts(next)}
 }
 
 // inert: a fresh instance can always be started, so a parallel iteration
@@ -328,7 +337,5 @@ func (s *parIterState) subst(p, v string) State {
 func (s *parIterState) inert() bool { return false }
 
 func (s *parIterState) internParts(c *Cache) State {
-	return &parIterState{y: s.y, alts: canonAlts(c, s.alts), key: s.Key()}
+	return &parIterState{sigma: s.sigma, alts: canonAlts(c, s.alts), keyed: s.keyed}
 }
-
-func sortStrings(ss []string) { sort.Strings(ss) }

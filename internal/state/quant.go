@@ -1,7 +1,7 @@
 package state
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -39,8 +39,10 @@ func (bs branchSet) find(v string) (State, bool) {
 	return nil, false
 }
 
+func byVal(x, y branch) int { return strings.Compare(x.val, y.val) }
+
 func (bs branchSet) canonical() branchSet {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].val < bs[j].val })
+	slices.SortFunc(bs, byVal)
 	return bs
 }
 
@@ -132,7 +134,7 @@ type anyQState struct {
 	// that binding, committing the not-yet-chosen value to differ (the
 	// bound variant was forked as its own touched branch at that action).
 	excluded []string // sorted
-	key      string
+	keyed
 }
 
 func newAnyQState(e *expr.Expr) State {
@@ -167,12 +169,12 @@ func (s *anyQState) Final() bool {
 
 func (s *anyQState) Size() int { return 1 + s.touched.size() + Size(s.generic) }
 
-func (s *anyQState) trans(a expr.Action) State {
+func (s *anyQState) trans(a expr.Action, sh sharing) State {
 	p := s.e.Param
 	var generic State
 	excluded := s.excluded
 	if s.generic != nil {
-		generic = compress(s.generic.trans(a))
+		generic = compress(sh.trans(s.generic, a))
 		if generic != nil {
 			// The generic branch consumed a with p free; it can no longer
 			// stand for values under which a $p atom would have matched a
@@ -185,7 +187,7 @@ func (s *anyQState) trans(a expr.Action) State {
 		if !branchCanAct(b.val, a, s.strictA) {
 			continue // the action cannot belong to this branch's word
 		}
-		nst := b.st.trans(a)
+		nst := sh.trans(b.st, a)
 		if nst == nil {
 			continue
 		}
@@ -206,7 +208,7 @@ func (s *anyQState) trans(a expr.Action) State {
 			if containsStr(s.excluded, v) {
 				continue
 			}
-			nst := s.generic.subst(p, v).trans(a)
+			nst := s.generic.subst(p, v).trans(a, sh)
 			if nst == nil {
 				continue
 			}
@@ -244,7 +246,7 @@ func (s *anyQState) internParts(c *Cache) State {
 		generic = c.Canon(s.generic)
 	}
 	return &anyQState{e: s.e, strictA: s.strictA, touched: s.touched.internParts(c),
-		generic: generic, excluded: s.excluded, key: s.Key()}
+		generic: generic, excluded: s.excluded, keyed: s.keyed}
 }
 
 func (s *anyQState) inert() bool {
@@ -271,7 +273,7 @@ type conQState struct {
 	strictA *expr.Alphabet
 	touched branchSet
 	generic State
-	key     string
+	keyed
 }
 
 func newConQState(e *expr.Expr) State {
@@ -291,9 +293,9 @@ func (s *conQState) Final() bool {
 
 func (s *conQState) Size() int { return 1 + s.touched.size() + s.generic.Size() }
 
-func (s *conQState) trans(a expr.Action) State {
+func (s *conQState) trans(a expr.Action, sh sharing) State {
 	p := s.e.Param
-	generic := s.generic.trans(a)
+	generic := sh.trans(s.generic, a)
 	if generic == nil {
 		return nil
 	}
@@ -305,7 +307,7 @@ func (s *conQState) trans(a expr.Action) State {
 		if !branchCanAct(b.val, a, s.strictA) {
 			return nil
 		}
-		nst := b.st.trans(a)
+		nst := sh.trans(b.st, a)
 		if nst == nil {
 			return nil
 		}
@@ -317,7 +319,7 @@ func (s *conQState) trans(a expr.Action) State {
 		touched = append(touched, branch{b.val, nst})
 	}
 	for _, v := range newValues(a, s.touched) {
-		nst := s.generic.subst(p, v).trans(a)
+		nst := s.generic.subst(p, v).trans(a, sh)
 		if nst == nil {
 			return nil
 		}
@@ -348,7 +350,7 @@ func (s *conQState) inert() bool {
 
 func (s *conQState) internParts(c *Cache) State {
 	return &conQState{e: s.e, strictA: s.strictA, touched: s.touched.internParts(c),
-		generic: c.Canon(s.generic), key: s.Key()}
+		generic: c.Canon(s.generic), keyed: s.keyed}
 }
 
 // --- synchronization quantifier ("syncq p: y") ------------------------
@@ -364,7 +366,7 @@ type syncQState struct {
 	alphas  []*expr.Alphabet // per touched branch, aligned with touched
 	generic State
 	genA    *expr.Alphabet // strict alphabet of the generic branch
-	key     string
+	keyed
 }
 
 func newSyncQState(e *expr.Expr) State {
@@ -389,7 +391,7 @@ func (s *syncQState) Final() bool {
 
 func (s *syncQState) Size() int { return 1 + s.touched.size() + s.generic.Size() }
 
-func (s *syncQState) trans(a expr.Action) State {
+func (s *syncQState) trans(a expr.Action, sh sharing) State {
 	if !s.whole.Contains(a) {
 		return nil // a ∉ α(x)
 	}
@@ -403,7 +405,7 @@ func (s *syncQState) trans(a expr.Action) State {
 			alphas = append(alphas, al)
 			continue
 		}
-		nst := b.st.trans(a)
+		nst := sh.trans(b.st, a)
 		if nst == nil {
 			return nil
 		}
@@ -412,7 +414,7 @@ func (s *syncQState) trans(a expr.Action) State {
 	}
 	generic := s.generic
 	if s.genA.Contains(a) {
-		generic = s.generic.trans(a)
+		generic = sh.trans(s.generic, a)
 		if generic == nil {
 			return nil
 		}
@@ -437,7 +439,7 @@ func (s *syncQState) trans(a expr.Action) State {
 		if !al.Contains(a) {
 			continue // branch v is not involved and stays generic
 		}
-		nst := s.generic.subst(p, v).trans(a)
+		nst := s.generic.subst(p, v).trans(a, sh)
 		if nst == nil {
 			return nil
 		}
@@ -461,7 +463,7 @@ func (s *syncQState) sortBranches() {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool { return s.touched[idx[i]].val < s.touched[idx[j]].val })
+	slices.SortFunc(idx, func(i, j int) int { return byVal(s.touched[i], s.touched[j]) })
 	nt := make(branchSet, len(idx))
 	na := make([]*expr.Alphabet, len(idx))
 	for i, j := range idx {
@@ -496,5 +498,5 @@ func (s *syncQState) inert() bool { return false }
 
 func (s *syncQState) internParts(c *Cache) State {
 	return &syncQState{e: s.e, whole: s.whole, touched: s.touched.internParts(c),
-		alphas: s.alphas, generic: c.Canon(s.generic), genA: s.genA, key: s.Key()}
+		alphas: s.alphas, generic: c.Canon(s.generic), genA: s.genA, keyed: s.keyed}
 }

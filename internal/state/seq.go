@@ -1,7 +1,8 @@
 package state
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,9 +17,10 @@ import (
 // and a next operand exists, an alternative starting that next operand is
 // present too.
 type seqState struct {
-	e    *expr.Expr // the OpSeq node, for lazily starting later operands
-	alts []seqAlt   // sorted by (idx, key), deduplicated
-	key  string
+	e     *expr.Expr // the OpSeq node, for lazily starting later operands
+	alts  []seqAlt   // sorted by (idx, key), deduplicated
+	inits []State    // σ of each operand, built on first need; successors share it
+	keyed
 }
 
 type seqAlt struct {
@@ -27,38 +29,39 @@ type seqAlt struct {
 }
 
 func newSeqState(e *expr.Expr) State {
-	return buildSeqState(e, []seqAlt{{0, Initial(e.Kids[0])}})
+	s := &seqState{e: e}
+	s.alts = s.close([]seqAlt{{0, Initial(e.Kids[0])}})
+	return s
 }
 
-// buildSeqState applies the closure invariant, canonicalizes and wraps
-// the alternatives; it returns nil when none is valid.
-func buildSeqState(e *expr.Expr, alts []seqAlt) State {
-	if len(alts) == 0 {
-		return nil
+// initial returns σ of operand i.
+func (s *seqState) initial(i int) State {
+	if s.inits == nil {
+		s.inits = make([]State, len(s.e.Kids))
 	}
-	n := len(e.Kids)
+	if s.inits[i] == nil {
+		s.inits[i] = Initial(s.e.Kids[i])
+	}
+	return s.inits[i]
+}
+
+// close applies the closure invariant to alternatives of s's expression,
+// then orders and deduplicates them.
+func (s *seqState) close(alts []seqAlt) []seqAlt {
 	// Closure: a final operand state lets the walker enter the next
 	// operand without consuming an action.
 	for i := 0; i < len(alts); i++ {
-		a := alts[i]
-		if a.st.Final() && a.idx+1 < n {
-			alts = append(alts, seqAlt{a.idx + 1, Initial(e.Kids[a.idx+1])})
+		if a := alts[i]; a.st.Final() && a.idx+1 < len(s.e.Kids) {
+			alts = append(alts, seqAlt{a.idx + 1, s.initial(a.idx + 1)})
 		}
 	}
-	sort.Slice(alts, func(i, j int) bool {
-		if alts[i].idx != alts[j].idx {
-			return alts[i].idx < alts[j].idx
+	slices.SortFunc(alts, func(x, y seqAlt) int {
+		if c := cmp.Compare(x.idx, y.idx); c != 0 {
+			return c
 		}
-		return alts[i].st.Key() < alts[j].st.Key()
+		return byKey(x.st, y.st)
 	})
-	out := alts[:0]
-	for i, a := range alts {
-		if i > 0 && a.idx == alts[i-1].idx && a.st.Key() == alts[i-1].st.Key() {
-			continue
-		}
-		out = append(out, a)
-	}
-	return &seqState{e: e, alts: out}
+	return slices.CompactFunc(alts, func(x, y seqAlt) bool { return x.idx == y.idx && sameState(x.st, y.st) })
 }
 
 func (s *seqState) Key() string {
@@ -99,28 +102,33 @@ func (s *seqState) Size() int {
 	return n
 }
 
-func (s *seqState) trans(act expr.Action) State {
+func (s *seqState) trans(act expr.Action, sh sharing) State {
 	var next []seqAlt
 	for _, a := range s.alts {
-		if nst := a.st.trans(act); nst != nil {
+		if nst := sh.trans(a.st, act); nst != nil {
 			next = append(next, seqAlt{a.idx, compress(nst)})
 		}
 	}
-	return buildSeqState(s.e, next)
+	if len(next) == 0 {
+		return nil
+	}
+	next = s.close(next) // before s.inits is handed on: close may build it
+	return &seqState{e: s.e, alts: next, inits: s.inits}
 }
 
 func (s *seqState) subst(p, v string) State {
 	if !s.e.HasFreeParam(p) {
 		return s
 	}
-	ne := s.e.Subst(p, v)
+	ns := &seqState{e: s.e.Subst(p, v)}
 	alts := make([]seqAlt, len(s.alts))
 	for i, a := range s.alts {
 		alts[i] = seqAlt{a.idx, a.st.subst(p, v)}
 	}
 	// Substitution preserves validity and finality, so the closure
 	// invariant still holds; rebuild for canonical order.
-	return buildSeqState(ne, alts)
+	ns.alts = ns.close(alts)
+	return ns
 }
 
 func (s *seqState) inert() bool {
@@ -137,7 +145,7 @@ func (s *seqState) internParts(c *Cache) State {
 	for i, a := range s.alts {
 		alts[i] = seqAlt{a.idx, c.Canon(a.st)}
 	}
-	return &seqState{e: s.e, alts: alts, key: s.Key()}
+	return &seqState{e: s.e, alts: alts, inits: s.inits, keyed: s.keyed}
 }
 
 // seqIterState is the state of a sequential iteration y*. It tracks the
@@ -147,14 +155,16 @@ func (s *seqState) internParts(c *Cache) State {
 // next action start a fresh iteration — represented by keeping σ(y)
 // among the instances whenever the flag is set).
 type seqIterState struct {
-	y        *expr.Expr
+	sigma    // the body y and σ(y)
 	insts    []State
 	boundary bool
-	key      string
+	keyed
 }
 
 func newSeqIterState(y *expr.Expr) State {
-	return &seqIterState{y: y, insts: []State{Initial(y)}, boundary: true}
+	s := &seqIterState{sigma: sigma{y: y}, boundary: true}
+	s.insts = []State{s.initial()}
+	return s
 }
 
 func (s *seqIterState) Key() string {
@@ -171,10 +181,10 @@ func (s *seqIterState) Key() string {
 func (s *seqIterState) Final() bool { return s.boundary }
 func (s *seqIterState) Size() int   { return 1 + sumSizes(s.insts) }
 
-func (s *seqIterState) trans(a expr.Action) State {
+func (s *seqIterState) trans(a expr.Action, sh sharing) State {
 	var next []State
 	for _, in := range s.insts {
-		if ni := in.trans(a); ni != nil {
+		if ni := sh.trans(in, a); ni != nil {
 			next = append(next, ni)
 		}
 	}
@@ -198,12 +208,12 @@ func (s *seqIterState) trans(a expr.Action) State {
 	}
 	next = live
 	if boundary {
-		next = append(next, Initial(s.y))
+		next = append(next, s.initial())
 	}
 	if len(next) == 0 {
 		return nil
 	}
-	return &seqIterState{y: s.y, insts: sortDedupStates(next), boundary: boundary}
+	return &seqIterState{sigma: s.sigma, insts: sortDedupStates(next), boundary: boundary}
 }
 
 func (s *seqIterState) subst(p, v string) State {
@@ -211,7 +221,7 @@ func (s *seqIterState) subst(p, v string) State {
 		return s
 	}
 	return &seqIterState{
-		y:        s.y.Subst(p, v),
+		sigma:    sigma{y: s.y.Subst(p, v)},
 		insts:    sortDedupStates(substAll(s.insts, p, v)),
 		boundary: s.boundary,
 	}
@@ -226,5 +236,5 @@ func (s *seqIterState) inert() bool {
 }
 
 func (s *seqIterState) internParts(c *Cache) State {
-	return &seqIterState{y: s.y, insts: canonAll(c, s.insts), boundary: s.boundary, key: s.Key()}
+	return &seqIterState{sigma: s.sigma, insts: canonAll(c, s.insts), boundary: s.boundary, keyed: s.keyed}
 }

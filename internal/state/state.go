@@ -29,7 +29,7 @@ package state
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -49,8 +49,10 @@ type State interface {
 	Size() int
 	// trans performs the optimized transition τ̂ for a concrete action
 	// under strict matching (atoms containing unbound parameters match
-	// nothing). It returns nil if the successor state is invalid.
-	trans(a expr.Action) State
+	// nothing). It returns nil if the successor state is invalid. Child
+	// states are transitioned through sh, so within one walk a shared
+	// child is transitioned once.
+	trans(a expr.Action, sh sharing) State
 	// subst replaces the free parameter p with value v throughout the
 	// state (used by quantifier states to bind their parameter lazily).
 	subst(p, v string) State
@@ -63,6 +65,62 @@ type State interface {
 	// have been replaced by their canonical representatives from c; the
 	// hash-consing descent of Cache.Canon. Leaves return themselves.
 	internParts(c *Cache) State
+	// keys returns the node's key cache; nil for leaves (short keys).
+	keys() *keyed
+}
+
+// keyed caches a composite state's key and the key's hash, each built on
+// first use; Cache.Canon builds both before a node is shared.
+type keyed struct {
+	key  string
+	hash uint64
+}
+
+func (k *keyed) keys() *keyed { return k }
+
+// keyHash is expr.HashKey(s.Key()), cached on composite nodes.
+func keyHash(s State) uint64 {
+	k := s.keys()
+	if k == nil {
+		return expr.HashKey(s.Key())
+	}
+	if k.hash == 0 {
+		k.hash = expr.HashKey(s.Key())
+	}
+	return k.hash
+}
+
+// sigma caches σ(y) of an operand on the state node, built on first need
+// and handed to successors, so a lineage of states builds it once.
+type sigma struct {
+	y    *expr.Expr
+	init State
+}
+
+func (g *sigma) initial() State {
+	if g.init == nil {
+		g.init = Initial(g.y)
+	}
+	return g.init
+}
+
+// sharing is the scratch table of one τ̂ evaluation, keyed by node
+// identity (states are immutable, and a walk applies one action): a
+// sub-state reached along many paths is transitioned once and every
+// parent gets the same successor, so the walk costs the state's DAG, not
+// its tree unfolding. The nil table shares nothing (Trans).
+type sharing map[State]State
+
+// trans is τ̂ of the child s within the walk.
+func (sh sharing) trans(s State, a expr.Action) State {
+	next, ok := sh[s]
+	if !ok {
+		next = s.trans(a, sh)
+		if sh != nil {
+			sh[s] = next
+		}
+	}
+	return next
 }
 
 // Initial computes σ(e), the initial state of a (not necessarily closed)
@@ -119,7 +177,7 @@ func Trans(s State, a expr.Action) State {
 	if s == nil {
 		return nil
 	}
-	return s.trans(a)
+	return s.trans(a, nil)
 }
 
 // Final exposes ϕ for a possibly-nil state.
@@ -156,34 +214,21 @@ func compress(s State) State {
 	return s
 }
 
-func compressAll(ss []State) []State {
-	for i, s := range ss {
-		ss[i] = compress(s)
-	}
-	return ss
-}
+func byKey(x, y State) int { return strings.Compare(x.Key(), y.Key()) }
 
-// sortStates orders states by key and removes duplicates, returning the
-// canonical representation of a state multiset turned set.
+func sameState(x, y State) bool { return x == y || x.Key() == y.Key() }
+
+// sortDedupStates orders states by key and removes duplicates, returning
+// the canonical representation of a state multiset turned set.
 func sortDedupStates(ss []State) []State {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Key() < ss[j].Key() })
-	out := ss[:0]
-	var prev string
-	for i, s := range ss {
-		k := s.Key()
-		if i > 0 && k == prev {
-			continue
-		}
-		prev = k
-		out = append(out, s)
-	}
-	return out
+	slices.SortFunc(ss, byKey)
+	return slices.CompactFunc(ss, sameState)
 }
 
 // sortStatesKeepDup orders a state multiset by key, keeping duplicates
 // (parallel iterations and multipliers track instance multiplicity).
 func sortStatesKeepDup(ss []State) []State {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Key() < ss[j].Key() })
+	slices.SortFunc(ss, byKey)
 	return ss
 }
 

@@ -16,7 +16,7 @@ type syncState struct {
 	kidExprs []*expr.Expr
 	kids     []State
 	alphas   []*expr.Alphabet
-	key      string
+	keyed
 }
 
 func newSyncState(e *expr.Expr) State {
@@ -43,7 +43,7 @@ func (s *syncState) Key() string {
 func (s *syncState) Final() bool { return allFinal(s.kids) }
 func (s *syncState) Size() int   { return 1 + sumSizes(s.kids) }
 
-func (s *syncState) trans(a expr.Action) State {
+func (s *syncState) trans(a expr.Action, sh sharing) State {
 	next := make([]State, len(s.kids))
 	involved := false
 	for i, kid := range s.kids {
@@ -52,7 +52,7 @@ func (s *syncState) trans(a expr.Action) State {
 			continue
 		}
 		involved = true
-		nk := kid.trans(a)
+		nk := sh.trans(kid, a)
 		if nk == nil {
 			return nil
 		}
@@ -92,5 +92,5 @@ func (s *syncState) subst(p, v string) State {
 func (s *syncState) inert() bool { return allInert(s.kids) }
 
 func (s *syncState) internParts(c *Cache) State {
-	return &syncState{kidExprs: s.kidExprs, kids: canonAll(c, s.kids), alphas: s.alphas, key: s.Key()}
+	return &syncState{kidExprs: s.kidExprs, kids: canonAll(c, s.kids), alphas: s.alphas, keyed: s.keyed}
 }
