@@ -2,10 +2,8 @@
 // partitions a top-level coupling y1 @ y2 @ ... @ yn by operand, routes
 // every action to the shards whose alphabet mentions it, and executes the
 // two-phase reserve/confirm grant across them — then serves the result on
-// its own address, speaking the same wire protocol as a single manager
-// (binary v2 negotiated at connect time, JSON lines as the fallback;
-// -protocol json pins the gateway to JSON lines). Clients cannot tell a
-// gateway from a manager.
+// its own address, speaking the same binary wire protocol as a single
+// manager. Clients cannot tell a gateway from a manager.
 //
 // Usage (shard i of the coupling must be served at the i-th address):
 //
@@ -73,25 +71,20 @@ import (
 
 func main() {
 	var (
-		exprSrc   = flag.String("e", "", "coupled interaction expression (text syntax)")
-		exprFile  = flag.String("f", "", "file containing the expression")
-		shardCSV  = flag.String("shards", "", "comma-separated shard addresses, one per coupling operand; separate replica addresses within a shard with '/'")
-		addr      = flag.String("addr", "127.0.0.1:7430", "listen address")
-		readRepls  = flag.Bool("read-followers", false, "serve Try probes from follower replicas")
-		adminAddr  = flag.String("admin", "", "serve the JSON-lines admin endpoint (migrate/topology/stats/trace) on this address")
-		metricAddr = flag.String("metrics", "", "serve Prometheus-text metrics over HTTP on this address (path /metrics)")
-		traceCap   = flag.Int("trace", 0, "grant trace ring capacity (0 = default 256, negative = tracing off)")
-		protocol   = flag.String("protocol", "binary", "wire protocol: binary (negotiate v2 framing, JSON fallback) or json (JSON lines only)")
+		exprSrc      = flag.String("e", "", "coupled interaction expression (text syntax)")
+		exprFile     = flag.String("f", "", "file containing the expression")
+		shardCSV     = flag.String("shards", "", "comma-separated shard addresses, one per coupling operand; separate replica addresses within a shard with '/'")
+		addr         = flag.String("addr", "127.0.0.1:7430", "listen address")
+		readRepls    = flag.Bool("read-followers", false, "serve Try probes from follower replicas")
+		adminAddr    = flag.String("admin", "", "serve the JSON-lines admin endpoint (migrate/topology/stats/trace) on this address")
+		metricAddr   = flag.String("metrics", "", "serve Prometheus-text metrics over HTTP on this address (path /metrics)")
+		traceCap     = flag.Int("trace", 0, "grant trace ring capacity (0 = default 256, negative = tracing off)")
 		autopilot    = flag.Bool("autopilot", false, "run the autopilot placement controller (hot shards migrate onto -autopilot-spares)")
 		autoSpares   = flag.String("autopilot-spares", "", "per-shard spare follower addresses, same syntax as -shards (empty slot = no spares for that shard)")
 		autoInterval = flag.Duration("autopilot-interval", 0, "autopilot poll interval (0 = default 2s)")
 		autoDryRun   = flag.Bool("autopilot-dry-run", false, "autopilot plans migrations without executing them (implies -autopilot)")
 	)
 	flag.Parse()
-	if *protocol != "binary" && *protocol != ix.ProtoJSON {
-		fmt.Fprintf(os.Stderr, "ixgateway: unknown -protocol %q (want binary or json)\n", *protocol)
-		os.Exit(2)
-	}
 
 	src := *exprSrc
 	if *exprFile != "" {
@@ -147,8 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := ix.NewCoordServerWith(gw, ln,
-		ix.ServerOptions{JSONOnly: *protocol == ix.ProtoJSON})
+	srv := ix.NewCoordServer(gw, ln)
 	defer srv.Close()
 
 	parts := ix.PartitionCoupling(e)

@@ -5,10 +5,9 @@
 //
 //	ixmanager -e 'all p: (call(p) - perform(p))*' -addr :7431 -log actions.log
 //
-// Clients speak the wire protocol of internal/manager: connections
-// negotiate the compact binary framing (v2) at connect time and fall
-// back to JSON lines for pre-v2 clients; -protocol json pins the server
-// to JSON lines entirely. The ix package's Dial returns a typed client.
+// Clients speak the binary wire protocol of internal/manager (length-
+// prefixed frames, one opcode per op); the ix package's Dial returns a
+// typed client.
 // With -log the manager persists confirmed actions and recovers its
 // state from the log on restart; -storage-dir selects the segmented
 // storage engine instead (sealed log segments, background compaction,
@@ -50,13 +49,8 @@ func main() {
 		syncRepl   = flag.Bool("sync-replicas", false, "acknowledge commits only after every follower acked (no-loss failover)")
 		follower   = flag.Bool("follower", false, "start as a read-only follower (writes fail until promoted)")
 		metricAddr = flag.String("metrics", "", "serve Prometheus-text metrics over HTTP on this address (path /metrics)")
-		protocol   = flag.String("protocol", "binary", "wire protocol: binary (negotiate v2 framing, JSON fallback) or json (JSON lines only)")
 	)
 	flag.Parse()
-	if *protocol != "binary" && *protocol != ix.ProtoJSON {
-		fmt.Fprintf(os.Stderr, "ixmanager: unknown -protocol %q (want binary or json)\n", *protocol)
-		os.Exit(2)
-	}
 
 	src := *exprSrc
 	if *exprFile != "" {
@@ -108,8 +102,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := ix.NewCoordServerWith(ix.CoordinatorFor(m), ln,
-		ix.ServerOptions{JSONOnly: *protocol == ix.ProtoJSON})
+	srv := ix.NewServer(m, ln)
 	defer srv.Close()
 
 	fmt.Printf("ixmanager: serving %q on %s", e, srv.Addr())

@@ -83,12 +83,13 @@ func (r *Rebalancer) Topology(ctx context.Context) ([]ShardTopology, error) {
 	var firstErr error
 	for i, sc := range r.gw.shards {
 		out[i] = ShardTopology{Shard: i, Addrs: sc.Addrs()}
-		cl, _, err := sc.primaryConn(ctx)
+		cl, _, err := sc.acquire(ctx)
 		if err == nil {
 			var ti manager.TopologyInfo
 			if ti, err = cl.Topology(ctx); err == nil {
 				out[i].Primary = ti
 			}
+			sc.release(cl)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: shard %d topology: %w", i, err)
@@ -138,8 +139,9 @@ func (r *Rebalancer) Stats(ctx context.Context) ([]ShardStats, error) {
 			sctx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
 			out[i] = ShardStats{Shard: i, Addrs: sc.Addrs()}
-			cl, addr, err := sc.primaryConn(sctx)
+			cl, addr, err := sc.acquire(sctx)
 			if err == nil {
+				defer sc.release(cl)
 				out[i].Primary = addr
 				var st manager.StatsSnapshot
 				if st, err = cl.Stats(sctx); err == nil {
@@ -189,25 +191,6 @@ func (r *Rebalancer) Move(ctx context.Context, shard int, target string, retire 
 	return r.MigrateShard(ctx, shard, target, MigrateOptions{Retire: retire})
 }
 
-// primaryConn returns the shard's elected serving connection and its
-// address. The connection is shared with ordinary traffic (the wire
-// client multiplexes); callers must not close it. It is not counted as a
-// call in flight: an endpoint change that retires the connection may
-// close it under the caller, who then sees a connection error.
-func (s *ShardClient) primaryConn(ctx context.Context) (*manager.Client, string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, "", manager.ErrClosed
-	}
-	if s.cl == nil {
-		if _, err := s.electLocked(ctx); err != nil {
-			return nil, "", err
-		}
-	}
-	return s.cl, s.addrs[s.cur], nil
-}
-
 // MigrateShard moves shard's primary onto the server at target (which
 // must already be running as an empty or stale follower). On success the
 // target serves the shard as primary of a fresh epoch, the source is
@@ -236,10 +219,13 @@ func (r *Rebalancer) MigrateShard(ctx context.Context, shard int, target string,
 	if err := r.gw.routeAdd(shard, target); err != nil {
 		return fmt.Errorf("cluster: migrate shard %d: route %s: %w", shard, target, err)
 	}
-	cl, source, err := sc.primaryConn(ctx)
+	// The source connection is held in flight for the whole migration, so
+	// the retire in step 7 closes it only once the migration is done.
+	cl, source, err := sc.acquire(ctx)
 	if err != nil {
 		return fmt.Errorf("cluster: migrate shard %d: no primary: %w", shard, err)
 	}
+	defer sc.release(cl)
 	if source == target {
 		return nil // already serving there
 	}

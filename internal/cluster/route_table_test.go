@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -174,5 +175,70 @@ func TestRebalancerStatsPartial(t *testing.T) {
 	loads, lerr := reb.Loads(bg)
 	if lerr == nil || len(loads) != 2 || loads[1].Err == "" || loads[0].Err != "" {
 		t.Fatalf("Loads = %+v, %v", loads, lerr)
+	}
+}
+
+// blockingStats serves a manager but holds every StatsSnapshot call until
+// release closes, announcing each call on entered.
+type blockingStats struct {
+	manager.Coordinator
+	m                *manager.Manager
+	entered, release chan struct{}
+}
+
+func (b blockingStats) StatsSnapshot(ctx context.Context) (manager.StatsSnapshot, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.m.StatsSnapshot(), nil
+}
+
+// TestRebalancerStatsCountedInFlight: a Stats readout is a call in flight
+// on the shard's serving connection, so an endpoint change that retires
+// the connection mid-call lets the reply arrive instead of closing the
+// connection under it.
+func TestRebalancerStatsCountedInFlight(t *testing.T) {
+	m := manager.MustNew(parse.MustParse("(a)*"), manager.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := blockingStats{Coordinator: manager.CoordinatorFor(m), m: m,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	srv := manager.NewCoordServer(co, ln)
+	t.Cleanup(func() {
+		srv.Close()
+		m.Close()
+	})
+	other := &shard{t: t, e: parse.MustParse("(a)*")}
+	other.start()
+	t.Cleanup(other.stop)
+	gw, err := NewGateway(parse.MustParse("(a)*"), []string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+
+	type result struct {
+		stats []ShardStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := gw.Rebalancer().Stats(bg)
+		done <- result{stats, err}
+	}()
+	select {
+	case <-co.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stats call never reached the coordinator")
+	}
+	gw.Shards()[0].SetAddrs([]string{other.addr}) // retires the serving connection
+	close(co.release)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("stats across a retire: %v", r.err)
+	}
+	if r.stats[0].Primary != srv.Addr() {
+		t.Fatalf("stats primary = %q, want %q", r.stats[0].Primary, srv.Addr())
 	}
 }

@@ -285,25 +285,27 @@ type connUse struct {
 	retired bool
 }
 
-// acquire returns the live connection, electing a replica if necessary,
-// with one more call counted in flight on it; release ends the call.
-func (s *ShardClient) acquire(ctx context.Context) (*manager.Client, error) {
+// acquire returns the live connection and its endpoint, electing a
+// replica if necessary, with one more call counted in flight on it;
+// release ends the call. The connection is shared with every other
+// caller (the wire client multiplexes); callers must not close it.
+func (s *ShardClient) acquire(ctx context.Context) (*manager.Client, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, manager.ErrClosed
+		return nil, "", manager.ErrClosed
 	}
 	cl := s.cl
 	if cl == nil {
 		var err error
 		if cl, err = s.electLocked(ctx); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
 	u := s.inflight[cl]
 	u.n++
 	s.inflight[cl] = u
-	return cl, nil
+	return cl, s.addrs[s.cur], nil
 }
 
 // release ends one call on cl.
@@ -509,7 +511,7 @@ const drainRetryDelay = 2 * time.Millisecond
 func (s *ShardClient) do(ctx context.Context, idempotent bool, op func(*manager.Client) error) error {
 	attempts := 0
 	for {
-		cl, err := s.acquire(ctx)
+		cl, _, err := s.acquire(ctx)
 		if err == nil {
 			err = func() error {
 				defer s.release(cl)

@@ -9,14 +9,13 @@ import (
 	"io"
 )
 
-// Wire protocol v2: a compact length-prefixed binary framing for wireMsg,
-// negotiated per connection (see the hello exchange in net.go) with JSON
-// lines kept as the fallback for pre-v2 peers.
+// The wire codec: a compact length-prefixed binary framing for wireMsg.
+// A connection carries these frames from its first byte, both ways.
 //
 // Frame layout:
 //
 //	u32 big-endian payload length
-//	u8  opcode                  (binOps table)
+//	u8  opcode                  (the op constants in net.go)
 //	u8  flags                   (OK/Perm/Final/Draining — explicit, so
 //	                             false is a real value, not an omission)
 //	uvarint field mask          (bit i set ⇒ field i present)
@@ -30,19 +29,11 @@ import (
 //
 // The decoder is strict: unknown opcodes, unknown flag or mask bits,
 // length claims that exceed the payload, and trailing bytes are all
-// errors. Negotiation pins both ends to the same version, so leniency
-// would only hide corruption.
+// errors. Both ends speak this one version, so leniency would only hide
+// corruption.
 
-// Protocol names exchanged in the hello negotiation.
-const (
-	ProtoJSON   = "json"
-	ProtoBinary = "bin2"
-)
-
-// opHello is the negotiation op: the first frame a v2 client sends,
-// always as a JSON line. Pre-v2 servers answer "unknown op" and the
-// client stays on JSON; v2 servers echo the chosen protocol and switch.
-const opHello = "hello"
+// ProtoBinary names the wire encoding (see Client.Proto).
+const ProtoBinary = "bin2"
 
 // maxBinFrame bounds a binary frame's payload. Replication snapshots of
 // large engines are the biggest legitimate frames; 256 MiB is far above
@@ -68,10 +59,10 @@ const (
 	fAddr
 	fAddrs
 	fStats
-	fProto
+	_ // bit 17 was the hello's proto field; retired, never reused
 	fSubs
 
-	fKnownMask = 1<<19 - 1
+	fKnownMask = (1<<19 - 1) &^ (1 << 17)
 )
 
 // Flag bits (booleans travel here, never in the mask).
@@ -84,42 +75,6 @@ const (
 	flagKnown = flagOK | flagPerm | flagFinal | flagDraining
 )
 
-// binOps maps opcode → op name; 0 is reserved as invalid.
-var binOps = [...]string{
-	1:  opAsk,
-	2:  opConfirm,
-	3:  opAbort,
-	4:  opRequest,
-	5:  opRequestMany,
-	6:  opTry,
-	7:  opSubscribe,
-	8:  opUnsubscribe,
-	9:  opFinal,
-	10: opReply,
-	11: opInform,
-	12: opReplicate,
-	13: opReplicateAck,
-	14: opPromote,
-	15: opRole,
-	16: opMigrate,
-	17: opRetire,
-	18: opDrain,
-	19: opResume,
-	20: opTopology,
-	21: opStats,
-	22: opHello,
-}
-
-var binOpCodes = func() map[string]byte {
-	m := make(map[string]byte, len(binOps))
-	for code, name := range binOps {
-		if name != "" {
-			m[name] = byte(code)
-		}
-	}
-	return m
-}()
-
 var (
 	errBinTruncated = errors.New("manager: binary frame truncated")
 	errBinTrailing  = errors.New("manager: binary frame has trailing bytes")
@@ -129,9 +84,8 @@ var (
 // appending to dst. It allocates nothing beyond dst growth except for the
 // stats blob, which is not a hot-path field.
 func appendBinMsg(dst []byte, msg *wireMsg) ([]byte, error) {
-	code, ok := binOpCodes[msg.Op]
-	if !ok {
-		return dst, fmt.Errorf("manager: op %q has no binary opcode", msg.Op)
+	if !msg.Op.assigned() {
+		return dst, fmt.Errorf("manager: encode unassigned %v", msg.Op)
 	}
 	var flags byte
 	if msg.OK {
@@ -146,7 +100,7 @@ func appendBinMsg(dst []byte, msg *wireMsg) ([]byte, error) {
 	if msg.Draining {
 		flags |= flagDraining
 	}
-	dst = append(dst, code, flags)
+	dst = append(dst, byte(msg.Op), flags)
 
 	var statsJSON []byte
 	if msg.Stats != nil {
@@ -208,9 +162,6 @@ func appendBinMsg(dst []byte, msg *wireMsg) ([]byte, error) {
 	if msg.Stats != nil {
 		mask |= fStats
 	}
-	if msg.Proto != "" {
-		mask |= fProto
-	}
 	if len(msg.Subs) > 0 {
 		mask |= fSubs
 	}
@@ -266,9 +217,6 @@ func appendBinMsg(dst []byte, msg *wireMsg) ([]byte, error) {
 	}
 	if mask&fStats != 0 {
 		dst = appendBinString(dst, string(statsJSON))
-	}
-	if mask&fProto != 0 {
-		dst = appendBinString(dst, msg.Proto)
 	}
 	if mask&fSubs != 0 {
 		dst = appendBinUints(dst, msg.Subs)
@@ -337,15 +285,15 @@ func decodeBinMsg(p []byte, msg *wireMsg, in *strIntern) error {
 	if len(p) < 2 {
 		return errBinTruncated
 	}
-	code, flags := p[0], p[1]
+	code, flags := op(p[0]), p[1]
 	p = p[2:]
-	if int(code) >= len(binOps) || binOps[code] == "" {
+	if !code.assigned() {
 		return fmt.Errorf("manager: unknown binary opcode %d", code)
 	}
 	if flags&^flagKnown != 0 {
 		return fmt.Errorf("manager: unknown flag bits %#x", flags&^flagKnown)
 	}
-	msg.Op = binOps[code]
+	msg.Op = code
 	msg.OK = flags&flagOK != 0
 	msg.Perm = flags&flagPerm != 0
 	msg.Final = flags&flagFinal != 0
@@ -462,13 +410,6 @@ func decodeBinMsg(p []byte, msg *wireMsg, in *strIntern) error {
 			return fmt.Errorf("manager: decode stats: %w", err)
 		}
 	}
-	if mask&fProto != 0 {
-		var b []byte
-		if b, p, err = binBytes(p); err != nil {
-			return err
-		}
-		msg.Proto = in.str(b)
-	}
 	if mask&fSubs != 0 {
 		if msg.Subs, p, err = binUints(p); err != nil {
 			return err
@@ -555,12 +496,6 @@ func binUints(p []byte) ([]uint64, []byte, error) {
 }
 
 // --- per-connection codecs ----------------------------------------------
-
-// frameEncoder writes one message per call, flushed to the wire.
-type frameEncoder interface{ encode(*wireMsg) error }
-
-// frameDecoder reads one message per call into a caller-owned wireMsg.
-type frameDecoder interface{ decode(*wireMsg) error }
 
 // binEncoder frames messages in v2 over a shared bufio.Writer, reusing
 // one grow-only buffer so steady-state encodes allocate nothing.
@@ -658,65 +593,3 @@ func growBytes(b []byte, m int) []byte {
 	}
 	return b[:need]
 }
-
-// jsonEncoder is the fallback framing: one JSON object per line.
-type jsonEncoder struct {
-	enc *json.Encoder
-	w   *bufio.Writer
-}
-
-func newJSONEncoder(w *bufio.Writer) *jsonEncoder {
-	return &jsonEncoder{enc: json.NewEncoder(w), w: w}
-}
-
-func (e *jsonEncoder) encode(msg *wireMsg) error {
-	if err := e.enc.Encode(msg); err != nil {
-		return err
-	}
-	return e.w.Flush()
-}
-
-// jsonDecoder wraps a streaming JSON decoder. It must only be used when
-// the connection will never switch codecs (the decoder read-buffers past
-// message boundaries); switchable read paths use readJSONLine instead.
-type jsonDecoder struct{ dec *json.Decoder }
-
-func newJSONDecoder(r *bufio.Reader) *jsonDecoder {
-	return &jsonDecoder{dec: json.NewDecoder(r)}
-}
-
-func (d *jsonDecoder) decode(msg *wireMsg) error {
-	*msg = wireMsg{}
-	return d.dec.Decode(msg)
-}
-
-// readJSONLine reads one newline-delimited JSON message without
-// buffering past the terminator, leaving the reader positioned exactly
-// after it — the property the hello negotiation needs to hand the same
-// reader to the binary decoder. Blank lines are skipped.
-func readJSONLine(br *bufio.Reader, msg *wireMsg) error {
-	for {
-		line, err := br.ReadBytes('\n')
-		trimmed := trimSpaceBytes(line)
-		if len(trimmed) == 0 {
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		*msg = wireMsg{}
-		return json.Unmarshal(trimmed, msg)
-	}
-}
-
-func trimSpaceBytes(b []byte) []byte {
-	for len(b) > 0 && isSpaceByte(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpaceByte(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }

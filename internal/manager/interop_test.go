@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"testing"
 	"time"
 
@@ -13,156 +12,88 @@ import (
 	"repro/internal/parse"
 )
 
-// startServerWith spins up a manager server with explicit wire options.
-func startServerWith(t *testing.T, src string, opts ServerOptions) (*Server, *Manager) {
-	t.Helper()
-	m := MustNew(parse.MustParse(src), Options{ReservationTimeout: 2 * time.Second})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewCoordServerWith(CoordinatorFor(m), ln, opts)
-	t.Cleanup(func() {
-		s.Close()
-		m.Close()
-	})
-	return s, m
-}
-
-// envForcedJSON reports whether the interop environment variables pin the
-// whole process to JSON — negotiation-outcome assertions are meaningless
-// then (the CI matrix runs the suite under exactly these variables).
-func envForcedJSON() bool {
-	return os.Getenv("IX_WIRE_PROTO") == ProtoJSON || os.Getenv("IX_WIRE_SERVER_PROTO") == ProtoJSON
-}
-
-// TestProtocolInteropMatrix runs the full protocol surface through every
-// client × server codec pairing: v2 both ends, a JSON (pre-v2) client
-// against a v2 server, a v2 client against a JSON-only (pre-v2) server,
-// and JSON both ends. Every cell must behave identically — including the
-// sentinel-error identities the cluster layer depends on.
+// TestProtocolInteropMatrix runs the full protocol surface through a
+// client and a server over the wire, including the sentinel-error
+// identities the cluster layer depends on.
 func TestProtocolInteropMatrix(t *testing.T) {
-	cells := []struct {
-		name   string
-		dial   DialOptions
-		server ServerOptions
-		proto  string // negotiated protocol, asserted unless env-forced
-	}{
-		{"v2-client/v2-server", DialOptions{}, ServerOptions{}, ProtoBinary},
-		{"json-client/v2-server", DialOptions{Protocol: ProtoJSON}, ServerOptions{}, ProtoJSON},
-		{"v2-client/json-server", DialOptions{}, ServerOptions{JSONOnly: true}, ProtoJSON},
-		{"json-client/json-server", DialOptions{Protocol: ProtoJSON}, ServerOptions{JSONOnly: true}, ProtoJSON},
-	}
-	for _, cell := range cells {
-		t.Run(cell.name, func(t *testing.T) {
-			s, _ := startServerWith(t, "(a - b)*", cell.server)
-			c, err := DialWith(s.Addr(), cell.dial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if !envForcedJSON() && c.Proto() != cell.proto {
-				t.Fatalf("negotiated %q, want %q", c.Proto(), cell.proto)
-			}
+	t.Run("v2-client/v2-server", func(t *testing.T) {
+		s, _ := startServer(t, "(a - b)*")
+		c := dial(t, s)
 
-			// The Fig 10 cycle: probe, reserve, confirm, denial.
-			if ok, err := c.Try(bg, act("a")); err != nil || !ok {
-				t.Fatalf("try a: %v %v", ok, err)
-			}
-			tk, err := c.Ask(bg, act("a"))
-			if err != nil {
-				t.Fatalf("ask: %v", err)
-			}
-			if err := c.Confirm(bg, tk); err != nil {
-				t.Fatalf("confirm: %v", err)
-			}
-			if _, err := c.Ask(bg, act("a")); !errors.Is(err, ErrDenied) {
-				t.Fatalf("second ask: %v, want ErrDenied identity", err)
-			}
-			// Sentinel identity across the wire.
-			if err := c.Confirm(bg, Ticket(9999)); !errors.Is(err, ErrUnknownTicket) {
-				t.Fatalf("confirm of unknown ticket: %v, want ErrUnknownTicket identity", err)
-			}
-			if err := c.Request(bg, act("b")); err != nil {
-				t.Fatalf("request b: %v", err)
-			}
-			if fin, err := c.Final(bg); err != nil || !fin {
-				t.Fatalf("final: %v %v", fin, err)
-			}
+		// The Fig 10 cycle: probe, reserve, confirm, denial.
+		if ok, err := c.Try(bg, act("a")); err != nil || !ok {
+			t.Fatalf("try a: %v %v", ok, err)
+		}
+		tk, err := c.Ask(bg, act("a"))
+		if err != nil {
+			t.Fatalf("ask: %v", err)
+		}
+		if err := c.Confirm(bg, tk); err != nil {
+			t.Fatalf("confirm: %v", err)
+		}
+		if _, err := c.Ask(bg, act("a")); !errors.Is(err, ErrDenied) {
+			t.Fatalf("second ask: %v, want ErrDenied identity", err)
+		}
+		// Sentinel identity across the wire.
+		if err := c.Confirm(bg, Ticket(9999)); !errors.Is(err, ErrUnknownTicket) {
+			t.Fatalf("confirm of unknown ticket: %v, want ErrUnknownTicket identity", err)
+		}
+		if err := c.Request(bg, act("b")); err != nil {
+			t.Fatalf("request b: %v", err)
+		}
+		if fin, err := c.Final(bg); err != nil || !fin {
+			t.Fatalf("final: %v %v", fin, err)
+		}
 
-			// One pipelined burst with a per-slot failure in the middle.
-			errs := c.RequestMany(bg, []expr.Action{act("a"), act("a"), act("b")})
-			if errs[0] != nil || errs[2] != nil {
-				t.Fatalf("burst: %v", errs)
-			}
-			if !errors.Is(errs[1], ErrDenied) {
-				t.Fatalf("burst slot 1: %v, want ErrDenied identity", errs[1])
-			}
+		// One pipelined burst with a per-slot failure in the middle.
+		errs := c.RequestMany(bg, []expr.Action{act("a"), act("a"), act("b")})
+		if errs[0] != nil || errs[2] != nil {
+			t.Fatalf("burst: %v", errs)
+		}
+		if !errors.Is(errs[1], ErrDenied) {
+			t.Fatalf("burst slot 1: %v, want ErrDenied identity", errs[1])
+		}
 
-			// Subscriptions: initial status, then a flip each way.
-			sub, err := c.Subscribe(bg, act("a"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wait := func(want bool) {
-				t.Helper()
-				for {
-					select {
-					case inf := <-sub.C:
-						if inf.Permissible == want {
-							return
-						}
-					case <-time.After(2 * time.Second):
-						t.Fatalf("inform %v timed out", want)
+		// Subscriptions: initial status, then a flip each way.
+		sub, err := c.Subscribe(bg, act("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait := func(want bool) {
+			t.Helper()
+			for {
+				select {
+				case inf := <-sub.C:
+					if inf.Permissible == want {
+						return
 					}
+				case <-time.After(2 * time.Second):
+					t.Fatalf("inform %v timed out", want)
 				}
 			}
-			wait(true) // after "ab·ab", a is next
-			if err := c.Request(bg, act("a")); err != nil {
-				t.Fatal(err)
-			}
-			wait(false)
-			if err := c.Request(bg, act("b")); err != nil {
-				t.Fatal(err)
-			}
-			wait(true)
-			if err := c.Unsubscribe(bg, sub); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestNegotiationFallbackKeepsSession: a v2 client that lands on a
-// pre-v2 server must keep the very same connection usable — the hello
-// round trip degrades the codec, never the session.
-func TestNegotiationFallbackKeepsSession(t *testing.T) {
-	if envForcedJSON() {
-		t.Skip("protocol pinned by environment")
-	}
-	s, _ := startServerWith(t, "(a)*", ServerOptions{JSONOnly: true})
-	c, err := Dial(s.Addr()) // proposes bin2, must fall back
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Proto() != ProtoJSON {
-		t.Fatalf("negotiated %q against a JSON-only server", c.Proto())
-	}
-	for i := 0; i < 3; i++ {
+		}
+		wait(true) // after "ab·ab", a is next
 		if err := c.Request(bg, act("a")); err != nil {
 			t.Fatal(err)
 		}
-	}
+		wait(false)
+		if err := c.Request(bg, act("b")); err != nil {
+			t.Fatal(err)
+		}
+		wait(true)
+		if err := c.Unsubscribe(bg, sub); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestMultiplexedSubscriptions: several wire subscriptions to one action
 // on one connection must share a single coordinator subscription, joiners
 // must get their initial status from the shared stream's cache, and a
-// status flip must reach every subscription (on binary connections as one
-// multi-id frame, fanned back out by the client).
+// status flip must reach every subscription (as one multi-id frame,
+// fanned back out by the client).
 func TestMultiplexedSubscriptions(t *testing.T) {
-	s, m := startServerWith(t, "(a - b)*", ServerOptions{})
+	s, m := startServer(t, "(a - b)*")
 	c := dial(t, s)
 
 	const n = 3
@@ -258,7 +189,7 @@ func TestHungCoordinatorBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewCoordServerWith(hangingCoord{CoordinatorFor(m)}, ln, ServerOptions{})
+	s := NewCoordServer(hangingCoord{CoordinatorFor(m)}, ln)
 	t.Cleanup(func() {
 		s.Close()
 		m.Close()

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -17,85 +16,108 @@ import (
 	"repro/internal/obs"
 )
 
-// The wire protocol is JSON lines over TCP. Clients send requests with a
-// correlation id; the server answers with the same id and pushes inform
-// messages (id 0) for subscriptions. One physical connection multiplexes
-// any number of outstanding requests.
+// wireMsg is one message of the wire protocol, carried in the binary
+// frames of codec.go. Clients send requests with a correlation id; the
+// server answers with the same id and pushes inform messages (id 0) for
+// subscriptions. One physical connection multiplexes any number of
+// outstanding requests.
 type wireMsg struct {
-	ID     uint64 `json:"id,omitempty"`
-	Op     string `json:"op"`
-	Action string `json:"action,omitempty"`
-	Ticket Ticket `json:"ticket,omitempty"`
-	Sub    uint64 `json:"sub,omitempty"`
-	OK     bool   `json:"ok,omitempty"`
-	Err    string `json:"error,omitempty"`
-	Perm   bool   `json:"permissible,omitempty"`
-	Final  bool   `json:"final,omitempty"`
+	ID     uint64
+	Op     op
+	Action string
+	Ticket Ticket
+	Sub    uint64
+	OK     bool
+	Err    string
+	Perm   bool
+	Final  bool
 	// Acts frames a multi-op request_many: one atomic request per element,
 	// answered by one reply whose Errs has one entry per element ("" = the
 	// action was confirmed). One frame per batch keeps a pipelined burst to
 	// a single encode/decode and a single socket write each way.
-	Acts []string `json:"acts,omitempty"`
-	Errs []string `json:"errors,omitempty"`
+	Acts []string
+	Errs []string
 	// Replication fields (the replicate/replicate_ack/promote/role ops).
 	// A replicate message reuses Acts for the frame's actions; Seq is the
 	// commit position (frame base, or the replica's steps in an ack), Tks
 	// carries per-action tickets, and a non-nil Snap turns the frame into
 	// a full state snapshot (Seq = steps, Prev = commit epoch, Ctr =
 	// ticket counter, Tks = confirmed-ticket dedup window).
-	Epoch uint64          `json:"epoch,omitempty"`
-	Prev  uint64          `json:"prev_epoch,omitempty"`
-	Seq   uint64          `json:"seq,omitempty"`
-	Ctr   uint64          `json:"counter,omitempty"`
-	Tks   []uint64        `json:"tks,omitempty"`
-	Snap  json.RawMessage `json:"snap,omitempty"`
-	Role  string          `json:"role,omitempty"`
+	Epoch uint64
+	Prev  uint64
+	Seq   uint64
+	Ctr   uint64
+	Tks   []uint64
+	Snap  json.RawMessage
+	Role  string
 	// Elastic-membership fields (migrate/retire/drain/resume/topology).
-	Addr     string   `json:"addr,omitempty"`     // follower address to attach/detach
-	Addrs    []string `json:"addrs,omitempty"`    // topology reply: follower streams
-	Draining bool     `json:"draining,omitempty"` // topology reply: drain mode
+	Addr     string   // follower address to attach/detach
+	Addrs    []string // topology reply: follower streams
+	Draining bool     // topology reply: drain mode
 	// Stats is the reply payload of the stats op: the manager's full
 	// observability readout (role, protocol counters, cache counters,
 	// metric snapshot with latency histograms).
-	Stats *StatsSnapshot `json:"stats,omitempty"`
-	// Proto is the hello negotiation payload: the protocol the client
-	// proposes, echoed back as the protocol the server selected.
-	Proto string `json:"proto,omitempty"`
-	// Subs carries the subscription ids of a multiplexed inform: on
-	// binary connections one status flip for an action produces a single
-	// frame naming every subscription on it, instead of one frame per
-	// subscriber. JSON connections never see it (old clients expect Sub).
-	Subs []uint64 `json:"subs,omitempty"`
+	Stats *StatsSnapshot
+	// Subs carries the subscription ids of a multiplexed inform: one
+	// status flip for an action produces a single frame naming every
+	// subscription on it, instead of one frame per subscriber.
+	Subs []uint64
 }
 
-// Wire operation names.
+// op is a wire opcode: the first byte of a frame, and the index of the
+// server's op table.
+type op uint8
+
+// Wire opcodes. The numbers are the frame format; never renumber one.
+// 22 was the hello of the retired JSON-lines negotiation: it stays
+// unassigned, so the decoder rejects it.
 const (
-	opAsk         = "ask"
-	opConfirm     = "confirm"
-	opAbort       = "abort"
-	opRequest     = "request"
-	opRequestMany = "request_many"
-	opTry         = "try"
-	opSubscribe   = "subscribe"
-	opUnsubscribe = "unsubscribe"
-	opFinal       = "final"
-	opReply       = "reply"
-	opInform      = "inform"
+	opAsk         op = 1
+	opConfirm     op = 2
+	opAbort       op = 3
+	opRequest     op = 4
+	opRequestMany op = 5
+	opTry         op = 6
+	opSubscribe   op = 7
+	opUnsubscribe op = 8
+	opFinal       op = 9
+	opReply       op = 10
+	opInform      op = 11
 	// Replication ops (primary ↔ follower, plus failover control).
-	opReplicate    = "replicate"
-	opReplicateAck = "replicate_ack"
-	opPromote      = "promote"
-	opRole         = "role"
+	opReplicate    op = 12
+	opReplicateAck op = 13
+	opPromote      op = 14
+	opRole         op = 15
 	// Elastic-membership ops (live migration / rebalancing control).
-	opMigrate  = "migrate"  // attach the follower at Addr and resync it
-	opRetire   = "retire"   // detach the follower stream to Addr
-	opDrain    = "drain"    // refuse new asks, settle in-flight tickets
-	opResume   = "resume"   // leave drain mode
-	opTopology = "topology" // report role/epoch/steps + streams + drain state
+	opMigrate  op = 16 // attach the follower at Addr and resync it
+	opRetire   op = 17 // detach the follower stream to Addr
+	opDrain    op = 18 // refuse new asks, settle in-flight tickets
+	opResume   op = 19 // leave drain mode
+	opTopology op = 20 // report role/epoch/steps + streams + drain state
 	// Observability op: report the manager's StatsSnapshot (role, protocol
 	// counters, memo-cache counters, metric snapshot).
-	opStats = "stats"
+	opStats op = 21
 )
+
+// opNames names every assigned opcode, for errors and metric labels.
+var opNames = [...]string{
+	opAsk: "ask", opConfirm: "confirm", opAbort: "abort", opRequest: "request",
+	opRequestMany: "request_many", opTry: "try", opSubscribe: "subscribe",
+	opUnsubscribe: "unsubscribe", opFinal: "final", opReply: "reply",
+	opInform: "inform", opReplicate: "replicate", opReplicateAck: "replicate_ack",
+	opPromote: "promote", opRole: "role", opMigrate: "migrate", opRetire: "retire",
+	opDrain: "drain", opResume: "resume", opTopology: "topology", opStats: "stats",
+}
+
+// assigned reports whether o is an opcode of the protocol.
+func (o op) assigned() bool { return int(o) < len(opNames) && opNames[o] != "" }
+
+func (o op) String() string {
+	if o.assigned() {
+		return opNames[o]
+	}
+	return fmt.Sprintf("op(%d)", uint8(o))
+}
 
 // serverAskTimeout bounds how long any handler may wait on the
 // coordinator; it must exceed any configured reservation timeout. It is
@@ -304,10 +326,10 @@ func CoordinatorFor(m *Manager) Coordinator { return coordAdapter{m: m} }
 
 // Server exposes a Coordinator to interaction clients over TCP.
 type Server struct {
-	co       Coordinator
-	ln       net.Listener
-	sm       *serverMetrics
-	jsonOnly bool
+	co  Coordinator
+	ln  net.Listener
+	sm  serverMetrics
+	ops [len(opNames)]opEntry
 
 	mu    sync.Mutex
 	conns map[net.Conn]bool
@@ -315,61 +337,14 @@ type Server struct {
 	wg    sync.WaitGroup
 }
 
-// ServerOptions tunes a wire server.
-type ServerOptions struct {
-	// JSONOnly disables the binary codec: the hello negotiation is
-	// answered the way a pre-v2 server answers it (unknown op), pinning
-	// every connection to JSON lines. v2 clients fall back transparently.
-	// The IX_WIRE_SERVER_PROTO=json environment variable forces it
-	// process-wide (interop matrices, wire debugging with text tools).
-	JSONOnly bool
-}
-
-// serverMetrics instruments the wire layer: frames and bytes each way,
-// and a per-op service-latency histogram. All handles are nil when the
-// coordinator exposes no registry, making every observation a no-op.
+// serverMetrics counts the wire layer's frames and bytes each way (the
+// per-op latency histograms live in the op table). All handles are nil
+// when the coordinator exposes no registry, making every count a no-op.
 type serverMetrics struct {
-	enabled   bool
-	reg       *obs.Registry
 	framesIn  *obs.Counter
 	framesOut *obs.Counter
 	bytesIn   *obs.Counter
 	bytesOut  *obs.Counter
-	opMu      sync.RWMutex
-	opNs      map[string]*obs.Histogram
-}
-
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	return &serverMetrics{
-		enabled:   reg != nil,
-		reg:       reg,
-		framesIn:  reg.Counter("ix_wire_frames_in_total"),
-		framesOut: reg.Counter("ix_wire_frames_out_total"),
-		bytesIn:   reg.Counter("ix_wire_bytes_in_total"),
-		bytesOut:  reg.Counter("ix_wire_bytes_out_total"),
-		opNs:      map[string]*obs.Histogram{},
-	}
-}
-
-// opHist returns the latency histogram for one wire op, created on first
-// use (ops are a small fixed set, so the map stays tiny).
-func (sm *serverMetrics) opHist(op string) *obs.Histogram {
-	if !sm.enabled {
-		return nil
-	}
-	sm.opMu.RLock()
-	h := sm.opNs[op]
-	sm.opMu.RUnlock()
-	if h != nil {
-		return h
-	}
-	sm.opMu.Lock()
-	defer sm.opMu.Unlock()
-	if h = sm.opNs[op]; h == nil {
-		h = sm.reg.Histogram(`ix_wire_op_ns{op="` + op + `"}`)
-		sm.opNs[op] = h
-	}
-	return h
 }
 
 // countingReader feeds the bytes-in counter as a side effect of reads.
@@ -407,22 +382,20 @@ func NewServer(m *Manager, ln net.Listener) *Server {
 }
 
 // NewCoordServer serves any Coordinator — a local manager or a cluster
-// gateway — on the listener, with default options (binary negotiation
-// enabled).
+// gateway — on the listener.
 func NewCoordServer(co Coordinator, ln net.Listener) *Server {
-	return NewCoordServerWith(co, ln, ServerOptions{})
-}
-
-// NewCoordServerWith serves a Coordinator with explicit options.
-func NewCoordServerWith(co Coordinator, ln net.Listener, opts ServerOptions) *Server {
-	jsonOnly := opts.JSONOnly || os.Getenv("IX_WIRE_SERVER_PROTO") == ProtoJSON
-	s := &Server{co: co, ln: ln, jsonOnly: jsonOnly,
-		conns: make(map[net.Conn]bool), done: make(chan struct{})}
 	var reg *obs.Registry
 	if ms, ok := co.(MetricsSource); ok {
 		reg = ms.MetricsRegistry()
 	}
-	s.sm = newServerMetrics(reg)
+	s := &Server{co: co, ln: ln, conns: make(map[net.Conn]bool), done: make(chan struct{}),
+		sm: serverMetrics{
+			framesIn:  reg.Counter("ix_wire_frames_in_total"),
+			framesOut: reg.Counter("ix_wire_frames_out_total"),
+			bytesIn:   reg.Counter("ix_wire_bytes_in_total"),
+			bytesOut:  reg.Counter("ix_wire_bytes_out_total"),
+		}}
+	s.buildOps(reg)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -446,20 +419,13 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// outFrame is one queued write. switchBin tells the writer to swap to
-// the binary encoder after this message goes out — the hello reply is
-// the last JSON line a negotiated connection ever sends.
-type outFrame struct {
-	msg       wireMsg
-	switchBin bool
-}
-
-// connState is the per-connection subscription table. Wire subscriptions
-// to the same action share one coordinator subscription and one
-// forwarder goroutine; multi tracks whether the negotiated codec may
-// batch the shared ids into a single multi-id inform frame.
+// connState is one connection's writer queue, its dispatch goroutines
+// and its subscription table. Wire subscriptions to the same action
+// share one coordinator subscription and one forwarder goroutine.
 type connState struct {
-	multi bool
+	out      chan wireMsg
+	done     <-chan struct{} // the server's stop signal
+	handlers sync.WaitGroup  // dispatch goroutines in flight
 
 	mu      sync.Mutex
 	nextSub uint64
@@ -478,11 +444,22 @@ type connActSub struct {
 	last   bool
 }
 
-func newConnState() *connState {
-	return &connState{byID: make(map[uint64]*connActSub), byAct: make(map[string]*connActSub)}
+func newConnState(done <-chan struct{}) *connState {
+	return &connState{out: make(chan wireMsg, 64), done: done,
+		byID: make(map[uint64]*connActSub), byAct: make(map[string]*connActSub)}
 }
 
-// serveConn handles one client connection.
+// send queues one frame for the connection's writer; once the server is
+// stopping it drops the frame instead of blocking.
+func (cs *connState) send(msg wireMsg) {
+	select {
+	case cs.out <- msg:
+	case <-cs.done:
+	}
+}
+
+// serveConn handles one client connection: a reader that dispatches every
+// frame on its own goroutine, and a writer that drains the send queue.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -492,32 +469,28 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	out := make(chan outFrame, 64)
+	cs := newConnState(s.done)
 	writerDone := make(chan struct{})
+	writerUp := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		w := bufio.NewWriter(&countingWriter{w: conn, c: s.sm.bytesOut})
-		var enc frameEncoder = newJSONEncoder(w)
+		enc := newBinEncoder(bufio.NewWriter(&countingWriter{w: conn, c: s.sm.bytesOut}))
 		broken := false
-		for f := range out {
+		close(writerUp)
+		for msg := range cs.out {
 			if broken {
 				continue // drain so senders never block on a dead writer
 			}
-			if err := enc.encode(&f.msg); err != nil {
+			if err := enc.encode(&msg); err != nil {
 				broken = true
 				continue
 			}
 			s.sm.framesOut.Inc()
-			if f.switchBin {
-				enc = newBinEncoder(w)
-			}
 		}
 	}()
 
-	cs := newConnState()
-	var handlers sync.WaitGroup
 	defer func() {
-		handlers.Wait()
+		cs.handlers.Wait()
 		cs.mu.Lock()
 		cancels := make(map[*connActSub]func())
 		for _, as := range cs.byID {
@@ -533,397 +506,308 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// Forwarders must be done before out closes: one could be mid-send.
 		cs.fwd.Wait()
-		close(out)
+		close(cs.out)
 		<-writerDone
 	}()
 
-	send := func(msg wireMsg) {
-		select {
-		case out <- outFrame{msg: msg}:
-		case <-s.done:
-		}
-	}
-
-	br := bufio.NewReader(&countingReader{r: conn, c: s.sm.bytesIn})
-	var dec frameDecoder // nil while the connection still speaks JSON lines
-	first := true
+	// Read only once the writer has started. A client writes its first
+	// request right after dialing, so it is often buffered already; its
+	// reply must then wake a writer parked on the queue instead of waiting
+	// for a goroutine that has never run to be scheduled — a stall the
+	// simulator's pacer would mistake for the system waiting on time.
+	<-writerUp
+	dec := newBinDecoder(bufio.NewReader(&countingReader{r: conn, c: s.sm.bytesIn}))
 	for {
-		var req wireMsg
-		var err error
-		if dec != nil {
-			err = dec.decode(&req)
-		} else {
-			// Line-based, not a streaming json.Decoder: the reader must not
-			// buffer past the message terminator, or the switch to binary
-			// after a hello would lose the bytes the decoder read ahead.
-			err = readJSONLine(br, &req)
-		}
-		if err != nil {
-			return // connection closed or garbage
+		req := new(wireMsg)
+		if err := dec.decode(req); err != nil {
+			return // connection closed, or a frame the strict decoder refuses
 		}
 		s.sm.framesIn.Inc()
-		if req.Op == opHello && !s.jsonOnly {
-			// Negotiation: only meaningful as the very first frame; a v2
-			// proposal switches both directions, anything else pins JSON.
-			// With jsonOnly the op falls through to the handler and earns
-			// the same "unknown op" error a pre-v2 server would send.
-			resp := wireMsg{ID: req.ID, Op: opReply, OK: true, Proto: ProtoJSON}
-			if first && req.Proto == ProtoBinary {
-				resp.Proto = ProtoBinary
-				select {
-				case out <- outFrame{msg: resp, switchBin: true}:
-				case <-s.done:
-					return
-				}
-				dec = newBinDecoder(br)
-				cs.multi = true
-			} else {
-				send(resp)
-			}
-			first = false
-			continue
-		}
-		first = false
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			var start time.Time
-			if s.sm.enabled {
-				start = time.Now() // wallclock-ok: op-latency metric, not a protocol decision
-			}
-			resp, skip := s.handle(req, cs, send)
-			if s.sm.enabled {
-				s.sm.opHist(req.Op).Since(start)
-			}
-			if !skip {
-				send(resp)
-			}
-		}()
+		cs.handlers.Add(1)
+		go s.dispatch(cs, req)
 	}
 }
 
-// handle processes one request. It returns the reply and whether it was
-// already sent (subscription replies must precede the first inform, so
-// that op sends its own reply before starting the forwarder).
-func (s *Server) handle(req wireMsg, cs *connState, send func(wireMsg)) (wireMsg, bool) {
-	resp := wireMsg{ID: req.ID, Op: opReply}
-	fail := func(err error) (wireMsg, bool) {
-		resp.OK = false
+// opFunc serves one request: the op's coordinator call, returning the
+// reply's result fields. dispatch does the rest.
+type opFunc func(ctx context.Context, cs *connState, req *wireMsg) (wireMsg, error)
+
+// opEntry is one row of the op table.
+type opEntry struct {
+	serve opFunc
+	hist  *obs.Histogram // ix_wire_op_ns{op="..."}; nil without a registry
+}
+
+// errReplied is how an op tells dispatch that it queued its own reply:
+// a subscribe reply must reach the client before the first inform.
+var errReplied = errors.New("manager: reply already sent")
+
+// dispatch serves one request through the op table, with the prologue
+// and epilogue every op shares: a context bounded by serverAskTimeout (a
+// coordinator stuck on a partitioned sync-replication ack must not wedge
+// the handler, or the client, forever), the latency observation, and the
+// reply, whose error text carries the sentinel identity across the wire.
+func (s *Server) dispatch(cs *connState, req *wireMsg) {
+	defer cs.handlers.Done()
+	e := &s.ops[req.Op]
+	var resp wireMsg
+	var err error
+	if e.serve == nil {
+		err = fmt.Errorf("manager: coordinator does not serve op %q", req.Op)
+	} else {
+		var start time.Time
+		if e.hist != nil {
+			start = time.Now() // wallclock-ok: op-latency metric, not a protocol decision
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
+		resp, err = e.serve(ctx, cs, req)
+		cancel()
+		e.hist.Since(start)
+		if err == errReplied {
+			return
+		}
+	}
+	resp.ID = req.ID
+	if resp.Op == 0 {
+		resp.Op = opReply
+	}
+	if err != nil {
 		resp.Err = err.Error()
-		return resp, false
+	} else {
+		resp.OK = true
 	}
-	parseAction := func() (expr.Action, error) {
-		return expr.ParseActionString(req.Action)
+	cs.send(resp)
+}
+
+// buildOps fills the op table with every op the coordinator serves. The
+// optional surfaces are type-asserted here, once per server; an op they
+// would serve is otherwise left out, and dispatch answers it with an
+// error naming the op.
+func (s *Server) buildOps(reg *obs.Registry) {
+	co := s.co
+	on := func(o op, serve opFunc) {
+		s.ops[o] = opEntry{serve: serve, hist: reg.Histogram(`ix_wire_op_ns{op="` + o.String() + `"}`)}
 	}
-	switch req.Op {
-	case opAsk:
-		a, err := parseAction()
-		if err != nil {
-			return fail(err)
+	on(opAsk, func(ctx context.Context, _ *connState, req *wireMsg) (resp wireMsg, err error) {
+		a, err := expr.ParseActionString(req.Action)
+		if err == nil {
+			resp.Ticket, err = co.Ask(ctx, a)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		t, err := s.co.Ask(ctx, a)
-		if err != nil {
-			return fail(err)
+		return resp, err
+	})
+	on(opConfirm, func(ctx context.Context, _ *connState, req *wireMsg) (wireMsg, error) {
+		return wireMsg{}, co.Confirm(ctx, req.Ticket)
+	})
+	on(opAbort, func(ctx context.Context, _ *connState, req *wireMsg) (wireMsg, error) {
+		return wireMsg{}, co.Abort(ctx, req.Ticket)
+	})
+	on(opRequest, func(ctx context.Context, _ *connState, req *wireMsg) (wireMsg, error) {
+		a, err := expr.ParseActionString(req.Action)
+		if err == nil {
+			err = co.Request(ctx, a)
 		}
-		resp.OK = true
-		resp.Ticket = t
-	case opConfirm:
-		// Bounded like every other op: a coordinator stuck waiting on a
-		// sync-replication ack during a partition must not wedge the
-		// handler goroutine (and the client) forever.
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		if err := s.co.Confirm(ctx, req.Ticket); err != nil {
-			return fail(err)
+		return wireMsg{}, err
+	})
+	// A request_many goes to the coordinator in one batched call when it
+	// supports that (group commit end to end), or back to back otherwise.
+	requestMany := func(ctx context.Context, actions []expr.Action) []error {
+		errs := make([]error, len(actions))
+		for i, a := range actions {
+			errs[i] = co.Request(ctx, a)
 		}
-		resp.OK = true
-	case opAbort:
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		if err := s.co.Abort(ctx, req.Ticket); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case opRequest:
-		a, err := parseAction()
-		if err != nil {
-			return fail(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		if err := s.co.Request(ctx, a); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case opRequestMany:
-		// One frame carries a whole pipelined burst. Slots that fail to
-		// parse are answered in place; the rest go to the coordinator in
-		// one batched call when it supports that (group commit end to end),
-		// or back to back otherwise.
-		errs := make([]string, len(req.Acts))
+		return errs
+	}
+	if br, ok := co.(BatchRequester); ok {
+		requestMany = br.RequestMany
+	}
+	on(opRequestMany, func(ctx context.Context, _ *connState, req *wireMsg) (resp wireMsg, _ error) {
+		// One frame carries a whole pipelined burst; slots that fail to
+		// parse are answered in place.
+		resp.Errs = make([]string, len(req.Acts))
 		actions := make([]expr.Action, 0, len(req.Acts))
 		slots := make([]int, 0, len(req.Acts))
-		for i, s := range req.Acts {
-			a, err := expr.ParseActionString(s)
+		for i, act := range req.Acts {
+			a, err := expr.ParseActionString(act)
 			if err != nil {
-				errs[i] = err.Error()
+				resp.Errs[i] = err.Error()
 				continue
 			}
 			actions = append(actions, a)
 			slots = append(slots, i)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		if br, ok := s.co.(BatchRequester); ok {
-			for j, err := range br.RequestMany(ctx, actions) {
-				if err != nil {
-					errs[slots[j]] = err.Error()
+		for j, err := range requestMany(ctx, actions) {
+			if err != nil {
+				resp.Errs[slots[j]] = err.Error()
+			}
+		}
+		return resp, nil
+	})
+	on(opTry, func(ctx context.Context, _ *connState, req *wireMsg) (resp wireMsg, err error) {
+		a, err := expr.ParseActionString(req.Action)
+		if err == nil {
+			resp.Perm, err = co.Try(ctx, a)
+		}
+		return resp, err
+	})
+	on(opFinal, func(ctx context.Context, _ *connState, _ *wireMsg) (resp wireMsg, err error) {
+		resp.Final, err = co.Final(ctx)
+		return resp, err
+	})
+	on(opSubscribe, s.subscribe)
+	on(opUnsubscribe, func(_ context.Context, cs *connState, req *wireMsg) (wireMsg, error) {
+		return wireMsg{}, cs.unsubscribe(req.Sub)
+	})
+	if rt, ok := co.(ReplicaTarget); ok {
+		on(opReplicate, func(ctx context.Context, _ *connState, req *wireMsg) (wireMsg, error) {
+			var st ReplStatus
+			var err error
+			if req.Snap != nil {
+				var snap ReplSnapshot
+				if snap, err = decodeReplSnapshot(*req); err == nil {
+					st, err = rt.InstallReplSnapshot(ctx, snap)
+				}
+			} else {
+				var frame ReplFrame
+				if frame, err = decodeReplFrame(*req); err == nil {
+					st, err = rt.ApplyReplicated(ctx, frame)
 				}
 			}
-		} else {
-			for j, a := range actions {
-				if err := s.co.Request(ctx, a); err != nil {
-					errs[slots[j]] = err.Error()
-				}
-			}
-		}
-		resp.OK = true
-		resp.Errs = errs
-	case opTry:
-		a, err := parseAction()
-		if err != nil {
-			return fail(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		perm, err := s.co.Try(ctx, a)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Perm = perm
-	case opFinal:
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		fin, err := s.co.Final(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Final = fin
-	case opSubscribe:
-		a, err := parseAction()
-		if err != nil {
-			return fail(err)
-		}
-		key := a.String()
-		// Fast path: another wire subscription on this connection already
-		// streams this action — join it instead of opening a second
-		// coordinator subscription and forwarder goroutine.
-		cs.mu.Lock()
-		if as := cs.byAct[key]; as != nil {
-			cs.nextSub++
-			id := cs.nextSub
-			as.ids = append(as.ids, id)
-			cs.byID[id] = as
-			resp.OK = true
-			resp.Sub = id
-			send(resp)
-			if as.known {
-				// The joiner still gets its initial status inform — from
-				// the shared stream's cache, not a coordinator round trip.
-				send(wireMsg{Op: opInform, Sub: id, Action: as.key, Perm: as.last})
-			}
-			cs.mu.Unlock()
-			return resp, true
-		}
-		cs.mu.Unlock()
-		ch, cancel, err := s.co.Subscribe(a)
-		if err != nil {
-			return fail(err)
-		}
-		cs.mu.Lock()
-		as := &connActSub{key: key, cancel: cancel}
-		cs.nextSub++
-		id := cs.nextSub
-		as.ids = []uint64{id}
-		cs.byID[id] = as
-		if cs.byAct[key] == nil {
-			// A concurrent subscribe to the same action may have won the
-			// race; the loser keeps its own stream but future joiners
-			// share whichever entry the table holds.
-			cs.byAct[key] = as
-		}
-		// The reply must reach the client before the first inform so the
-		// client knows the subscription id; send it here, then forward.
-		resp.OK = true
-		resp.Sub = id
-		send(resp)
-		cs.mu.Unlock()
-		cs.fwd.Add(1)
-		go s.forwardInforms(cs, as, ch, send)
-		return resp, true
-	case opUnsubscribe:
-		cs.mu.Lock()
-		as, ok := cs.byID[req.Sub]
-		var cancel func()
-		if ok {
-			delete(cs.byID, req.Sub)
-			for i, sid := range as.ids {
-				if sid == req.Sub {
-					as.ids = append(as.ids[:i], as.ids[i+1:]...)
-					break
-				}
-			}
-			if len(as.ids) == 0 {
-				if cs.byAct[as.key] == as {
-					delete(cs.byAct, as.key)
-				}
-				cancel = as.cancel
-			}
-		}
-		cs.mu.Unlock()
-		if !ok {
-			return fail(errors.New("manager: unknown subscription"))
-		}
-		if cancel != nil {
-			cancel() // last subscriber left: tear down the shared stream
-		}
-		resp.OK = true
-	case opReplicate:
-		rt, ok := s.co.(ReplicaTarget)
-		if !ok {
-			return fail(errors.New("manager: coordinator does not accept replication"))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		var st ReplStatus
-		var err error
-		if req.Snap != nil {
-			var snap ReplSnapshot
-			if snap, err = decodeReplSnapshot(req); err == nil {
-				st, err = rt.InstallReplSnapshot(ctx, snap)
-			}
-		} else {
-			var frame ReplFrame
-			if frame, err = decodeReplFrame(req); err == nil {
-				st, err = rt.ApplyReplicated(ctx, frame)
-			}
-		}
-		// The ack always reports the replica's identity, so a deposed
-		// sender learns the epoch that fenced it and a gapped stream
-		// learns the follower's position.
-		resp.Op = opReplicateAck
-		resp.Role, resp.Epoch, resp.Seq = st.Role, st.Epoch, st.Steps
-		if err != nil {
-			resp.Err = err.Error()
-			return resp, false
-		}
-		resp.OK = true
-	case opPromote:
-		rt, ok := s.co.(ReplicaTarget)
-		if !ok {
-			return fail(errors.New("manager: coordinator does not accept promotion"))
-		}
-		epoch, err := rt.Promote(context.Background())
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Epoch = epoch
-	case opRole:
-		rt, ok := s.co.(ReplicaTarget)
-		if !ok {
-			return fail(errors.New("manager: coordinator has no replication role"))
-		}
-		st, err := rt.ReplStatus(context.Background())
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Role, resp.Epoch, resp.Seq = st.Role, st.Epoch, st.Steps
-	case opMigrate:
-		el, ok := s.co.(Elastic)
-		if !ok {
-			return fail(errors.New("manager: coordinator is not elastic"))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		st, err := el.AttachReplica(ctx, req.Addr)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Role, resp.Epoch, resp.Seq = st.Role, st.Epoch, st.Steps
-	case opRetire:
-		el, ok := s.co.(Elastic)
-		if !ok {
-			return fail(errors.New("manager: coordinator is not elastic"))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		if err := el.DetachReplica(ctx, req.Addr); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case opDrain:
-		el, ok := s.co.(Elastic)
-		if !ok {
-			return fail(errors.New("manager: coordinator is not elastic"))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		if err := el.Drain(ctx); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case opResume:
-		el, ok := s.co.(Elastic)
-		if !ok {
-			return fail(errors.New("manager: coordinator is not elastic"))
-		}
-		if err := el.Resume(context.Background()); err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case opTopology:
-		el, ok := s.co.(Elastic)
-		if !ok {
-			return fail(errors.New("manager: coordinator is not elastic"))
-		}
-		ti, err := el.Topology(context.Background())
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Role, resp.Epoch, resp.Seq = ti.Role, ti.Epoch, ti.Steps
-		resp.Addrs, resp.Draining = ti.Replicas, ti.Draining
-	case opStats:
-		sp, ok := s.co.(StatsProvider)
-		if !ok {
-			return fail(errors.New("manager: coordinator reports no stats"))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		defer cancel()
-		snap, err := sp.StatsSnapshot(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Stats = &snap
-	default:
-		return fail(fmt.Errorf("manager: unknown op %q", req.Op))
+			// The ack reports the replica's identity even on error, so a
+			// deposed sender learns the epoch that fenced it and a gapped
+			// stream learns the follower's position.
+			return wireMsg{Op: opReplicateAck, Role: st.Role, Epoch: st.Epoch, Seq: st.Steps}, err
+		})
+		on(opPromote, func(ctx context.Context, _ *connState, _ *wireMsg) (resp wireMsg, err error) {
+			resp.Epoch, err = rt.Promote(ctx)
+			return resp, err
+		})
+		on(opRole, func(ctx context.Context, _ *connState, _ *wireMsg) (wireMsg, error) {
+			st, err := rt.ReplStatus(ctx)
+			return wireMsg{Role: st.Role, Epoch: st.Epoch, Seq: st.Steps}, err
+		})
 	}
-	return resp, false
+	if el, ok := co.(Elastic); ok {
+		on(opMigrate, func(ctx context.Context, _ *connState, req *wireMsg) (wireMsg, error) {
+			st, err := el.AttachReplica(ctx, req.Addr)
+			return wireMsg{Role: st.Role, Epoch: st.Epoch, Seq: st.Steps}, err
+		})
+		on(opRetire, func(ctx context.Context, _ *connState, req *wireMsg) (wireMsg, error) {
+			return wireMsg{}, el.DetachReplica(ctx, req.Addr)
+		})
+		on(opDrain, func(ctx context.Context, _ *connState, _ *wireMsg) (wireMsg, error) {
+			return wireMsg{}, el.Drain(ctx)
+		})
+		on(opResume, func(ctx context.Context, _ *connState, _ *wireMsg) (wireMsg, error) {
+			return wireMsg{}, el.Resume(ctx)
+		})
+		on(opTopology, func(ctx context.Context, _ *connState, _ *wireMsg) (wireMsg, error) {
+			ti, err := el.Topology(ctx)
+			return wireMsg{Role: ti.Role, Epoch: ti.Epoch, Seq: ti.Steps,
+				Addrs: ti.Replicas, Draining: ti.Draining}, err
+		})
+	}
+	if sp, ok := co.(StatsProvider); ok {
+		on(opStats, func(ctx context.Context, _ *connState, _ *wireMsg) (wireMsg, error) {
+			snap, err := sp.StatsSnapshot(ctx)
+			if err != nil {
+				return wireMsg{}, err
+			}
+			return wireMsg{Stats: &snap}, nil
+		})
+	}
+}
+
+// subscribe opens a wire subscription. It queues its own reply (and
+// returns errReplied): the reply must reach the client before the first
+// inform, so that the client knows the subscription id.
+func (s *Server) subscribe(_ context.Context, cs *connState, req *wireMsg) (wireMsg, error) {
+	a, err := expr.ParseActionString(req.Action)
+	if err != nil {
+		return wireMsg{}, err
+	}
+	key := a.String()
+	reply := wireMsg{ID: req.ID, Op: opReply, OK: true}
+	// Fast path: another wire subscription on this connection already
+	// streams this action — join it instead of opening a second
+	// coordinator subscription and forwarder goroutine.
+	cs.mu.Lock()
+	if as := cs.byAct[key]; as != nil {
+		reply.Sub = cs.addSubLocked(as)
+		cs.send(reply)
+		if as.known {
+			// The joiner still gets its initial status inform — from the
+			// shared stream's cache, not a coordinator round trip.
+			cs.send(wireMsg{Op: opInform, Sub: reply.Sub, Action: as.key, Perm: as.last})
+		}
+		cs.mu.Unlock()
+		return wireMsg{}, errReplied
+	}
+	cs.mu.Unlock()
+	ch, cancel, err := s.co.Subscribe(a)
+	if err != nil {
+		return wireMsg{}, err
+	}
+	cs.mu.Lock()
+	as := &connActSub{key: key, cancel: cancel}
+	reply.Sub = cs.addSubLocked(as)
+	if cs.byAct[key] == nil {
+		// A concurrent subscribe to the same action may have won the
+		// race; the loser keeps its own stream but future joiners share
+		// whichever entry the table holds.
+		cs.byAct[key] = as
+	}
+	cs.send(reply)
+	cs.mu.Unlock()
+	cs.fwd.Add(1)
+	go cs.forwardInforms(as, ch)
+	return wireMsg{}, errReplied
+}
+
+// addSubLocked gives the shared stream as one more wire subscription id.
+// Callers hold cs.mu.
+func (cs *connState) addSubLocked(as *connActSub) uint64 {
+	cs.nextSub++
+	id := cs.nextSub
+	as.ids = append(as.ids, id)
+	cs.byID[id] = as
+	return id
+}
+
+// unsubscribe closes one wire subscription; the last one on a shared
+// stream tears the stream down.
+func (cs *connState) unsubscribe(id uint64) error {
+	cs.mu.Lock()
+	as, ok := cs.byID[id]
+	var cancel func()
+	if ok {
+		delete(cs.byID, id)
+		for i, sid := range as.ids {
+			if sid == id {
+				as.ids = append(as.ids[:i], as.ids[i+1:]...)
+				break
+			}
+		}
+		if len(as.ids) == 0 {
+			if cs.byAct[as.key] == as {
+				delete(cs.byAct, as.key)
+			}
+			cancel = as.cancel
+		}
+	}
+	cs.mu.Unlock()
+	if !ok {
+		return errors.New("manager: unknown subscription")
+	}
+	if cancel != nil {
+		cancel()
+	}
+	return nil
 }
 
 // forwardInforms fans one shared coordinator subscription out to every
-// wire subscription id on it. A binary connection gets one multi-id
-// frame per status flip; a JSON connection gets one frame per id, which
-// is what pre-v2 clients expect.
-func (s *Server) forwardInforms(cs *connState, as *connActSub, ch <-chan Inform, send func(wireMsg)) {
+// wire subscription id on it: one frame per status flip, naming every id
+// in Subs when there is more than one.
+func (cs *connState) forwardInforms(as *connActSub, ch <-chan Inform) {
 	defer cs.fwd.Done()
 	var ids []uint64 // reused snapshot of as.ids, taken under the lock
 	for inf := range ch {
@@ -931,16 +815,14 @@ func (s *Server) forwardInforms(cs *connState, as *connActSub, ch <-chan Inform,
 		as.known, as.last = true, inf.Permissible
 		ids = append(ids[:0], as.ids...)
 		cs.mu.Unlock()
-		switch {
-		case len(ids) == 0:
+		switch len(ids) {
+		case 0:
 			// Subscribers left between the flip and this delivery.
-		case cs.multi && len(ids) > 1:
-			send(wireMsg{Op: opInform, Subs: append([]uint64(nil), ids...),
-				Action: as.key, Perm: inf.Permissible})
+		case 1:
+			cs.send(wireMsg{Op: opInform, Sub: ids[0], Action: as.key, Perm: inf.Permissible})
 		default:
-			for _, id := range ids {
-				send(wireMsg{Op: opInform, Sub: id, Action: as.key, Perm: inf.Permissible})
-			}
+			cs.send(wireMsg{Op: opInform, Subs: append([]uint64(nil), ids...),
+				Action: as.key, Perm: inf.Permissible})
 		}
 	}
 	// The coordinator closed the stream (shutdown or cancel): drop the
@@ -975,10 +857,9 @@ func (s *Server) Close() error {
 // Client is an interaction client speaking the wire protocol; it mirrors
 // the Manager API over a TCP connection. Safe for concurrent use.
 type Client struct {
-	conn  net.Conn
-	enc   frameEncoder
-	proto string
-	wmu   sync.Mutex // serializes writes
+	conn net.Conn
+	enc  *binEncoder
+	wmu  sync.Mutex // serializes writes
 
 	// actCache memoizes parsed inform actions. Only the read loop touches
 	// it, so it needs no lock; the bound guards against a server with an
@@ -1009,34 +890,20 @@ type ClientSubscription struct {
 
 // DialOptions tunes a client connection.
 type DialOptions struct {
-	// Protocol selects the wire encoding. ProtoBinary (the default)
-	// proposes the v2 binary framing at connect time and falls back to
-	// JSON lines when the server predates it; ProtoJSON skips the
-	// negotiation entirely and speaks JSON lines like a pre-v2 client.
-	// The IX_WIRE_PROTO=json environment variable forces JSON for every
-	// default-protocol dial in the process (interop matrices, debugging
-	// captures with text tools).
-	Protocol string
 	// Dialer replaces the TCP dial with a custom transport — the
 	// deterministic simulator (internal/sim) injects its in-memory
 	// network here. Nil means net.Dial("tcp", addr).
 	Dialer func(addr string) (net.Conn, error)
 }
 
-// Dial connects to a manager server, negotiating the binary protocol.
+// Dial connects to a manager server.
 func Dial(addr string) (*Client, error) {
 	return DialWith(addr, DialOptions{})
 }
 
-// DialWith connects with explicit options.
+// DialWith connects with explicit options. The connection speaks the
+// binary frames of codec.go from its first byte; there is no handshake.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
-	proto := opts.Protocol
-	if proto == "" {
-		proto = ProtoBinary
-		if os.Getenv("IX_WIRE_PROTO") == ProtoJSON {
-			proto = ProtoJSON
-		}
-	}
 	dial := opts.Dialer
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -1045,70 +912,23 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("manager: dial: %w", err)
 	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	c := &Client{
 		conn:     conn,
-		proto:    ProtoJSON,
+		enc:      newBinEncoder(bufio.NewWriter(conn)),
 		actCache: make(map[string]expr.Action),
 		waiting:  make(map[uint64]chan wireMsg),
 		subs:     make(map[uint64]chan Inform),
 		pending:  make(map[uint64][]Inform),
 	}
-	c.nextID = 1 // id 1 is the hello's, whether or not one is sent
-	if proto == ProtoBinary {
-		if err := c.negotiate(conn, br, bw); err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
-	var dec frameDecoder
-	if c.proto == ProtoBinary {
-		c.enc = newBinEncoder(bw)
-		dec = newBinDecoder(br)
-	} else {
-		c.enc = newJSONEncoder(bw)
-		// The JSON phase never switches codecs after this point, so the
-		// streaming decoder's read-ahead is harmless.
-		dec = newJSONDecoder(br)
-	}
-	go c.readLoop(dec)
+	go c.readLoop(newBinDecoder(bufio.NewReader(conn)))
 	return c, nil
 }
 
-// negotiate sends the hello as a JSON line and interprets the reply. A
-// v2 server acknowledges with Proto=bin2 and both directions switch; a
-// pre-v2 server answers "unknown op" (or anything else), and the client
-// simply stays on JSON lines. Transport errors fail the dial.
-func (c *Client) negotiate(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
-	deadline := time.Now().Add(10 * time.Second) // wallclock-ok: socket I/O backstop on the negotiate handshake
-	_ = conn.SetDeadline(deadline)
-	defer conn.SetDeadline(time.Time{})
-	hello, err := json.Marshal(wireMsg{ID: 1, Op: opHello, Proto: ProtoBinary})
-	if err != nil {
-		return err
-	}
-	hello = append(hello, '\n')
-	if _, err := bw.Write(hello); err != nil {
-		return fmt.Errorf("manager: negotiate: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("manager: negotiate: %w", err)
-	}
-	var resp wireMsg
-	if err := readJSONLine(br, &resp); err != nil {
-		return fmt.Errorf("manager: negotiate: %w", err)
-	}
-	if resp.OK && resp.Proto == ProtoBinary {
-		c.proto = ProtoBinary
-	}
-	return nil
-}
+// Proto reports the wire encoding, which is always ProtoBinary. It stays
+// only for the benchmark harness's report line.
+func (c *Client) Proto() string { return ProtoBinary }
 
-// Proto reports the negotiated wire encoding (ProtoBinary or ProtoJSON).
-func (c *Client) Proto() string { return c.proto }
-
-func (c *Client) readLoop(dec frameDecoder) {
+func (c *Client) readLoop(dec *binDecoder) {
 	var msg wireMsg
 	for {
 		if err := dec.decode(&msg); err != nil {
@@ -1206,8 +1026,11 @@ func (c *Client) call(ctx context.Context, req wireMsg) (wireMsg, error) {
 	ch := make(chan wireMsg, 1)
 	c.mu.Lock()
 	if c.closed {
+		// Also a send failure: a connection shared by several callers is
+		// closed by whichever finds it dead first, and the others' requests
+		// never left — safe to retry on a fresh connection.
 		c.mu.Unlock()
-		return wireMsg{}, ErrClosed
+		return wireMsg{}, fmt.Errorf("%w: %w", ErrSendFailed, ErrClosed)
 	}
 	if c.readErr != nil {
 		// The reader is gone, so no reply can ever arrive — and writing

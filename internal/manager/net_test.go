@@ -2,7 +2,10 @@ package manager
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -237,7 +240,9 @@ func TestClientContextCancel(t *testing.T) {
 	}
 }
 
-// TestWireErrors: malformed requests get error replies; unknown ops too.
+// TestWireErrors: requests the coordinator refuses (an action outside the
+// alphabet, an unknown ticket) get error replies. Ops the server does not
+// serve are TestUnservedOps' subject.
 func TestWireErrors(t *testing.T) {
 	s, _ := startServer(t, "a")
 	c := dial(t, s)
@@ -246,5 +251,59 @@ func TestWireErrors(t *testing.T) {
 	}
 	if err := c.Confirm(bg, Ticket(999)); err == nil {
 		t.Error("confirm of unknown ticket should fail")
+	}
+}
+
+// TestUnservedOps: a frame whose opcode has no entry in the server's op
+// table — a reply-side op, or an op of an optional surface the
+// coordinator lacks — gets an error reply naming the op, and the
+// connection keeps serving.
+func TestUnservedOps(t *testing.T) {
+	m := MustNew(parse.MustParse("(a)*"), Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewCoordServer(bareCoordinator{Coordinator: CoordinatorFor(m)}, ln)
+	t.Cleanup(func() {
+		s.Close()
+		m.Close()
+	})
+	c := dial(t, s)
+	for _, o := range []op{opReply, opInform, opReplicateAck, opReplicate, opPromote, opRole,
+		opMigrate, opRetire, opDrain, opResume, opTopology, opStats} {
+		_, err := c.callOK(bg, wireMsg{Op: o})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", o.String())) {
+			t.Errorf("op %v: got %v, want an error naming the op", o, err)
+		}
+		if err := c.Request(bg, act("a")); err != nil {
+			t.Fatalf("request after unserved op %v: %v", o, err)
+		}
+	}
+}
+
+// TestRetiredOpcodeClosesOnlyItsConnection: opcode 22, the retired
+// hello, is a frame the strict decoder refuses. The server closes that
+// connection and keeps serving every other one.
+func TestRetiredOpcodeClosesOnlyItsConnection(t *testing.T) {
+	s, _ := startServer(t, "(a)*")
+	good := dial(t, s)
+	if err := good.Request(bg, act("a")); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte{0, 0, 0, 3, 22, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server answered a retired opcode (%d bytes, %v), want the connection closed", n, err)
+	}
+	if err := good.Request(bg, act("a")); err != nil {
+		t.Fatalf("other connection after the refused frame: %v", err)
 	}
 }

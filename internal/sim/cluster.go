@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
 	"path/filepath"
@@ -135,11 +136,23 @@ type opTracker interface {
 // the wall clock.
 type TCPTransport struct{}
 
+// Listen binds a fresh address below the kernel's ephemeral port range
+// (32768 and up on Linux). A node restarts on its old port, and a port
+// from that range can meanwhile become the source port of any outgoing
+// connection in the process — the chaos suites run hundreds of
+// schedules at once — which fails the restart with EADDRINUSE.
 func (TCPTransport) Listen(addr string) (net.Listener, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
+	if addr != "" {
+		return net.Listen("tcp", addr)
 	}
-	return net.Listen("tcp", addr)
+	var err error
+	for try := 0; try < 100; try++ {
+		var ln net.Listener
+		if ln, err = net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", 20000+rand.IntN(12000))); err == nil {
+			return ln, nil
+		}
+	}
+	return nil, err
 }
 func (TCPTransport) Dialer() func(string) (net.Conn, error) { return nil }
 func (TCPTransport) Clock() clock.Clock                     { return clock.Real }

@@ -95,9 +95,7 @@ type (
 	// Coordinator is the coordination surface a wire server exposes; both
 	// Manager (via CoordinatorFor) and Gateway implement it.
 	Coordinator = manager.Coordinator
-	// ServerOptions tune a wire server (e.g. pinning it to JSON lines).
-	ServerOptions = manager.ServerOptions
-	// DialOptions tune a client connection (e.g. the wire protocol).
+	// DialOptions tune a client connection (e.g. a custom transport).
 	DialOptions = manager.DialOptions
 	// Gateway coordinates a coupled expression across remote shard
 	// servers (the distributed scale-out of Sec 7).
@@ -372,27 +370,16 @@ var NewServer = manager.NewServer
 // NewCoordServer serves any Coordinator (e.g. a Gateway) on a listener.
 var NewCoordServer = manager.NewCoordServer
 
-// NewCoordServerWith serves a Coordinator with explicit wire options —
-// ServerOptions{JSONOnly: true} pins every connection to the JSON-lines
-// protocol, exactly as a pre-v2 server would behave.
-var NewCoordServerWith = manager.NewCoordServerWith
-
 // CoordinatorFor returns the Coordinator view of a local manager.
 var CoordinatorFor = manager.CoordinatorFor
 
-// Dial connects to a manager server, negotiating the v2 binary wire
-// protocol and falling back to JSON lines against pre-v2 servers.
+// Dial connects to a manager server (or a gateway) over the binary wire
+// protocol.
 var Dial = manager.Dial
 
-// DialWith connects with explicit options (e.g. forcing the JSON-lines
-// protocol with DialOptions{Protocol: ProtoJSON}).
+// DialWith connects with explicit options (e.g. a custom transport via
+// DialOptions{Dialer: ...}).
 var DialWith = manager.DialWith
-
-// Wire protocol names for DialOptions.Protocol and Client.Proto.
-const (
-	ProtoJSON   = manager.ProtoJSON
-	ProtoBinary = manager.ProtoBinary
-)
 
 // NewRouter splits a top-level coupling across multiple managers.
 func NewRouter(e *Expr, opts ManagerOptions) (*Router, error) {
