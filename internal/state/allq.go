@@ -162,13 +162,22 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 	template := s.initial()
 	templateKey := template.Key()
 	// Values that some $p pattern of the body matches act under: binding
-	// them is what an anonymous consumption of act rules out.
+	// them is what an anonymous consumption of act rules out. They are
+	// also the only values whose binding can change how the body treats
+	// act. Free parameters never match (Pattern.Match, StrictMatch), so
+	// for any other value v the branch bound to v sees act exactly as the
+	// unbound one does, and fails wherever the unbound one fails: the
+	// fork rule that (2b) and (3b) apply.
 	taint := s.strictA.BindingMatches(p, act)
-	// Cache of σ(y_v) keys for the branch-release optimization below.
-	freshKeys := make(map[string]string)
+	// σ(y_v) keys for named branches that do not carry theirs yet (new
+	// branches, restored checkpoints), computed once per call.
+	var freshKeys map[string]string
 	freshKey := func(v string) string {
 		k, ok := freshKeys[v]
 		if !ok {
+			if freshKeys == nil {
+				freshKeys = make(map[string]string)
+			}
 			k = template.subst(p, v).Key()
 			freshKeys[v] = k
 		}
@@ -181,21 +190,28 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 		// branch for its value is indistinguishable from an untouched
 		// one (it contributed only complete rounds) and is dropped — a
 		// later action mentioning the value forks it again identically.
-		// Anonymous branches equal to the template are untouched by
-		// definition; final inert ones can never act again and their
-		// finality does not constrain anything, so both kinds drop. (The
-		// infinite universe keeps dropping sound even for branches with
-		// exclusions: an untouched branch can stand for any value never
-		// mentioned at all.)
+		// The anonymous branches kept beside it are other branches than
+		// the released one, so they can never be bound to its value: it
+		// joins their exclusions. Anonymous branches equal to the
+		// template are untouched by definition; final inert ones can
+		// never act again and their finality does not constrain
+		// anything, so both kinds drop. (The infinite universe keeps
+		// dropping sound even for branches with exclusions: an untouched
+		// branch can stand for any value never mentioned at all.)
 		// Copy before filtering: the incoming slices may alias the
 		// predecessor state's (immutable) branch sets.
 		named := make(branchSet, 0, len(a.named))
+		var released []string
 		for _, b := range a.named {
-			st := compress(b.st)
-			if st.Key() == freshKey(b.val) {
+			b.st = compress(b.st)
+			if b.fresh == "" {
+				b.fresh = freshKey(b.val)
+			}
+			if b.st.Key() == b.fresh {
+				released = append(released, b.val)
 				continue
 			}
-			named = append(named, branch{b.val, st})
+			named = append(named, b)
 		}
 		a.named = named.canonical()
 		anon := make([]anonBranch, 0, len(a.anon))
@@ -206,6 +222,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			if m.st.Final() && m.st.inert() {
 				continue
 			}
+			m.excl = mergeExcl(m.excl, released)
 			anon = append(anon, m)
 		}
 		a.anon = sortAnon(anon)
@@ -230,7 +247,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			}
 			named := make(branchSet, len(alt.named))
 			copy(named, alt.named)
-			named[i] = branch{b.val, nst}
+			named[i].st = nst
 			add(allQAlt{named: named, anon: alt.anon})
 		}
 
@@ -241,20 +258,22 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			}
 			// (2a) ... without binding its value. Consuming with p free
 			// commits the branch to being none of the taint values.
-			if nm := sh.trans(m.st, act); nm != nil {
+			nm := sh.trans(m.st, act)
+			if nm != nil {
 				anon := make([]anonBranch, len(alt.anon))
 				copy(anon, alt.anon)
 				anon[i] = anonBranch{st: compress(nm), excl: mergeExcl(m.excl, taint)}
 				add(allQAlt{named: alt.named, anon: anon})
 			}
 			// (2b) ... by binding its value to a newly mentioned one —
-			// unless the branch's history has excluded that value.
+			// unless the branch's history has excluded that value, or
+			// the fork rule says the bound branch fails like (2a) did.
 			for _, v := range fresh {
-				if containsStr(m.excl, v) {
+				if containsStr(m.excl, v) || nm == nil && !containsStr(taint, v) {
 					continue
 				}
-				nm := m.st.subst(p, v).trans(act, sh)
-				if nm == nil {
+				bm := m.st.subst(p, v).trans(act, sh)
+				if bm == nil {
 					continue
 				}
 				anon := make([]anonBranch, 0, len(alt.anon)-1)
@@ -262,28 +281,33 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 				anon = append(anon, alt.anon[i+1:]...)
 				named := make(branchSet, len(alt.named), len(alt.named)+1)
 				copy(named, alt.named)
-				named = append(named, branch{v, nm})
+				named = append(named, branch{val: v, st: bm})
 				add(allQAlt{named: named, anon: anon})
 			}
 		}
 
 		// (3) A fresh branch starts with this action...
 		// (3a) ... anonymously (matching a parameter-free atom).
-		if nm := sh.trans(template, act); nm != nil {
+		nm := sh.trans(template, act)
+		if nm != nil {
 			anon := make([]anonBranch, len(alt.anon), len(alt.anon)+1)
 			copy(anon, alt.anon)
 			anon = append(anon, anonBranch{st: compress(nm), excl: append([]string(nil), taint...)})
 			add(allQAlt{named: alt.named, anon: anon})
 		}
-		// (3b) ... bound to a newly mentioned value.
+		// (3b) ... bound to a newly mentioned value, unless the fork rule
+		// says it fails like (3a) did.
 		for _, v := range fresh {
-			nm := template.subst(p, v).trans(act, sh)
-			if nm == nil {
+			if nm == nil && !containsStr(taint, v) {
+				continue
+			}
+			bm := template.subst(p, v).trans(act, sh)
+			if bm == nil {
 				continue
 			}
 			named := make(branchSet, len(alt.named), len(alt.named)+1)
 			copy(named, alt.named)
-			named = append(named, branch{v, nm})
+			named = append(named, branch{val: v, st: bm})
 			add(allQAlt{named: named, anon: alt.anon})
 		}
 	}

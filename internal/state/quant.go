@@ -11,6 +11,12 @@ import (
 type branch struct {
 	val string
 	st  State
+	// fresh is σ(y_val).Key(), the state that releases an allQ branch.
+	// allQ fills it the first time the branch passes through its ρ and
+	// successors carry it; "" means not computed yet (a new branch, a
+	// substituted template, a restored checkpoint). Other quantifiers
+	// release against their generic branch and leave it empty.
+	fresh string
 }
 
 // branchCanAct reports whether the branch for value v can possibly
@@ -79,7 +85,7 @@ func (bs branchSet) size() int {
 func (bs branchSet) subst(p, v string) branchSet {
 	out := make(branchSet, len(bs))
 	for i, b := range bs {
-		out[i] = branch{b.val, b.st.subst(p, v)}
+		out[i] = branch{val: b.val, st: b.st.subst(p, v)} // the template changed: drop fresh
 	}
 	return out
 }
@@ -88,7 +94,7 @@ func (bs branchSet) subst(p, v string) branchSet {
 func (bs branchSet) internParts(c *Cache) branchSet {
 	out := make(branchSet, len(bs))
 	for i, b := range bs {
-		out[i] = branch{b.val, c.Canon(b.st)}
+		out[i] = branch{val: b.val, st: c.Canon(b.st), fresh: b.fresh}
 	}
 	return out
 }
@@ -172,14 +178,16 @@ func (s *anyQState) Size() int { return 1 + s.touched.size() + Size(s.generic) }
 func (s *anyQState) trans(a expr.Action, sh sharing) State {
 	p := s.e.Param
 	var generic State
+	var taint []string
 	excluded := s.excluded
 	if s.generic != nil {
+		taint = s.strictA.BindingMatches(p, a)
 		generic = compress(sh.trans(s.generic, a))
 		if generic != nil {
 			// The generic branch consumed a with p free; it can no longer
 			// stand for values under which a $p atom would have matched a
 			// (those bound variants fork below, or are already touched).
-			excluded = mergeExcl(excluded, s.strictA.BindingMatches(p, a))
+			excluded = mergeExcl(excluded, taint)
 		}
 	}
 	var touched branchSet
@@ -199,13 +207,19 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 		if generic != nil && nst.Key() == generic.Key() && !containsStr(excluded, b.val) {
 			continue
 		}
-		touched = append(touched, branch{b.val, nst})
+		touched = append(touched, branch{val: b.val, st: nst})
 	}
 	if s.generic != nil {
 		for _, v := range newValues(a, s.touched) {
 			// An excluded value cannot fork from the generic branch: the
 			// generic's history was consumed under "p ≠ v".
 			if containsStr(s.excluded, v) {
+				continue
+			}
+			// The fork rule (see allQState.trans): unless a $p atom
+			// matches a under p := v, the bound branch fails where the
+			// generic one did.
+			if generic == nil && !containsStr(taint, v) {
 				continue
 			}
 			nst := s.generic.subst(p, v).trans(a, sh)
@@ -219,7 +233,7 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 			if generic != nil && nst.Key() == generic.Key() && !containsStr(excluded, v) {
 				continue
 			}
-			touched = append(touched, branch{v, nst})
+			touched = append(touched, branch{val: v, st: nst})
 		}
 	}
 	if len(touched) == 0 && generic == nil {
@@ -316,7 +330,7 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 		if nst.Key() == generic.Key() {
 			continue
 		}
-		touched = append(touched, branch{b.val, nst})
+		touched = append(touched, branch{val: b.val, st: nst})
 	}
 	for _, v := range newValues(a, s.touched) {
 		nst := s.generic.subst(p, v).trans(a, sh)
@@ -329,7 +343,7 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 		if nst.Key() == generic.Key() {
 			continue
 		}
-		touched = append(touched, branch{v, nst})
+		touched = append(touched, branch{val: v, st: nst})
 	}
 	return &conQState{e: s.e, strictA: s.strictA, touched: touched.canonical(), generic: generic}
 }
@@ -409,7 +423,7 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 		if nst == nil {
 			return nil
 		}
-		touched = append(touched, branch{b.val, nst})
+		touched = append(touched, branch{val: b.val, st: nst})
 		alphas = append(alphas, al)
 	}
 	generic := s.generic
@@ -429,14 +443,12 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 		if nst.Key() == generic.Key() {
 			continue
 		}
-		kept = append(kept, branch{touched[i].val, nst})
+		kept = append(kept, branch{val: touched[i].val, st: nst})
 		keptAl = append(keptAl, alphas[i])
 	}
 	touched, alphas = kept, keptAl
 	for _, v := range newValues(a, s.touched) {
-		inst := s.e.Kids[0].Subst(p, v)
-		al := expr.AlphabetOf(inst)
-		if !al.Contains(a) {
+		if !s.involved(a, v) {
 			continue // branch v is not involved and stays generic
 		}
 		nst := s.generic.subst(p, v).trans(a, sh)
@@ -449,12 +461,19 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 		if nst.Key() == generic.Key() {
 			continue
 		}
-		touched = append(touched, branch{v, nst})
-		alphas = append(alphas, al)
+		touched = append(touched, branch{val: v, st: nst})
+		alphas = append(alphas, expr.AlphabetOf(s.e.Kids[0].Subst(p, v)))
 	}
 	ns := &syncQState{e: s.e, whole: s.whole, touched: touched, alphas: alphas, generic: generic, genA: s.genA}
 	ns.sortBranches()
 	return ns
+}
+
+// involved reports a ∈ α(y_v), whether branch v takes part in a, without
+// building y_v: free parameters never match, so binding p := v adds to
+// α(y) exactly the matches BindingMatches reports for v.
+func (s *syncQState) involved(a expr.Action, v string) bool {
+	return s.genA.Contains(a) || containsStr(s.genA.BindingMatches(s.e.Param, a), v)
 }
 
 // sortBranches canonicalizes touched order while keeping alphas aligned.

@@ -1,0 +1,207 @@
+package state
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/paper"
+	"repro/internal/parse"
+	"repro/internal/semantics"
+)
+
+// Tests of the quantifier transition path: the release key a named allQ
+// branch carries, the fork rule that skips values an action cannot bind,
+// and the regressions they must not reintroduce.
+
+// fig7Step is step i of four interleaved clients on the coupled graph of
+// Fig 7: client i%4 sends prepare, call, perform for a fresh patient on
+// its own examination kind, so no patient recurs and the memo never hits.
+func fig7Step(i int) expr.Action {
+	c, k := i%4, i/4
+	p, x := fmt.Sprintf("c%dv%d", c, k/3), fmt.Sprintf("x%d", c)
+	switch k % 3 {
+	case 0:
+		return paper.PrepareAct(p, x)
+	case 1:
+		return paper.CallAct(p, x)
+	}
+	return paper.PerformAct(p, x)
+}
+
+// fig3Step drives the patient constraint alone: prepare, call, perform
+// cycles over a rolling patient on one examination.
+func fig3Step(i int) expr.Action {
+	p := paper.Patient(i / 3)
+	switch i % 3 {
+	case 0:
+		return paper.PrepareAct(p, paper.ExamSono)
+	case 1:
+		return paper.CallAct(p, paper.ExamSono)
+	}
+	return paper.PerformAct(p, paper.ExamSono)
+}
+
+// fig6Step drives the capacity restriction: call, perform per patient.
+func fig6Step(i int) expr.Action {
+	p := paper.Patient(i / 2)
+	if i%2 == 0 {
+		return paper.CallAct(p, paper.ExamSono)
+	}
+	return paper.PerformAct(p, paper.ExamSono)
+}
+
+// TestFig7StepAllocations pins the cost of one τ̂ step on the paper's own
+// workload, where every value is fresh: each step binds new quantifier
+// branches and releases finished ones, so the step is all substitution
+// and release work, none of it memoized.
+func TestFig7StepAllocations(t *testing.T) {
+	const warm, runs = 2000, 200
+	en := MustEngine(paper.Fig7Coupled())
+	i := 0
+	step := func() {
+		if err := en.Step(fig7Step(i)); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		i++
+	}
+	for i < warm {
+		step()
+	}
+	if n := en.StateSize(); n != 83 {
+		t.Fatalf("state size after %d steps: %d, want 83", warm, n)
+	}
+	allocs := testing.AllocsPerRun(runs, step)
+	t.Logf("Fig 7 step: %.0f allocations", allocs)
+	if allocs > 800 {
+		t.Fatalf("Fig 7 step: %.0f allocations, want ≤ 800", allocs)
+	}
+}
+
+// TestQuantifierStateKeysUnchanged pins the digest of StateKey() after
+// every step of three figure workloads. The digests were recorded before
+// branches carried their release key and before forks were filtered by
+// the fork rule: both only skip work, so every state, and hence every
+// snapshot, must come out identical.
+func TestQuantifierStateKeysUnchanged(t *testing.T) {
+	const steps = 3000
+	cases := []struct {
+		name string
+		e    *expr.Expr
+		gen  func(int) expr.Action
+		want string
+	}{
+		{"fig7", paper.Fig7Coupled(), fig7Step, "b06f0a3b16ee6da5fe6e1151ff99b1bd8f89a7cb7f870d8b6758a6e2a3c49927"},
+		{"fig3", paper.Fig3PatientConstraint(), fig3Step, "512eb38f23ba55849c335c170ec4719af7ac856cd8d98b60afaf642c53c10071"},
+		{"fig6", paper.Fig6CapacityRestriction(), fig6Step, "f28f05715b71f43c184f671a21645f5b7e856729297b6da5767bb98d7d8b273a"},
+	}
+	for _, c := range cases {
+		en := MustEngine(c.e)
+		h := sha256.New()
+		for i := 0; i < steps; i++ {
+			if err := en.Step(c.gen(i)); err != nil {
+				t.Fatalf("%s step %d: %v", c.name, i, err)
+			}
+			h.Write([]byte(en.StateKey()))
+			h.Write([]byte{0})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: state key digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestAllQReleaseExcludesAnonBranches: a named branch released by ρ
+// stands for an untouched value again, but only for branches that start
+// after it. An anonymous branch kept beside it consumed its actions
+// before the released branch's history ended, so it is a different
+// branch and can never take the released value. The differential fuzzer
+// found the word below accepted as complete by binding both anonymous
+// x(v1) branches to v2, one after the other.
+func TestAllQReleaseExcludesAnonBranches(t *testing.T) {
+	e := parse.MustParse("all p0: (x($p0) || x(v1))*")
+	w := acts("x(v1)", "x(v1)", "x(v2)", "x(v2)", "x(v1)", "x(v3)")
+	en := MustEngine(e)
+	o := semantics.New(e, len(w))
+	for i := 0; i <= len(w); i++ {
+		got := en.Word(w[:i])
+		want := Verdict(o.Verdict(semantics.Word(w[:i])))
+		if got != want {
+			t.Fatalf("prefix %v: engine=%v oracle=%v", w[:i], got, want)
+		}
+	}
+	if v := en.Word(w[:4]); v != Partial {
+		t.Fatalf("two anonymous branches bound to one value: got %v, want Partial", v)
+	}
+}
+
+// TestSyncQInvolvedMatchesSubstAlphabet: syncQ decides whether a fresh
+// value's branch is involved in an action from the body's alphabet with
+// p free and its binding matches, instead of building α(y_v). The two
+// predicates must agree on every value the action mentions.
+func TestSyncQInvolvedMatchesSubstAlphabet(t *testing.T) {
+	bodies := []string{
+		"x($p)",
+		"x($p) - a",
+		"x(v1) | y($p)",
+		"x($p) @ mult(2, x(v2))",
+		"any q: x($q) - y($p)",
+		"any p: x($p)",
+		"(x($p) || a)* @ b",
+	}
+	sigma := acts("a", "b", "x(v1)", "x(v2)", "y(v1)", "y(v2)", "z(v1)")
+	for _, src := range bodies {
+		e := parse.MustParse("syncq p: " + src)
+		s := Initial(e).(*syncQState)
+		for _, a := range sigma {
+			for _, v := range a.Values() {
+				want := expr.AlphabetOf(e.Kids[0].Subst("p", v)).Contains(a)
+				if got := s.involved(a, v); got != want {
+					t.Errorf("%s: involved(%s, %s) = %v, α(y_%s) contains it: %v", src, a, v, got, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSyncKeyNamesOperandAlphabets: a coupling's key must tell apart
+// operands whose states agree but whose alphabets do not, or ρ's dedup
+// and the intern table merge two couplings that treat an action
+// differently. Both words were found wrong: the first by the
+// differential fuzzer (the v1 and v2 branches' couplings were interned
+// as one, and v1's then passed x(v1) by), the second with no quantifier
+// at all (the or kept the coupling whose finished left operand must
+// take x(v2)).
+func TestSyncKeyNamesOperandAlphabets(t *testing.T) {
+	cases := []struct {
+		src  string
+		word []expr.Action
+	}{
+		{"all p0: (x($p0) @ x(v1) || x(v1))?", acts("x(v2)", "x(v1)", "x(v1)", "x(v1)", "x(v1)")},
+		{"((a | x(v2)) @ (b || x(v2))) | ((a | a) @ (b || x(v2)))", acts("a", "x(v2)", "b")},
+	}
+	for _, c := range cases {
+		e := parse.MustParse(c.src)
+		en := MustEngine(e)
+		o := semantics.New(e, len(c.word))
+		s := Initial(e)
+		for i := 0; i <= len(c.word); i++ {
+			if i > 0 {
+				s = Trans(s, c.word[i-1])
+			}
+			want := Verdict(o.Verdict(semantics.Word(c.word[:i])))
+			plain := Illegal
+			if s != nil {
+				plain = Partial
+				if s.Final() {
+					plain = Complete
+				}
+			}
+			if got := en.Word(c.word[:i]); got != want || plain != want {
+				t.Errorf("%s prefix %v: engine=%v plain=%v oracle=%v", c.src, c.word[:i], got, plain, want)
+			}
+		}
+	}
+}

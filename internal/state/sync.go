@@ -1,6 +1,11 @@
 package state
 
-import "repro/internal/expr"
+import (
+	"strconv"
+	"strings"
+
+	"repro/internal/expr"
+)
 
 // syncState is the state of a synchronization (coupling) y1 @ ... @ yn.
 // Per the Table 8 semantics Φ(y)⊗κx(y)* ∩ Φ(z)⊗κx(z)*, each operand only
@@ -35,9 +40,48 @@ func newSyncState(e *expr.Expr) State {
 
 func (s *syncState) Key() string {
 	if s.key == "" {
-		s.key = joinKeys("sync", s.kids)
+		s.key = joinKeys("sync"+s.operandTag(), s.kids)
 	}
 	return s.key
+}
+
+// operandTag names the operands' expressions, and with them the
+// alphabets that decide which operands must take an action. Operand
+// states with equal keys do not make two couplings equal when an
+// operand's alphabet differs (every finished operand is ε), and equal
+// keys would let ρ and the intern table merge them. A quantifier operand
+// needs no entry, because its state key already starts with its
+// expression, so a coupling of quantifiers alone (Fig 7) has no tag.
+func (s *syncState) operandTag() string {
+	var b strings.Builder
+	for i, k := range s.kids {
+		if namesOwnExpr(k) {
+			continue
+		}
+		if b.Len() == 0 {
+			b.WriteByte('<')
+		}
+		b.WriteString(strconv.Itoa(i))
+		b.WriteByte('=')
+		b.WriteString(s.kidExprs[i].Key())
+		b.WriteByte(';')
+	}
+	if b.Len() > 0 {
+		b.WriteByte('>')
+	}
+	return b.String()
+}
+
+// namesOwnExpr reports that a coupling operand's state key names the
+// operand's expression: quantifier states start their keys with it, and
+// a quantifier operand stays a state of its own expression until ρ
+// makes it ε.
+func namesOwnExpr(k State) bool {
+	switch k.(type) {
+	case *allQState, *anyQState, *conQState, *syncQState:
+		return true
+	}
+	return false
 }
 
 func (s *syncState) Final() bool { return allFinal(s.kids) }
