@@ -86,17 +86,7 @@ func (a Action) Equal(b Action) bool {
 // a concrete value equal to the corresponding argument of c. An atom that
 // still contains a formal parameter matches nothing; parameters are bound
 // only by quantifier-level substitution (see the state model).
-func (a Action) StrictMatch(c Action) bool {
-	if a.Name != c.Name || len(a.Args) != len(c.Args) {
-		return false
-	}
-	for i, arg := range a.Args {
-		if arg.Param || arg.Name != c.Args[i].Name {
-			return false
-		}
-	}
-	return true
-}
+func (a Action) StrictMatch(c Action) bool { return a.MatchIn(c, nil) }
 
 // Subst returns the action with every occurrence of parameter p replaced by
 // the concrete value v. If p does not occur, the receiver is returned

@@ -37,22 +37,28 @@ type Pattern struct {
 
 // Match reports whether the concrete action c is an instance of the
 // pattern.
-func (p Pattern) Match(c Action) bool {
+func (p Pattern) Match(c Action) bool { return p.MatchIn(c, nil) }
+
+// MatchIn is Match with the free parameters read under en: a PatFree
+// position matches exactly the value en binds to its parameter, and
+// nothing while it is unbound.
+func (p Pattern) MatchIn(c Action, en *Env) bool {
 	if p.Name != c.Name || len(p.Args) != len(c.Args) {
 		return false
 	}
 	for i, a := range p.Args {
+		if c.Args[i].Param {
+			return false
+		}
 		switch a.Kind {
 		case PatValue:
-			if c.Args[i].Param || c.Args[i].Name != a.Name {
-				return false
-			}
-		case PatWild:
-			if c.Args[i].Param {
+			if c.Args[i].Name != a.Name {
 				return false
 			}
 		case PatFree:
-			return false
+			if v, ok := en.Lookup(a.Name); !ok || v != c.Args[i].Name {
+				return false
+			}
 		}
 	}
 	return true
@@ -91,12 +97,16 @@ type Alphabet struct {
 
 // Contains reports whether the concrete action c belongs to the alphabet,
 // i.e. matches at least one pattern.
-func (al *Alphabet) Contains(c Action) bool {
+func (al *Alphabet) Contains(c Action) bool { return al.ContainsIn(c, nil) }
+
+// ContainsIn is Contains with the free parameters read under en: the
+// alphabet of the concretion the binding describes.
+func (al *Alphabet) ContainsIn(c Action, en *Env) bool {
 	if al == nil {
 		return false
 	}
 	for _, p := range al.pats {
-		if p.Match(c) {
+		if p.MatchIn(c, en) {
 			return true
 		}
 	}
@@ -110,6 +120,13 @@ func (al *Alphabet) Contains(c Action) bool {
 // been bound first — the quantifier states use this to mark such values
 // as no longer bindable for branches that consumed c unbound.
 func (al *Alphabet) BindingMatches(p string, c Action) []string {
+	return al.BindingMatchesIn(p, c, nil)
+}
+
+// BindingMatchesIn is BindingMatches with the free parameters other than
+// p read under en; p's own positions stay the bindable ones whatever en
+// binds to p.
+func (al *Alphabet) BindingMatchesIn(p string, c Action, en *Env) []string {
 	if al == nil {
 		return nil
 	}
@@ -132,10 +149,16 @@ pattern:
 					continue pattern
 				}
 			case PatFree:
-				// Only p's own positions can be bound; another free
-				// parameter keeps the pattern unmatchable.
-				if a.Name != p || ca.Param {
+				if ca.Param {
 					continue pattern
+				}
+				// Only p's own positions can be bound; another free
+				// parameter matches its value under en, or nothing.
+				if a.Name != p {
+					if w, ok := en.Lookup(a.Name); !ok || w != ca.Name {
+						continue pattern
+					}
+					continue
 				}
 				// Every $p position must agree on the same value.
 				if v != "" && v != ca.Name {

@@ -300,11 +300,13 @@ func (o Op) infix() string {
 // finish computes the canonical string once at construction time.
 func (e *Expr) finish() {
 	var b strings.Builder
-	e.render(&b, precQuant)
+	e.render(&b, precQuant, nil)
 	e.str = b.String()
 }
 
-func (e *Expr) render(b *strings.Builder, outer int) {
+// render writes the canonical form of e in a context of precedence
+// outer, with the parameters en binds read as their values (WriteIn).
+func (e *Expr) render(b *strings.Builder, outer int, en *Env) {
 	p := e.Op.prec()
 	// Parenthesize when the context binds at least as tightly, except at
 	// the top level. Same-precedence nesting only arises after manual
@@ -313,19 +315,28 @@ func (e *Expr) render(b *strings.Builder, outer int) {
 	if need {
 		b.WriteByte('(')
 	}
+	if en != nil && strings.IndexByte(e.str, '$') < 0 {
+		// No parameter occurs, so the binding changes nothing: the
+		// canonical form is e.str, which never includes e's own parens.
+		b.WriteString(e.str)
+		if need {
+			b.WriteByte(')')
+		}
+		return
+	}
 	switch e.Op {
 	case OpAtom:
-		b.WriteString(e.Atom.String())
+		e.Atom.WriteIn(b, en)
 	case OpEmpty:
 		b.WriteString("()")
 	case OpOption:
-		e.Kids[0].render(b, precPostfix)
+		e.Kids[0].render(b, precPostfix, en)
 		b.WriteByte('?')
 	case OpSeqIter:
-		e.Kids[0].render(b, precPostfix)
+		e.Kids[0].render(b, precPostfix, en)
 		b.WriteByte('*')
 	case OpParIter:
-		e.Kids[0].render(b, precPostfix)
+		e.Kids[0].render(b, precPostfix, en)
 		b.WriteByte('#')
 	case OpSeq, OpPar, OpOr, OpAnd, OpSync:
 		sep := e.Op.infix()
@@ -333,20 +344,23 @@ func (e *Expr) render(b *strings.Builder, outer int) {
 			if i > 0 {
 				b.WriteString(sep)
 			}
-			k.render(b, p+1)
+			k.render(b, p+1, en)
 		}
 	case OpMult:
 		b.WriteString("mult(")
 		b.WriteString(strconv.Itoa(e.N))
 		b.WriteString(", ")
-		e.Kids[0].render(b, precQuant)
+		e.Kids[0].render(b, precQuant, en)
 		b.WriteByte(')')
 	case OpAnyQ, OpAllQ, OpSyncQ, OpConQ:
 		b.WriteString(e.Op.String())
 		b.WriteByte(' ')
 		b.WriteString(e.Param)
 		b.WriteString(": ")
-		e.Kids[0].render(b, precQuant+1)
+		if _, ok := en.Lookup(e.Param); ok {
+			en = &Env{P: e.Param, Up: en} // the quantifier hides the outer binding
+		}
+		e.Kids[0].render(b, precQuant+1, en)
 	default:
 		panic(fmt.Sprintf("expr: unknown op %v", e.Op))
 	}

@@ -53,6 +53,7 @@ type allQState struct {
 type allQAlt struct {
 	named branchSet    // sorted by value
 	anon  []anonBranch // sorted by key
+	key   string       // the alternative's key, built by ρ's dedup; "" until then
 }
 
 // anonBranch is one branch with p unbound, together with the values its
@@ -62,11 +63,15 @@ type anonBranch struct {
 	excl []string // sorted
 }
 
-func (ab anonBranch) key() string {
+func (ab anonBranch) key() string { return ab.keyIn(nil) }
+
+// keyIn is the anonymous branch's key under env, in which p is unbound.
+func (ab anonBranch) keyIn(env *expr.Env) string {
+	k := keyIn(ab.st, env)
 	if len(ab.excl) == 0 {
-		return ab.st.Key()
+		return k
 	}
-	return ab.st.Key() + "!" + strings.Join(ab.excl, ",")
+	return k + "!" + strings.Join(ab.excl, ",")
 }
 
 // mergeExcl unions two exclusion sets into a new canonical (deduped,
@@ -101,16 +106,32 @@ func anonStates(abs []anonBranch) []State {
 	return out
 }
 
-func (a allQAlt) key() string {
+// keyIn renders the alternative's key under env: named branches bind p
+// to their values, anonymous ones leave it unbound and are sorted again.
+// With env nil it is the alternative's own key, which ρ deduplicates
+// alternatives by.
+func (a allQAlt) keyIn(p string, env *expr.Env) string {
+	if env == nil && a.key != "" {
+		return a.key
+	}
 	var b strings.Builder
 	b.WriteByte('{')
-	b.WriteString(a.named.key())
+	a.named.write(&b, p, env)
 	b.WriteByte('|')
-	for i, ab := range a.anon {
-		if i > 0 {
-			b.WriteByte(',')
+	free := sharing{env: env}.free(p).env
+	if free == nil {
+		for i, ab := range a.anon {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(ab.key())
 		}
-		b.WriteString(ab.key())
+	} else {
+		keys := make([]string, len(a.anon))
+		for i, ab := range a.anon {
+			keys[i] = ab.keyIn(free)
+		}
+		writeSorted(&b, keys, ',', false)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -122,16 +143,19 @@ func newAllQState(e *expr.Expr) State {
 	return s
 }
 
-func (s *allQState) Key() string {
-	if s.key == "" {
-		keys := make([]string, len(s.alts))
-		for i, a := range s.alts {
-			keys[i] = a.key()
-		}
-		slices.Sort(keys)
-		s.key = "all<" + s.e.Key() + ">{" + strings.Join(keys, ";") + "}"
+func (s *allQState) Key() string { return s.of(s) }
+
+func (s *allQState) render(b *strings.Builder, env *expr.Env) {
+	keys := make([]string, len(s.alts))
+	for i, a := range s.alts {
+		keys[i] = a.keyIn(s.e.Param, env)
 	}
-	return s.key
+	b.WriteString("all<")
+	s.e.WriteIn(b, env)
+	b.WriteString(">{")
+	// ρ keeps alternatives distinct, but binding can make two equal.
+	writeSorted(b, keys, ';', true)
+	b.WriteByte('}')
 }
 
 // Final: some alternative must have every branch final, and the
@@ -159,8 +183,10 @@ func (s *allQState) Size() int {
 
 func (s *allQState) trans(act expr.Action, sh sharing) State {
 	p := s.e.Param
+	// Anonymous branches and fresh ones before they bind walk with p
+	// free; a named branch walks with p bound to its value.
+	un := sh.free(p)
 	template := s.initial()
-	templateKey := template.Key()
 	// Values that some $p pattern of the body matches act under: binding
 	// them is what an anonymous consumption of act rules out. They are
 	// also the only values whose binding can change how the body treats
@@ -168,55 +194,52 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 	// for any other value v the branch bound to v sees act exactly as the
 	// unbound one does, and fails wherever the unbound one fails: the
 	// fork rule that (2b) and (3b) apply.
-	taint := s.strictA.BindingMatches(p, act)
-	// σ(y_v) keys for named branches that do not carry theirs yet (new
-	// branches, restored checkpoints), computed once per call.
-	var freshKeys map[string]string
-	freshKey := func(v string) string {
-		k, ok := freshKeys[v]
-		if !ok {
-			if freshKeys == nil {
-				freshKeys = make(map[string]string)
-			}
-			k = template.subst(p, v).Key()
-			freshKeys[v] = k
-		}
-		return k
-	}
+	taint := s.strictA.BindingMatchesIn(p, act, sh.env)
 	var next []allQAlt
 	seen := make(map[string]bool)
-	add := func(a allQAlt) {
+	// add applies ρ to a candidate alternative, in which named[changed]
+	// (if changed ≥ 0) is the one branch this step changed, and keeps it
+	// unless an equal alternative is kept already.
+	add := func(a allQAlt, changed int) {
 		// ρ, branch release: a named branch whose state equals a fresh
 		// branch for its value is indistinguishable from an untouched
 		// one (it contributed only complete rounds) and is dropped — a
 		// later action mentioning the value forks it again identically.
-		// The anonymous branches kept beside it are other branches than
-		// the released one, so they can never be bound to its value: it
-		// joins their exclusions. Anonymous branches equal to the
-		// template are untouched by definition; final inert ones can
-		// never act again and their finality does not constrain
-		// anything, so both kinds drop. (The infinite universe keeps
-		// dropping sound even for branches with exclusions: an untouched
-		// branch can stand for any value never mentioned at all.)
-		// Copy before filtering: the incoming slices may alias the
-		// predecessor state's (immutable) branch sets.
-		named := make(branchSet, 0, len(a.named))
+		// At the top level only the changed branch can be released: the
+		// others passed this test, under the same empty binding, when
+		// their states were made. Inside another quantifier's branch
+		// this state may have been made under another binding (a
+		// template or generic state walked for a fresh value), so every
+		// named branch is tested. The anonymous branches kept beside a
+		// released one are other branches than it, so they can never be
+		// bound to its value: it joins their exclusions. Anonymous
+		// branches equal to the template are untouched by definition;
+		// final inert ones can never act again and their finality does
+		// not constrain anything, so both kinds drop. (The infinite
+		// universe keeps dropping sound even for branches with
+		// exclusions: an untouched branch can stand for any value never
+		// mentioned at all.)
 		var released []string
-		for _, b := range a.named {
-			b.st = compress(b.st)
-			if b.fresh == "" {
-				b.fresh = freshKey(b.val)
+		if changed >= 0 || sh.env != nil && len(a.named) > 0 {
+			if changed < 0 {
+				a.named = slices.Clone(a.named) // shared with the predecessor
 			}
-			if b.st.Key() == b.fresh {
-				released = append(released, b.val)
-				continue
+			kept := a.named[:0]
+			for i := range a.named {
+				b := &a.named[i]
+				if (i == changed || sh.env != nil) && s.releases(b, p, sh) {
+					released = append(released, b.val)
+					continue
+				}
+				kept = append(kept, *b)
 			}
-			named = append(named, b)
+			a.named = kept.canonical()
 		}
-		a.named = named.canonical()
+		// Copy before filtering: the incoming slice may alias the
+		// predecessor state's (immutable) branch set.
 		anon := make([]anonBranch, 0, len(a.anon))
 		for _, m := range a.anon {
-			if m.st.Key() == templateKey {
+			if sameState(m.st, template) || un.env != nil && un.key(m.st) == un.key(template) {
 				continue
 			}
 			if m.st.Final() && m.st.inert() {
@@ -226,29 +249,28 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			anon = append(anon, m)
 		}
 		a.anon = sortAnon(anon)
-		k := a.key()
-		if !seen[k] {
-			seen[k] = true
+		a.key = a.keyIn(p, nil)
+		if !seen[a.key] {
+			seen[a.key] = true
 			next = append(next, a)
 		}
 	}
 
 	for _, alt := range s.alts {
-		fresh := newValues(act, alt.named)
-
 		// (1) An existing named branch consumes the action.
 		for i, b := range alt.named {
-			if !branchCanAct(b.val, act, s.strictA) {
+			if !branchCanAct(b.val, act, s.strictA, un.env) {
 				continue // the action cannot belong to this branch's word
 			}
-			nst := sh.trans(b.st, act)
+			bs := sh.bind(p, b.val)
+			nst := bs.trans(b.st, act)
 			if nst == nil {
 				continue
 			}
 			named := make(branchSet, len(alt.named))
 			copy(named, alt.named)
-			named[i].st = nst
-			add(allQAlt{named: named, anon: alt.anon})
+			named[i] = branch{val: b.val, st: compress(nst), fresh: b.fresh}
+			add(allQAlt{named: named, anon: alt.anon}, i)
 		}
 
 		// (2) An existing anonymous branch consumes the action...
@@ -258,21 +280,23 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			}
 			// (2a) ... without binding its value. Consuming with p free
 			// commits the branch to being none of the taint values.
-			nm := sh.trans(m.st, act)
+			nm := un.trans(m.st, act)
 			if nm != nil {
 				anon := make([]anonBranch, len(alt.anon))
 				copy(anon, alt.anon)
 				anon[i] = anonBranch{st: compress(nm), excl: mergeExcl(m.excl, taint)}
-				add(allQAlt{named: alt.named, anon: anon})
+				add(allQAlt{named: alt.named, anon: anon}, -1)
 			}
 			// (2b) ... by binding its value to a newly mentioned one —
 			// unless the branch's history has excluded that value, or
 			// the fork rule says the bound branch fails like (2a) did.
-			for _, v := range fresh {
-				if containsStr(m.excl, v) || nm == nil && !containsStr(taint, v) {
+			for j := range act.Args {
+				v, ok := newValue(act, j, alt.named)
+				if !ok || containsStr(m.excl, v) || nm == nil && !containsStr(taint, v) {
 					continue
 				}
-				bm := m.st.subst(p, v).trans(act, sh)
+				bs := sh.bind(p, v)
+				bm := bs.trans(m.st, act)
 				if bm == nil {
 					continue
 				}
@@ -281,34 +305,36 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 				anon = append(anon, alt.anon[i+1:]...)
 				named := make(branchSet, len(alt.named), len(alt.named)+1)
 				copy(named, alt.named)
-				named = append(named, branch{val: v, st: bm})
-				add(allQAlt{named: named, anon: anon})
+				named = append(named, branch{val: v, st: compress(bm)})
+				add(allQAlt{named: named, anon: anon}, len(named)-1)
 			}
 		}
 
 		// (3) A fresh branch starts with this action...
 		// (3a) ... anonymously (matching a parameter-free atom).
-		nm := sh.trans(template, act)
+		nm := un.trans(template, act)
 		if nm != nil {
 			anon := make([]anonBranch, len(alt.anon), len(alt.anon)+1)
 			copy(anon, alt.anon)
 			anon = append(anon, anonBranch{st: compress(nm), excl: append([]string(nil), taint...)})
-			add(allQAlt{named: alt.named, anon: anon})
+			add(allQAlt{named: alt.named, anon: anon}, -1)
 		}
 		// (3b) ... bound to a newly mentioned value, unless the fork rule
 		// says it fails like (3a) did.
-		for _, v := range fresh {
-			if nm == nil && !containsStr(taint, v) {
+		for j := range act.Args {
+			v, ok := newValue(act, j, alt.named)
+			if !ok || nm == nil && !containsStr(taint, v) {
 				continue
 			}
-			bm := template.subst(p, v).trans(act, sh)
+			bs := sh.bind(p, v)
+			bm := bs.trans(template, act)
 			if bm == nil {
 				continue
 			}
 			named := make(branchSet, len(alt.named), len(alt.named)+1)
 			copy(named, alt.named)
-			named = append(named, branch{val: v, st: bm})
-			add(allQAlt{named: named, anon: alt.anon})
+			named = append(named, branch{val: v, st: compress(bm)})
+			add(allQAlt{named: named, anon: alt.anon}, len(named)-1)
 		}
 	}
 	if len(next) == 0 {
@@ -317,20 +343,48 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 	return &allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: next}
 }
 
+// releases reports ρ's branch release test: the branch's state, under
+// the walk sh with p bound to its value, equals a fresh branch for the
+// value, σ(y) under the same binding. Equal states agree on finality,
+// and equal template states are equal under any binding, so only the
+// rest compare rendered keys: at the top level the branch's key and its
+// fresh key, built once and carried.
+func (s *allQState) releases(b *branch, p string, sh sharing) bool {
+	template := s.initial()
+	if b.st.Final() != s.nullable {
+		return false
+	}
+	if sameState(b.st, template) {
+		return true
+	}
+	if sh.env != nil {
+		bs := sh.bind(p, b.val)
+		return bs.key(b.st) == bs.key(template)
+	}
+	if b.fresh == "" {
+		b.fresh = sh.bind(p, b.val).key(template)
+	}
+	return b.keyIn(p, sh) == b.fresh
+}
+
 func (s *allQState) subst(p, v string) State {
 	if !s.e.HasFreeParam(p) {
 		return s
 	}
 	ne := s.e.Subst(p, v)
-	alts := make([]allQAlt, len(s.alts))
-	for i, a := range s.alts {
+	q := ne.Param
+	var alts []allQAlt
+	seen := make(map[string]bool)
+	for _, a := range s.alts {
 		anon := make([]anonBranch, len(a.anon))
 		for j, ab := range a.anon {
 			anon[j] = anonBranch{st: ab.st.subst(p, v), excl: ab.excl}
 		}
-		alts[i] = allQAlt{
-			named: a.named.subst(p, v).canonical(),
-			anon:  sortAnon(anon),
+		na := allQAlt{named: a.named.subst(p, v).canonical(), anon: sortAnon(anon)}
+		// Substitution can make alternatives equal that ρ kept apart.
+		if na.key = na.keyIn(q, nil); !seen[na.key] {
+			seen[na.key] = true
+			alts = append(alts, na)
 		}
 	}
 	return &allQState{e: ne, sigma: sigma{y: ne.Kids[0]}, strictA: expr.AlphabetOf(ne.Kids[0]), nullable: s.nullable, alts: alts}
@@ -345,7 +399,7 @@ func (s *allQState) internParts(c *Cache) State {
 		for j, ab := range a.anon {
 			anon[j] = anonBranch{st: c.Canon(ab.st), excl: ab.excl}
 		}
-		alts[i] = allQAlt{named: a.named.internParts(c), anon: anon}
+		alts[i] = allQAlt{named: a.named.internParts(c), anon: anon, key: a.key}
 	}
 	return &allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: alts, keyed: s.keyed}
 }

@@ -1,6 +1,10 @@
 package state
 
-import "repro/internal/expr"
+import (
+	"strings"
+
+	"repro/internal/expr"
+)
 
 // atomState is the state of an atomic expression a: either the action is
 // still pending or it has been traversed.
@@ -24,11 +28,20 @@ func (s *atomState) Key() string {
 func (s *atomState) Final() bool { return s.done }
 func (s *atomState) Size() int   { return 1 }
 
-func (s *atomState) trans(a expr.Action, _ sharing) State {
-	if s.done || !s.atom.StrictMatch(a) {
+func (s *atomState) trans(a expr.Action, sh sharing) State {
+	if s.done || !s.atom.MatchIn(a, sh.env) {
 		return nil
 	}
 	return &atomState{atom: s.atom, done: true}
+}
+
+func (s *atomState) render(b *strings.Builder, env *expr.Env) {
+	if s.done {
+		b.WriteByte('+')
+	} else {
+		b.WriteByte('-')
+	}
+	s.atom.WriteIn(b, env)
 }
 
 func (s *atomState) subst(p, v string) State {
@@ -51,14 +64,15 @@ type emptyState struct{}
 
 var theEmptyState State = emptyState{}
 
-func (emptyState) Key() string                      { return "eps" }
-func (emptyState) Final() bool                      { return true }
-func (emptyState) Size() int                        { return 1 }
-func (emptyState) trans(expr.Action, sharing) State { return nil }
-func (emptyState) subst(p, v string) State          { return theEmptyState }
-func (emptyState) inert() bool                      { return true }
-func (emptyState) internParts(*Cache) State         { return theEmptyState }
-func (emptyState) keys() *keyed                     { return nil }
+func (emptyState) Key() string                            { return "eps" }
+func (emptyState) Final() bool                            { return true }
+func (emptyState) Size() int                              { return 1 }
+func (emptyState) trans(expr.Action, sharing) State       { return nil }
+func (emptyState) render(b *strings.Builder, _ *expr.Env) { b.WriteString("eps") }
+func (emptyState) subst(p, v string) State                { return theEmptyState }
+func (emptyState) inert() bool                            { return true }
+func (emptyState) internParts(*Cache) State               { return theEmptyState }
+func (emptyState) keys() *keyed                           { return nil }
 
 // orState is the state of a disjunction: the walker is in exactly one
 // branch, but which one is not yet determined, so all still-valid branch
@@ -82,12 +96,7 @@ func newOrState(kids []State) State {
 	return &orState{kids: sortDedupStates(live)}
 }
 
-func (s *orState) Key() string {
-	if s.key == "" {
-		s.key = joinKeys("or", s.kids)
-	}
-	return s.key
-}
+func (s *orState) Key() string { return s.of(s) }
 
 func (s *orState) Final() bool {
 	for _, k := range s.kids {
@@ -108,6 +117,12 @@ func (s *orState) trans(a expr.Action, sh sharing) State {
 		}
 	}
 	return newOrState(next)
+}
+
+func (s *orState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("or[")
+	writeSet(b, s.kids, env, true)
+	b.WriteByte(']')
 }
 
 func (s *orState) subst(p, v string) State {
@@ -136,12 +151,7 @@ func newAndState(kids []State) State {
 	return &andState{kids: kids}
 }
 
-func (s *andState) Key() string {
-	if s.key == "" {
-		s.key = joinKeys("and", s.kids)
-	}
-	return s.key
-}
+func (s *andState) Key() string { return s.of(s) }
 
 func (s *andState) Final() bool { return allFinal(s.kids) }
 func (s *andState) Size() int   { return 1 + sumSizes(s.kids) }
@@ -156,6 +166,12 @@ func (s *andState) trans(a expr.Action, sh sharing) State {
 		next[i] = compress(nk)
 	}
 	return &andState{kids: next}
+}
+
+func (s *andState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("and[")
+	writeList(b, s.kids, env)
+	b.WriteByte(']')
 }
 
 func (s *andState) subst(p, v string) State {

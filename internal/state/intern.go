@@ -108,7 +108,7 @@ type Cache struct {
 	lru     *list.List // front = most recently used
 	memoCap int
 
-	walk  sharing // scratch table of the transition being derived
+	walk  walkTable // scratch table of the transition being derived
 	stats CacheStats
 }
 
@@ -122,7 +122,7 @@ func NewCache() *Cache {
 		memo:      make(map[memoKey]*list.Element),
 		lru:       list.New(),
 		memoCap:   DefaultMemoCapacity,
-		walk:      make(sharing),
+		walk:      walkTable{next: make(map[walkKey]State)},
 	}
 }
 
@@ -234,8 +234,8 @@ func (c *Cache) Transition(s State, a expr.Action) State {
 	}
 	c.stats.MemoMisses++
 
-	next := cs.trans(a, c.walk)
-	clear(c.walk)
+	next := cs.trans(a, sharing{tab: &c.walk})
+	c.walk.reset()
 	next, _ = c.canon(next)
 
 	el := c.lru.PushFront(&memoEnt{k: mk, act: a, next: next})

@@ -149,10 +149,15 @@ func (enc *encoder) alts(alts [][]State) [][]*snapNode {
 	return out
 }
 
-func (enc *encoder) branches(bs branchSet) []snapBranch {
+// branches writes the branches of a quantifier over p in substituted
+// form: a live branch's state is over the body with p free, its
+// snapshot is the state with p := val, as the format has always stored
+// it (restored branches are such states, which binding leaves as they
+// are).
+func (enc *encoder) branches(p string, bs branchSet) []snapBranch {
 	out := make([]snapBranch, len(bs))
 	for i, b := range bs {
-		out[i] = snapBranch{Val: b.val, St: enc.state(b.st)}
+		out[i] = snapBranch{Val: b.val, St: enc.state(b.st.subst(p, b.val))}
 	}
 	return out
 }
@@ -198,19 +203,19 @@ func (enc *encoder) state(s State) *snapNode {
 		}
 		return n
 	case *anyQState:
-		n := &snapNode{T: tagAnyQ, E: st.e.String(), Br: enc.branches(st.touched), Excl: st.excluded}
+		n := &snapNode{T: tagAnyQ, E: st.e.String(), Br: enc.branches(st.e.Param, st.touched), Excl: st.excluded}
 		if st.generic != nil {
 			n.Gen = enc.state(st.generic)
 		}
 		return n
 	case *conQState:
-		return &snapNode{T: tagConQ, E: st.e.String(), Br: enc.branches(st.touched), Gen: enc.state(st.generic)}
+		return &snapNode{T: tagConQ, E: st.e.String(), Br: enc.branches(st.e.Param, st.touched), Gen: enc.state(st.generic)}
 	case *syncQState:
-		return &snapNode{T: tagSyncQ, E: st.e.String(), Br: enc.branches(st.touched), Gen: enc.state(st.generic)}
+		return &snapNode{T: tagSyncQ, E: st.e.String(), Br: enc.branches(st.e.Param, st.touched), Gen: enc.state(st.generic)}
 	case *allQState:
 		n := &snapNode{T: tagAllQ, E: st.e.String()}
 		for _, a := range st.alts {
-			qa := snapQAlt{Named: enc.branches(a.named)}
+			qa := snapQAlt{Named: enc.branches(st.e.Param, a.named)}
 			for _, ab := range a.anon {
 				qa.Anon = append(qa.Anon, enc.state(ab.st))
 				qa.Excl = append(qa.Excl, ab.excl)
@@ -451,18 +456,13 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &syncQState{
+		return &syncQState{
 			e:       e,
 			whole:   expr.AlphabetOf(e),
 			touched: touched,
 			generic: generic,
 			genA:    expr.AlphabetOf(e.Kids[0]),
-		}
-		s.alphas = make([]*expr.Alphabet, len(touched))
-		for i, b := range touched {
-			s.alphas[i] = expr.AlphabetOf(e.Kids[0].Subst(e.Param, b.val))
-		}
-		return s, nil
+		}, nil
 	case tagAllQ:
 		e, err := d.quantExpr(n.E, expr.OpAllQ)
 		if err != nil {

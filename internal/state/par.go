@@ -26,17 +26,6 @@ func newParState(e *expr.Expr) State {
 	return &parState{alts: [][]State{kids}}
 }
 
-func altKey(alt []State) string {
-	var b strings.Builder
-	for i, s := range alt {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.Key())
-	}
-	return b.String()
-}
-
 // dedupAlts removes duplicate alternatives (tuples compared slot-wise),
 // keeping first occurrences in order. Alternatives are bucketed by a hash
 // folded from their slots' cached key hashes, and a bucket hit is
@@ -61,19 +50,34 @@ func dedupAlts(alts [][]State) [][]State {
 	return out
 }
 
-func (s *parState) Key() string {
-	if s.key == "" {
-		keys := make([]string, len(s.alts))
-		for i, alt := range s.alts {
-			keys[i] = altKey(alt)
-		}
-		// Alternatives are kept in insertion order but the set semantics
-		// requires order independence; sort the rendered keys.
-		slices.Sort(keys)
-		s.key = "par{" + strings.Join(keys, ";") + "}"
+// writeAlts writes alternatives' keys under env, separated by ';', in
+// sorted order and deduplicated: binding can make distinct alternatives
+// equal.
+func writeAlts(b *strings.Builder, alts [][]State, env *expr.Env, multiset bool) {
+	if len(alts) == 1 {
+		writeAlt(b, alts[0], env, multiset)
+		return
 	}
-	return s.key
+	keys := make([]string, len(alts))
+	for i, alt := range alts {
+		var ab strings.Builder
+		writeAlt(&ab, alt, env, multiset)
+		keys[i] = ab.String()
+	}
+	writeSorted(b, keys, ';', true)
 }
+
+// writeAlt writes one alternative's states under env: in slot order, or
+// sorted again for a multiset.
+func writeAlt(b *strings.Builder, alt []State, env *expr.Env, multiset bool) {
+	if multiset {
+		writeSet(b, alt, env, false)
+		return
+	}
+	writeList(b, alt, env)
+}
+
+func (s *parState) Key() string { return s.of(s) }
 
 func (s *parState) Final() bool {
 	for _, alt := range s.alts {
@@ -110,6 +114,12 @@ func (s *parState) trans(a expr.Action, sh sharing) State {
 		return nil
 	}
 	return &parState{alts: dedupAlts(next)}
+}
+
+func (s *parState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("par{")
+	writeAlts(b, s.alts, env, false)
+	b.WriteByte('}')
 }
 
 func (s *parState) subst(p, v string) State {
@@ -153,17 +163,7 @@ func newMultState(e *expr.Expr) State {
 	return &multState{alts: [][]State{alt}}
 }
 
-func (s *multState) Key() string {
-	if s.key == "" {
-		keys := make([]string, len(s.alts))
-		for i, alt := range s.alts {
-			keys[i] = altKey(alt)
-		}
-		slices.Sort(keys)
-		s.key = "mult{" + strings.Join(keys, ";") + "}"
-	}
-	return s.key
-}
+func (s *multState) Key() string { return s.of(s) }
 
 func (s *multState) Final() bool {
 	for _, alt := range s.alts {
@@ -211,6 +211,12 @@ func (s *multState) trans(a expr.Action, sh sharing) State {
 	return &multState{alts: dedupAlts(next)}
 }
 
+func (s *multState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("mult{")
+	writeAlts(b, s.alts, env, true)
+	b.WriteByte('}')
+}
+
 func (s *multState) subst(p, v string) State {
 	next := make([][]State, len(s.alts))
 	for i, alt := range s.alts {
@@ -247,17 +253,7 @@ func newParIterState(y *expr.Expr) State {
 	return &parIterState{sigma: sigma{y: y}, alts: [][]State{nil}}
 }
 
-func (s *parIterState) Key() string {
-	if s.key == "" {
-		keys := make([]string, len(s.alts))
-		for i, alt := range s.alts {
-			keys[i] = altKey(alt)
-		}
-		slices.Sort(keys)
-		s.key = "piter<" + s.y.Key() + ">{" + strings.Join(keys, ";") + "}"
-	}
-	return s.key
-}
+func (s *parIterState) Key() string { return s.of(s) }
 
 func (s *parIterState) Final() bool {
 	for _, alt := range s.alts {
@@ -318,6 +314,14 @@ func (s *parIterState) trans(a expr.Action, sh sharing) State {
 		return nil
 	}
 	return &parIterState{sigma: s.sigma, alts: dedupAlts(next)}
+}
+
+func (s *parIterState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("piter<")
+	s.y.WriteIn(b, env)
+	b.WriteString(">{")
+	writeAlts(b, s.alts, env, true)
+	b.WriteByte('}')
 }
 
 func (s *parIterState) subst(p, v string) State {

@@ -7,42 +7,63 @@ import (
 	"repro/internal/expr"
 )
 
-// branch is one value-instantiated branch of a quantifier state.
+// branch is one value-instantiated branch of a quantifier state: the
+// value and a state over the quantifier's body with the parameter still
+// free. τ̂ walks st with p bound to val (see sharing); a restored branch
+// may hold the substituted state instead, which binding leaves as it is.
 type branch struct {
 	val string
 	st  State
-	// fresh is σ(y_val).Key(), the state that releases an allQ branch.
-	// allQ fills it the first time the branch passes through its ρ and
-	// successors carry it; "" means not computed yet (a new branch, a
-	// substituted template, a restored checkpoint). Other quantifiers
-	// release against their generic branch and leave it empty.
+	// key is st's key rendered under p := val alone: the branch's part of
+	// the quantifier's Key, and at the top level the key ρ compares. ""
+	// means not built yet; successors carry it while st is unchanged.
+	key string
+	// fresh is σ(y)'s key rendered under p := val, the key that releases
+	// an allQ branch at the top level, built the first time ρ needs it
+	// and carried by successors. Other quantifiers release against their
+	// generic branch and leave it empty.
 	fresh string
+}
+
+// keyIn returns the branch state's key under the walk sh outside the
+// quantifier p belongs to, with p bound to the branch's value. At the
+// top level, where sh binds nothing, that is the branch's key, built
+// once.
+func (b *branch) keyIn(p string, sh sharing) string {
+	if sh.env != nil {
+		return sh.bind(p, b.val).key(b.st)
+	}
+	if b.key == "" {
+		b.key = sh.bind(p, b.val).key(b.st)
+	}
+	return b.key
 }
 
 // branchCanAct reports whether the branch for value v can possibly
 // consume the action: its atoms are the body's atoms with p := v, so a
-// match requires either v among the action's values (a p-atom) or a
-// parameter-free atom of the body (strictAlpha). Used to skip the
+// match requires either v among the action's values (a p-atom) or an
+// atom of the body that matches with p unbound, under the environment
+// free of the walk outside the branch (strictAlpha). Used to skip the
 // overwhelming majority of branch transition attempts in uniformly
 // quantified expressions.
-func branchCanAct(v string, a expr.Action, strictAlpha *expr.Alphabet) bool {
+func branchCanAct(v string, a expr.Action, strictAlpha *expr.Alphabet, free *expr.Env) bool {
 	for _, arg := range a.Args {
 		if !arg.Param && arg.Name == v {
 			return true
 		}
 	}
-	return strictAlpha.Contains(a)
+	return strictAlpha.ContainsIn(a, free)
 }
 
 type branchSet []branch
 
-func (bs branchSet) find(v string) (State, bool) {
+func (bs branchSet) has(v string) bool {
 	for _, b := range bs {
 		if b.val == v {
-			return b.st, true
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 func byVal(x, y branch) int { return strings.Compare(x.val, y.val) }
@@ -52,17 +73,17 @@ func (bs branchSet) canonical() branchSet {
 	return bs
 }
 
-func (bs branchSet) key() string {
-	var b strings.Builder
-	for i, br := range bs {
+// write writes the branches as val=key pairs, each state's key rendered
+// under env with p bound to the branch's value.
+func (bs branchSet) write(b *strings.Builder, p string, env *expr.Env) {
+	for i := range bs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(br.val)
+		b.WriteString(bs[i].val)
 		b.WriteByte('=')
-		b.WriteString(br.st.Key())
+		b.WriteString(bs[i].keyIn(p, sharing{env: env}))
 	}
-	return b.String()
 }
 
 func (bs branchSet) allFinal() bool {
@@ -82,10 +103,11 @@ func (bs branchSet) size() int {
 	return n
 }
 
+// subst substitutes p := v in every branch state.
 func (bs branchSet) subst(p, v string) branchSet {
 	out := make(branchSet, len(bs))
 	for i, b := range bs {
-		out[i] = branch{val: b.val, st: b.st.subst(p, v)} // the template changed: drop fresh
+		out[i] = branch{val: b.val, st: b.st.subst(p, v)}
 	}
 	return out
 }
@@ -94,23 +116,29 @@ func (bs branchSet) subst(p, v string) branchSet {
 func (bs branchSet) internParts(c *Cache) branchSet {
 	out := make(branchSet, len(bs))
 	for i, b := range bs {
-		out[i] = branch{val: b.val, st: c.Canon(b.st), fresh: b.fresh}
+		out[i] = branch{val: b.val, st: c.Canon(b.st), key: b.key, fresh: b.fresh}
 	}
 	return out
 }
 
-// newValues returns the concrete values of a that have no branch yet.
-func newValues(a expr.Action, touched branchSet) []string {
-	var out []string
-	for _, v := range a.Values() {
-		if _, ok := touched.find(v); ok {
-			continue
-		}
-		if !containsStr(out, v) {
-			out = append(out, v)
+// newValue reports the i-th argument of a as a value to fork a branch
+// for: a concrete value that no earlier argument repeats and that has no
+// branch in touched yet. Looping i over a's arguments visits the
+// action's distinct new values in order, without building a list.
+func newValue(a expr.Action, i int, touched branchSet) (string, bool) {
+	arg := a.Args[i]
+	if arg.Param {
+		return "", false
+	}
+	for _, prev := range a.Args[:i] {
+		if !prev.Param && prev.Name == arg.Name {
+			return "", false
 		}
 	}
-	return out
+	if touched.has(arg.Name) {
+		return "", false
+	}
+	return arg.Name, true
 }
 
 func containsStr(ss []string, s string) bool {
@@ -128,8 +156,8 @@ func containsStr(ss []string, s string) bool {
 // value's branch. The state keeps one branch per value the word has
 // committed to so far (they all consumed the whole word) plus a generic
 // branch with p unbound representing every value not yet mentioned.
-// An action mentioning a fresh value v forks a new branch from the
-// current generic state with p bound to v.
+// An action mentioning a fresh value v forks a new branch: the generic
+// state, walked with p bound to v.
 type anyQState struct {
 	e       *expr.Expr // the OpAnyQ node
 	strictA *expr.Alphabet
@@ -147,18 +175,24 @@ func newAnyQState(e *expr.Expr) State {
 	return &anyQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), generic: Initial(e.Kids[0])}
 }
 
-func (s *anyQState) Key() string {
-	if s.key == "" {
-		gk := "!"
-		if s.generic != nil {
-			gk = s.generic.Key()
-			if len(s.excluded) > 0 {
-				gk += "!" + strings.Join(s.excluded, ",")
-			}
+func (s *anyQState) Key() string { return s.of(s) }
+
+func (s *anyQState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("any<")
+	s.e.WriteIn(b, env)
+	b.WriteString(">{")
+	s.touched.write(b, s.e.Param, env)
+	b.WriteByte('|')
+	if s.generic == nil {
+		b.WriteByte('!')
+	} else {
+		writeKey(b, s.generic, sharing{env: env}.free(s.e.Param).env)
+		if len(s.excluded) > 0 {
+			b.WriteByte('!')
+			b.WriteString(strings.Join(s.excluded, ","))
 		}
-		s.key = "any<" + s.e.Key() + ">{" + s.touched.key() + "|" + gk + "}"
 	}
-	return s.key
+	b.WriteByte('}')
 }
 
 func (s *anyQState) Final() bool {
@@ -177,12 +211,13 @@ func (s *anyQState) Size() int { return 1 + s.touched.size() + Size(s.generic) }
 
 func (s *anyQState) trans(a expr.Action, sh sharing) State {
 	p := s.e.Param
+	gen := sh.free(p)
 	var generic State
 	var taint []string
 	excluded := s.excluded
 	if s.generic != nil {
-		taint = s.strictA.BindingMatches(p, a)
-		generic = compress(sh.trans(s.generic, a))
+		taint = s.strictA.BindingMatchesIn(p, a, sh.env)
+		generic = compress(gen.trans(s.generic, a))
 		if generic != nil {
 			// The generic branch consumed a with p free; it can no longer
 			// stand for values under which a $p atom would have matched a
@@ -190,50 +225,53 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 			excluded = mergeExcl(excluded, taint)
 		}
 	}
+	var gk string // the generic state's key, which a branch that caught up with it has
+	if generic != nil {
+		gk = gen.key(generic)
+	}
+	// ρ: a branch whose state caught up with the generic branch again is
+	// indistinguishable from an untouched one and is released — unless
+	// its value is excluded from the generic branch, in which case the
+	// generic cannot stand in for it later.
+	released := func(b *branch) bool {
+		return generic != nil && !containsStr(excluded, b.val) && b.keyIn(p, sh) == gk
+	}
 	var touched branchSet
 	for _, b := range s.touched {
-		if !branchCanAct(b.val, a, s.strictA) {
+		if !branchCanAct(b.val, a, s.strictA, gen.env) {
 			continue // the action cannot belong to this branch's word
 		}
-		nst := sh.trans(b.st, a)
+		bs := sh.bind(p, b.val)
+		nst := bs.trans(b.st, a)
 		if nst == nil {
 			continue
 		}
-		nst = compress(nst)
-		// ρ: a branch whose state caught up with the generic branch again
-		// is indistinguishable from an untouched one and is released —
-		// unless its value is excluded from the generic branch, in which
-		// case the generic cannot stand in for it later.
-		if generic != nil && nst.Key() == generic.Key() && !containsStr(excluded, b.val) {
-			continue
+		if nb := (branch{val: b.val, st: compress(nst)}); !released(&nb) {
+			touched = append(touched, nb)
 		}
-		touched = append(touched, branch{val: b.val, st: nst})
 	}
 	if s.generic != nil {
-		for _, v := range newValues(a, s.touched) {
+		for i := range a.Args {
+			v, ok := newValue(a, i, s.touched)
 			// An excluded value cannot fork from the generic branch: the
-			// generic's history was consumed under "p ≠ v".
-			if containsStr(s.excluded, v) {
+			// generic's history was consumed under "p ≠ v". And by the
+			// fork rule (see allQState.trans), unless a $p atom matches a
+			// under p := v, the bound branch fails where the generic one
+			// did.
+			if !ok || containsStr(s.excluded, v) || generic == nil && !containsStr(taint, v) {
 				continue
 			}
-			// The fork rule (see allQState.trans): unless a $p atom
-			// matches a under p := v, the bound branch fails where the
-			// generic one did.
-			if generic == nil && !containsStr(taint, v) {
-				continue
-			}
-			nst := s.generic.subst(p, v).trans(a, sh)
+			bs := sh.bind(p, v)
+			nst := bs.trans(s.generic, a)
 			if nst == nil {
 				continue
 			}
-			nst = compress(nst)
 			// If binding v made no observable difference the branch keeps
 			// riding with the generic one (they evolve in lockstep until
 			// an action actually mentions v in a parameter position).
-			if generic != nil && nst.Key() == generic.Key() && !containsStr(excluded, v) {
-				continue
+			if nb := (branch{val: v, st: compress(nst)}); !released(&nb) {
+				touched = append(touched, nb)
 			}
-			touched = append(touched, branch{val: v, st: nst})
 		}
 	}
 	if len(touched) == 0 && generic == nil {
@@ -294,11 +332,22 @@ func newConQState(e *expr.Expr) State {
 	return &conQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), generic: Initial(e.Kids[0])}
 }
 
-func (s *conQState) Key() string {
-	if s.key == "" {
-		s.key = "conq<" + s.e.Key() + ">{" + s.touched.key() + "|" + s.generic.Key() + "}"
-	}
-	return s.key
+func (s *conQState) Key() string { return s.of(s) }
+
+func (s *conQState) render(b *strings.Builder, env *expr.Env) {
+	renderGeneric(b, "conq<", s.e, s.touched, s.generic, env)
+}
+
+// renderGeneric writes the key of a quantifier state made of touched
+// branches and an always-live generic branch under env.
+func renderGeneric(b *strings.Builder, open string, e *expr.Expr, touched branchSet, generic State, env *expr.Env) {
+	b.WriteString(open)
+	e.WriteIn(b, env)
+	b.WriteString(">{")
+	touched.write(b, e.Param, env)
+	b.WriteByte('|')
+	writeKey(b, generic, sharing{env: env}.free(e.Param).env)
+	b.WriteByte('}')
 }
 
 func (s *conQState) Final() bool {
@@ -309,41 +358,45 @@ func (s *conQState) Size() int { return 1 + s.touched.size() + s.generic.Size() 
 
 func (s *conQState) trans(a expr.Action, sh sharing) State {
 	p := s.e.Param
-	generic := sh.trans(s.generic, a)
+	gen := sh.free(p)
+	generic := gen.trans(s.generic, a)
 	if generic == nil {
 		return nil
 	}
 	generic = compress(generic)
+	gk := gen.key(generic)
 	var touched branchSet
 	for _, b := range s.touched {
 		// Every branch must accept every action; a branch that cannot
 		// possibly act kills the state without a deep descent.
-		if !branchCanAct(b.val, a, s.strictA) {
+		if !branchCanAct(b.val, a, s.strictA, gen.env) {
 			return nil
 		}
-		nst := sh.trans(b.st, a)
+		bs := sh.bind(p, b.val)
+		nst := bs.trans(b.st, a)
 		if nst == nil {
 			return nil
 		}
-		nst = compress(nst)
 		// ρ: release branches indistinguishable from the generic one.
-		if nst.Key() == generic.Key() {
+		if nb := (branch{val: b.val, st: compress(nst)}); nb.keyIn(p, sh) != gk {
+			touched = append(touched, nb)
+		}
+	}
+	for i := range a.Args {
+		v, ok := newValue(a, i, s.touched)
+		if !ok {
 			continue
 		}
-		touched = append(touched, branch{val: b.val, st: nst})
-	}
-	for _, v := range newValues(a, s.touched) {
-		nst := s.generic.subst(p, v).trans(a, sh)
+		bs := sh.bind(p, v)
+		nst := bs.trans(s.generic, a)
 		if nst == nil {
 			return nil
 		}
-		nst = compress(nst)
 		// If binding v made no observable difference, the branch can keep
 		// riding with the generic one.
-		if nst.Key() == generic.Key() {
-			continue
+		if nb := (branch{val: v, st: compress(nst)}); nb.keyIn(p, sh) != gk {
+			touched = append(touched, nb)
 		}
-		touched = append(touched, branch{val: v, st: nst})
 	}
 	return &conQState{e: s.e, strictA: s.strictA, touched: touched.canonical(), generic: generic}
 }
@@ -372,14 +425,14 @@ func (s *conQState) internParts(c *Cache) State {
 // For every value ω, the projection of the word onto α(y_ω) must be
 // acceptable to that branch. Untouched branches only ever see actions
 // matching parameter-free atoms, and all see the same ones, so a single
-// generic branch represents them in lockstep.
+// generic branch represents them in lockstep. Branch v's alphabet α(y_v)
+// is the body's alphabet read with p bound to v.
 type syncQState struct {
 	e       *expr.Expr
 	whole   *expr.Alphabet // α of the quantifier (p ranges as wildcard)
 	touched branchSet
-	alphas  []*expr.Alphabet // per touched branch, aligned with touched
 	generic State
-	genA    *expr.Alphabet // strict alphabet of the generic branch
+	genA    *expr.Alphabet // α of the body with p free
 	keyed
 }
 
@@ -392,11 +445,10 @@ func newSyncQState(e *expr.Expr) State {
 	}
 }
 
-func (s *syncQState) Key() string {
-	if s.key == "" {
-		s.key = "syncq<" + s.e.Key() + ">{" + s.touched.key() + "|" + s.generic.Key() + "}"
-	}
-	return s.key
+func (s *syncQState) Key() string { return s.of(s) }
+
+func (s *syncQState) render(b *strings.Builder, env *expr.Env) {
+	renderGeneric(b, "syncq<", s.e, s.touched, s.generic, env)
 }
 
 func (s *syncQState) Final() bool {
@@ -406,91 +458,68 @@ func (s *syncQState) Final() bool {
 func (s *syncQState) Size() int { return 1 + s.touched.size() + s.generic.Size() }
 
 func (s *syncQState) trans(a expr.Action, sh sharing) State {
-	if !s.whole.Contains(a) {
+	if !s.whole.ContainsIn(a, sh.env) {
 		return nil // a ∉ α(x)
 	}
 	p := s.e.Param
-	var touched branchSet
-	var alphas []*expr.Alphabet
-	for i, b := range s.touched {
-		al := s.alphas[i]
-		if !al.Contains(a) {
-			touched = append(touched, b)
-			alphas = append(alphas, al)
-			continue
-		}
-		nst := sh.trans(b.st, a)
-		if nst == nil {
-			return nil
-		}
-		touched = append(touched, branch{val: b.val, st: nst})
-		alphas = append(alphas, al)
-	}
+	gen := sh.free(p)
 	generic := s.generic
-	if s.genA.Contains(a) {
-		generic = sh.trans(s.generic, a)
+	if s.takesPart(a, gen) {
+		generic = gen.trans(s.generic, a)
 		if generic == nil {
 			return nil
 		}
 		generic = compress(generic)
 	}
-	// ρ: release touched branches that caught up with the generic one;
-	// they are indistinguishable from untouched branches again.
-	kept := touched[:0]
-	keptAl := alphas[:0]
-	for i := range touched {
-		nst := compress(touched[i].st)
-		if nst.Key() == generic.Key() {
+	gk := gen.key(generic)
+	var touched branchSet
+	for _, b := range s.touched {
+		bs := sh.bind(p, b.val)
+		if s.takesPart(a, bs) {
+			nst := bs.trans(b.st, a)
+			if nst == nil {
+				return nil
+			}
+			b = branch{val: b.val, st: compress(nst)}
+		}
+		// ρ: release touched branches that caught up with the generic
+		// one; they are indistinguishable from untouched branches again.
+		if b.keyIn(p, sh) != gk {
+			touched = append(touched, b)
+		}
+	}
+	for i := range a.Args {
+		v, ok := newValue(a, i, s.touched)
+		if !ok {
 			continue
 		}
-		kept = append(kept, branch{val: touched[i].val, st: nst})
-		keptAl = append(keptAl, alphas[i])
-	}
-	touched, alphas = kept, keptAl
-	for _, v := range newValues(a, s.touched) {
-		if !s.involved(a, v) {
+		bs := sh.bind(p, v)
+		if !s.takesPart(a, bs) {
 			continue // branch v is not involved and stays generic
 		}
-		nst := s.generic.subst(p, v).trans(a, sh)
+		nst := bs.trans(s.generic, a)
 		if nst == nil {
 			return nil
 		}
-		nst = compress(nst)
 		// Binding made no difference: branch v keeps riding with the
-		// generic branch (its alphabet then equals the strict one too).
-		if nst.Key() == generic.Key() {
-			continue
+		// generic branch.
+		if nb := (branch{val: v, st: compress(nst)}); nb.keyIn(p, sh) != gk {
+			touched = append(touched, nb)
 		}
-		touched = append(touched, branch{val: v, st: nst})
-		alphas = append(alphas, expr.AlphabetOf(s.e.Kids[0].Subst(p, v)))
 	}
-	ns := &syncQState{e: s.e, whole: s.whole, touched: touched, alphas: alphas, generic: generic, genA: s.genA}
-	ns.sortBranches()
-	return ns
+	return &syncQState{e: s.e, whole: s.whole, touched: touched.canonical(), generic: generic, genA: s.genA}
 }
 
-// involved reports a ∈ α(y_v), whether branch v takes part in a, without
-// building y_v: free parameters never match, so binding p := v adds to
-// α(y) exactly the matches BindingMatches reports for v.
+// takesPart reports a ∈ α(y) under the walk's binding: whether the
+// branch the walk is in takes part in a.
+func (s *syncQState) takesPart(a expr.Action, bs sharing) bool {
+	return s.genA.ContainsIn(a, bs.env)
+}
+
+// involved reports a ∈ α(y_v), whether branch v of a top-level syncQ
+// takes part in a, without building y_v.
 func (s *syncQState) involved(a expr.Action, v string) bool {
-	return s.genA.Contains(a) || containsStr(s.genA.BindingMatches(s.e.Param, a), v)
-}
-
-// sortBranches canonicalizes touched order while keeping alphas aligned.
-func (s *syncQState) sortBranches() {
-	idx := make([]int, len(s.touched))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(i, j int) int { return byVal(s.touched[i], s.touched[j]) })
-	nt := make(branchSet, len(idx))
-	na := make([]*expr.Alphabet, len(idx))
-	for i, j := range idx {
-		nt[i] = s.touched[j]
-		na[i] = s.alphas[j]
-	}
-	s.touched = nt
-	s.alphas = na
+	return s.takesPart(a, sharing{}.bind(s.e.Param, v))
 }
 
 func (s *syncQState) subst(p, v string) State {
@@ -498,24 +527,18 @@ func (s *syncQState) subst(p, v string) State {
 		return s
 	}
 	ne := s.e.Subst(p, v)
-	ns := &syncQState{
+	return &syncQState{
 		e:       ne,
 		whole:   expr.AlphabetOf(ne),
 		touched: s.touched.subst(p, v),
 		generic: s.generic.subst(p, v),
 		genA:    expr.AlphabetOf(ne.Kids[0]),
 	}
-	ns.alphas = make([]*expr.Alphabet, len(ns.touched))
-	for i, b := range ns.touched {
-		ns.alphas[i] = expr.AlphabetOf(ne.Kids[0].Subst(ne.Param, b.val))
-	}
-	ns.sortBranches()
-	return ns
 }
 
 func (s *syncQState) inert() bool { return false }
 
 func (s *syncQState) internParts(c *Cache) State {
 	return &syncQState{e: s.e, whole: s.whole, touched: s.touched.internParts(c),
-		alphas: s.alphas, generic: c.Canon(s.generic), genA: s.genA, keyed: s.keyed}
+		generic: c.Canon(s.generic), genA: s.genA, keyed: s.keyed}
 }

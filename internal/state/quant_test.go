@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -75,8 +77,42 @@ func TestFig7StepAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(runs, step)
 	t.Logf("Fig 7 step: %.0f allocations", allocs)
-	if allocs > 800 {
-		t.Fatalf("Fig 7 step: %.0f allocations, want ≤ 800", allocs)
+	if allocs > 300 {
+		t.Fatalf("Fig 7 step: %.0f allocations, want ≤ 300", allocs)
+	}
+}
+
+// TestFig6StepAllocations pins the cost of a step of the Fig 6 capacity
+// restriction under Fig 7's traffic (fig7Step without the prepares,
+// which the capacity branch never sees). Every examination's branch is
+// released after its perform and bound again at the next call, so the
+// state is one node between rounds and every step binds or releases: a
+// binding that copied the body would cost its substitution each time.
+func TestFig6StepAllocations(t *testing.T) {
+	const warm, runs = 2000, 200
+	en := MustEngine(paper.Fig6CapacityRestriction())
+	i := 0
+	step := func() {
+		a := fig7Step(i)
+		for a.Name == paper.ActPrepare {
+			i++
+			a = fig7Step(i)
+		}
+		if err := en.Step(a); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		i++
+	}
+	for en.Steps() < warm {
+		step()
+	}
+	if n := en.StateSize(); n != 1 {
+		t.Fatalf("state size after %d steps: %d, want 1", warm, n)
+	}
+	allocs := testing.AllocsPerRun(runs, step)
+	t.Logf("Fig 6 step: %.0f allocations", allocs)
+	if allocs > 150 {
+		t.Fatalf("Fig 6 step: %.0f allocations, want ≤ 150", allocs)
 	}
 }
 
@@ -203,5 +239,150 @@ func TestSyncKeyNamesOperandAlphabets(t *testing.T) {
 				t.Errorf("%s prefix %v: engine=%v plain=%v oracle=%v", c.src, c.word[:i], got, plain, want)
 			}
 		}
+	}
+}
+
+// forBranches calls f for every quantifier branch reachable in s, with
+// the quantifier's parameter.
+func forBranches(s State, f func(p string, b branch)) {
+	var kids []State
+	branches := func(p string, bs branchSet) {
+		for _, b := range bs {
+			f(p, b)
+			kids = append(kids, b.st)
+		}
+	}
+	switch st := s.(type) {
+	case *orState:
+		kids = st.kids
+	case *andState:
+		kids = st.kids
+	case *syncState:
+		kids = st.kids
+	case *seqState:
+		for _, a := range st.alts {
+			kids = append(kids, a.st)
+		}
+	case *seqIterState:
+		kids = st.insts
+	case *parState:
+		kids = slices.Concat(st.alts...)
+	case *multState:
+		kids = slices.Concat(st.alts...)
+	case *parIterState:
+		kids = slices.Concat(st.alts...)
+	case *anyQState:
+		if st.generic != nil {
+			kids = append(kids, st.generic)
+		}
+		branches(st.e.Param, st.touched)
+	case *conQState:
+		kids = append(kids, st.generic)
+		branches(st.e.Param, st.touched)
+	case *syncQState:
+		kids = append(kids, st.generic)
+		branches(st.e.Param, st.touched)
+	case *allQState:
+		for _, a := range st.alts {
+			branches(st.e.Param, a.named)
+			for _, ab := range a.anon {
+				kids = append(kids, ab.st)
+			}
+		}
+	}
+	for _, k := range kids {
+		forBranches(k, f)
+	}
+}
+
+// TestBranchKeysRenderSubstitution: a branch holds a state over the body
+// with its parameter free, and its key is that state's key rendered
+// under the binding. The rendering must be the key of the substituted
+// state — what the branch held before binding walked the template —
+// including where binding makes distinct states equal or reorders
+// them, and under shadowing; and a snapshot, which stores branches
+// substituted, must restore to the same keys and go on identically.
+func TestBranchKeysRenderSubstitution(t *testing.T) {
+	srcs := []string{
+		"all p: (any q: z($p,$q) - z($q,$p))*",
+		"all p: x($p) - (any p: z($p,v1))",
+		"all p: (x($p) | x(v1))* || (all q: z($p,$q)?)",
+		"any p: (x($p) || x(v1))# @ (syncq q: z($q,$p)*)",
+		"conq p: (x($p) | x(v2) | (all p: z($p,v2)?))*",
+		"all p: mult(2, (any q: z($p,$q) - x($q))*)",
+		"all p: (all q: (z($p,$q) || z($q,$p))?)?",
+	}
+	sigma := []expr.Action{
+		ca("x", "v1"), ca("x", "v2"), ca("z", "v1", "v2"), ca("z", "v2", "v1"),
+		ca("z", "v1", "v1"), ca("z", "v2", "v2"), ca("z", "v2", "v3"), ca("x", "v3"),
+	}
+	rnd := rand.New(rand.NewSource(35))
+	checked := 0
+	for _, src := range srcs {
+		e := parse.MustParse(src)
+		for w := 0; w < 40; w++ {
+			en := MustEngine(e)
+			for step := 0; step < 6; step++ {
+				a := sigma[rnd.Intn(len(sigma))]
+				if en.Step(a) != nil {
+					continue
+				}
+				forBranches(en.cur, func(p string, b branch) {
+					checked++
+					want := b.st.subst(p, b.val).Key()
+					if got := keyIn(b.st, &expr.Env{P: p, V: b.val}); got != want {
+						t.Fatalf("%s: branch %s=%s renders %s, substituted key %s", src, p, b.val, got, want)
+					}
+				})
+				data, err := en.MarshalState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := RestoreEngine(e, data)
+				if err != nil {
+					t.Fatalf("%s: %v", src, err)
+				}
+				if back.StateKey() != en.StateKey() {
+					t.Fatalf("%s: restored key %s, want %s", src, back.StateKey(), en.StateKey())
+				}
+				for _, next := range sigma {
+					if got, want := stateKey(back.Advance(next).next), stateKey(en.Advance(next).next); got != want {
+						t.Fatalf("%s + %s: restored engine reaches %s, live engine %s", src, next, got, want)
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d branches checked", checked)
+	}
+	t.Logf("%d branch keys checked", checked)
+}
+
+// TestStateSizeCountsTemplateNodes: a branch's state is the body's state
+// with the parameter free, and Size counts its nodes as they are, while
+// a restored branch holds the substituted state. Where binding makes two
+// nodes of a set equal, as or[-x($p),-x(v1)] under p := v1, the live
+// state counts one node more than its restored copy, whose key is the
+// same.
+func TestStateSizeCountsTemplateNodes(t *testing.T) {
+	e := parse.MustParse("all p: z($p) - (x($p) | x(v1))")
+	en := MustEngine(e)
+	if err := en.Step(ca("z", "v1")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := en.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := RestoreEngine(e, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.StateKey() != en.StateKey() {
+		t.Fatalf("restored key %s, want %s", back.StateKey(), en.StateKey())
+	}
+	if live, restored := en.StateSize(), back.StateSize(); live != 6 || restored != 5 {
+		t.Fatalf("state size: live %d, restored %d; want 6 and 5", live, restored)
 	}
 }

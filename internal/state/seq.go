@@ -64,25 +64,7 @@ func (s *seqState) close(alts []seqAlt) []seqAlt {
 	return slices.CompactFunc(alts, func(x, y seqAlt) bool { return x.idx == y.idx && sameState(x.st, y.st) })
 }
 
-func (s *seqState) Key() string {
-	if s.key == "" {
-		var b strings.Builder
-		b.WriteString("seq<")
-		b.WriteString(s.e.Key())
-		b.WriteString(">[")
-		for i, a := range s.alts {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(a.idx))
-			b.WriteByte(':')
-			b.WriteString(a.st.Key())
-		}
-		b.WriteByte(']')
-		s.key = b.String()
-	}
-	return s.key
-}
+func (s *seqState) Key() string { return s.of(s) }
 
 func (s *seqState) Final() bool {
 	last := len(s.e.Kids) - 1
@@ -114,6 +96,51 @@ func (s *seqState) trans(act expr.Action, sh sharing) State {
 	}
 	next = s.close(next) // before s.inits is handed on: close may build it
 	return &seqState{e: s.e, alts: next, inits: s.inits}
+}
+
+func (s *seqState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("seq<")
+	s.e.WriteIn(b, env)
+	b.WriteString(">[")
+	// The alternatives are stored in (index, key) order; binding can
+	// reorder them and make two equal.
+	if env == nil || len(s.alts) == 1 {
+		for i, a := range s.alts {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.Itoa(a.idx))
+			b.WriteByte(':')
+			writeKey(b, a.st, env)
+		}
+		b.WriteByte(']')
+		return
+	}
+	alts := make([]seqAltKey, len(s.alts))
+	for i, a := range s.alts {
+		alts[i] = seqAltKey{a.idx, keyIn(a.st, env)}
+	}
+	slices.SortFunc(alts, func(x, y seqAltKey) int {
+		if c := cmp.Compare(x.idx, y.idx); c != 0 {
+			return c
+		}
+		return strings.Compare(x.key, y.key)
+	})
+	for i, a := range slices.Compact(alts) {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(a.idx))
+		b.WriteByte(':')
+		b.WriteString(a.key)
+	}
+	b.WriteByte(']')
+}
+
+// seqAltKey is a seq alternative rendered under a binding.
+type seqAltKey struct {
+	idx int
+	key string
 }
 
 func (s *seqState) subst(p, v string) State {
@@ -167,16 +194,7 @@ func newSeqIterState(y *expr.Expr) State {
 	return s
 }
 
-func (s *seqIterState) Key() string {
-	if s.key == "" {
-		flag := "-"
-		if s.boundary {
-			flag = "+"
-		}
-		s.key = joinKeys("iter<"+s.y.Key()+">"+flag, s.insts)
-	}
-	return s.key
-}
+func (s *seqIterState) Key() string { return s.of(s) }
 
 func (s *seqIterState) Final() bool { return s.boundary }
 func (s *seqIterState) Size() int   { return 1 + sumSizes(s.insts) }
@@ -214,6 +232,20 @@ func (s *seqIterState) trans(a expr.Action, sh sharing) State {
 		return nil
 	}
 	return &seqIterState{sigma: s.sigma, insts: sortDedupStates(next), boundary: boundary}
+}
+
+func (s *seqIterState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("iter<")
+	s.y.WriteIn(b, env)
+	b.WriteByte('>')
+	if s.boundary {
+		b.WriteByte('+')
+	} else {
+		b.WriteByte('-')
+	}
+	b.WriteByte('[')
+	writeSet(b, s.insts, env, true)
+	b.WriteByte(']')
 }
 
 func (s *seqIterState) subst(p, v string) State {

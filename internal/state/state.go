@@ -22,6 +22,15 @@
 // though constituting conceptually infinite expressions, can nevertheless
 // be implemented using finite states").
 //
+// A branch stays parametric: it is the pair of its value v and a state
+// over the quantifier's body y with p still free, never a state of the
+// substituted body y_v. τ̂ binds p := v while it walks the branch (see
+// sharing), and a branch's key is its state's key rendered under that
+// binding (keyIn), which is the key the substituted state would have. So
+// the branches of different values in the same phase are one state, and
+// binding a value costs a walk, not a copy of the body. Only snapshots
+// write branches in substituted form (subst, in marshal.go).
+//
 // The package is verified against the executable formal semantics
 // (internal/semantics) by exhaustive bounded-language comparison and by
 // randomized differential tests.
@@ -45,16 +54,27 @@ type State interface {
 	// the graph, i.e. the word consumed so far is a complete word.
 	Final() bool
 	// Size returns the number of elementary state nodes, the measure used
-	// by the complexity experiments of Sec 6.
+	// by the complexity experiments of Sec 6. A quantifier branch counts
+	// its state over the body with the parameter free, so where binding
+	// makes two nodes equal (or[-x($p),-x(v1)] under p := v1) it counts
+	// one more node than the substituted state, which a restored branch
+	// holds, although the keys agree.
 	Size() int
 	// trans performs the optimized transition τ̂ for a concrete action
-	// under strict matching (atoms containing unbound parameters match
+	// under strict matching, with the parameters the walk sh binds read
+	// as their values (atoms containing unbound parameters match
 	// nothing). It returns nil if the successor state is invalid. Child
 	// states are transitioned through sh, so within one walk a shared
-	// child is transitioned once.
+	// child is transitioned once per binding.
 	trans(a expr.Action, sh sharing) State
+	// render writes keyIn(s, env), the state's key under the binding
+	// env: Key with every parameter env binds replaced by its value,
+	// which is the Key of the substituted state. With env nil it writes
+	// Key.
+	render(b *strings.Builder, env *expr.Env)
 	// subst replaces the free parameter p with value v throughout the
-	// state (used by quantifier states to bind their parameter lazily).
+	// state. Snapshots use it to write branches in substituted form; no
+	// transition does.
 	subst(p, v string) State
 	// inert reports that no transition can ever succeed from this state,
 	// under any future parameter substitution. Used by ρ to drop
@@ -77,6 +97,17 @@ type keyed struct {
 }
 
 func (k *keyed) keys() *keyed { return k }
+
+// of returns the Key of s, the composite state k belongs to: its
+// rendering under no binding, built on first use.
+func (k *keyed) of(s State) string {
+	if k.key == "" {
+		var b strings.Builder
+		s.render(&b, nil)
+		k.key = b.String()
+	}
+	return k.key
+}
 
 // keyHash is expr.HashKey(s.Key()), cached on composite nodes.
 func keyHash(s State) uint64 {
@@ -104,23 +135,157 @@ func (g *sigma) initial() State {
 	return g.init
 }
 
-// sharing is the scratch table of one τ̂ evaluation, keyed by node
-// identity (states are immutable, and a walk applies one action): a
-// sub-state reached along many paths is transitioned once and every
-// parent gets the same successor, so the walk costs the state's DAG, not
-// its tree unfolding. The nil table shares nothing (Trans).
-type sharing map[State]State
+// sharing is one τ̂ walk: the scratch table of the step plus the binding
+// environment the walk is in. The environment binds the parameters of
+// the quantifier branches the walk has entered, innermost first; it is
+// empty (nil) at the top level. The table is keyed by (node,
+// environment) identity — states are immutable, a walk applies one
+// action, and equal environments are one object — so a sub-state
+// reached along many paths is transitioned once per binding and every
+// parent gets the same successor: the walk costs the state's DAG, not
+// its tree unfolding. The zero walk shares nothing (Trans).
+type sharing struct {
+	tab *walkTable
+	env *expr.Env
+}
+
+type walkTable struct {
+	next map[walkKey]State
+	envs map[expr.Env]*expr.Env // interned frames: one per (parameter, value, outer frame); made on first bind
+}
+
+type walkKey struct {
+	s   State
+	env *expr.Env
+}
+
+func (t *walkTable) reset() {
+	clear(t.next)
+	clear(t.envs)
+}
 
 // trans is τ̂ of the child s within the walk.
 func (sh sharing) trans(s State, a expr.Action) State {
-	next, ok := sh[s]
+	if sh.tab == nil {
+		return s.trans(a, sh)
+	}
+	k := walkKey{s, sh.env}
+	next, ok := sh.tab.next[k]
 	if !ok {
 		next = s.trans(a, sh)
-		if sh != nil {
-			sh[s] = next
-		}
+		sh.tab.next[k] = next
 	}
 	return next
+}
+
+// bind returns the walk inside a branch that binds p to v; v == ""
+// leaves p unbound there, hiding an outer binding of p.
+func (sh sharing) bind(p, v string) sharing {
+	f := expr.Env{P: p, V: v, Up: sh.env}
+	if sh.tab == nil {
+		sh.env = &f
+		return sh
+	}
+	env, ok := sh.tab.envs[f]
+	if !ok {
+		if sh.tab.envs == nil {
+			sh.tab.envs = make(map[expr.Env]*expr.Env)
+		}
+		env = &f
+		sh.tab.envs[f] = env
+	}
+	sh.env = env
+	return sh
+}
+
+// free returns the walk inside a branch that leaves p unbound: a generic
+// or anonymous branch, or a fresh one before it binds.
+func (sh sharing) free(p string) sharing {
+	if _, ok := sh.env.Lookup(p); !ok {
+		return sh
+	}
+	return sh.bind(p, "")
+}
+
+// key is s's key under the walk's environment (keyIn).
+func (sh sharing) key(s State) string { return keyIn(s, sh.env) }
+
+// keyIn returns the key s has under env: its Key with every parameter
+// env binds replaced by its value, which is the Key of the state the
+// substitutions would build. It is rendered into one builder, and
+// without building any state or expression; a key that mentions no
+// parameter is its own rendering.
+func keyIn(s State, env *expr.Env) string {
+	k := s.Key()
+	if env == nil || strings.IndexByte(k, '$') < 0 {
+		return k
+	}
+	var b strings.Builder
+	b.Grow(len(k))
+	s.render(&b, env)
+	return b.String()
+}
+
+// writeKey writes keyIn(s, env) to b.
+func writeKey(b *strings.Builder, s State, env *expr.Env) {
+	k := s.Key()
+	if env == nil || strings.IndexByte(k, '$') < 0 {
+		b.WriteString(k)
+		return
+	}
+	s.render(b, env)
+}
+
+// writeList writes the keys of states under env, comma-separated in
+// order. The builder grows once, by the states' own key lengths.
+func writeList(b *strings.Builder, ss []State, env *expr.Env) {
+	n := len(ss)
+	for _, s := range ss {
+		n += len(s.Key())
+	}
+	b.Grow(n)
+	for i, s := range ss {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		writeKey(b, s, env)
+	}
+}
+
+// writeSet writes the keys of a state set (dedup) or multiset under env,
+// comma-separated in key order. The states are stored in key order, so
+// with no binding they are written as they are. Binding can reorder keys
+// and make distinct states equal, so the rendered keys are sorted (and
+// deduplicated) again, as the substituted states' keys would be.
+func writeSet(b *strings.Builder, ss []State, env *expr.Env, dedup bool) {
+	if env == nil || len(ss) == 1 {
+		writeList(b, ss, env)
+		return
+	}
+	keys := make([]string, len(ss))
+	for i, s := range ss {
+		keys[i] = keyIn(s, env)
+	}
+	writeSorted(b, keys, ',', dedup)
+}
+
+// writeSorted writes keys in sorted order, separated by sep.
+func writeSorted(b *strings.Builder, keys []string, sep byte, dedup bool) {
+	slices.Sort(keys)
+	if dedup {
+		keys = slices.Compact(keys)
+	}
+	n := len(keys)
+	for _, k := range keys {
+		n += len(k)
+	}
+	b.Grow(n)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(sep)
+		}
+		b.WriteString(k)
+	}
 }
 
 // Initial computes σ(e), the initial state of a (not necessarily closed)
@@ -177,7 +342,7 @@ func Trans(s State, a expr.Action) State {
 	if s == nil {
 		return nil
 	}
-	return s.trans(a, nil)
+	return s.trans(a, sharing{})
 }
 
 // Final exposes ϕ for a possibly-nil state.
@@ -230,21 +395,6 @@ func sortDedupStates(ss []State) []State {
 func sortStatesKeepDup(ss []State) []State {
 	slices.SortFunc(ss, byKey)
 	return ss
-}
-
-// joinKeys concatenates state keys with a separator inside brackets.
-func joinKeys(prefix string, ss []State) string {
-	var b strings.Builder
-	b.WriteString(prefix)
-	b.WriteByte('[')
-	for i, s := range ss {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.Key())
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 func allFinal(ss []State) bool {

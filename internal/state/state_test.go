@@ -302,7 +302,7 @@ func TestPropertyCompressSoundness(t *testing.T) {
 		}
 		if s.Final() && s.inert() {
 			for _, a := range sigma {
-				if s.trans(a, nil) != nil {
+				if s.trans(a, sharing{}) != nil {
 					t.Logf("inert state of %s accepted %s", e, a)
 					return false
 				}

@@ -38,38 +38,42 @@ func newSyncState(e *expr.Expr) State {
 	return s
 }
 
-func (s *syncState) Key() string {
-	if s.key == "" {
-		s.key = joinKeys("sync"+s.operandTag(), s.kids)
-	}
-	return s.key
+func (s *syncState) Key() string { return s.of(s) }
+
+func (s *syncState) render(b *strings.Builder, env *expr.Env) {
+	b.WriteString("sync")
+	s.writeTag(b, env)
+	b.WriteByte('[')
+	writeList(b, s.kids, env)
+	b.WriteByte(']')
 }
 
-// operandTag names the operands' expressions, and with them the
-// alphabets that decide which operands must take an action. Operand
-// states with equal keys do not make two couplings equal when an
-// operand's alphabet differs (every finished operand is ε), and equal
-// keys would let ρ and the intern table merge them. A quantifier operand
-// needs no entry, because its state key already starts with its
-// expression, so a coupling of quantifiers alone (Fig 7) has no tag.
-func (s *syncState) operandTag() string {
-	var b strings.Builder
+// writeTag writes the operand tag under env. The tag names the
+// operands' expressions, and with them the alphabets that decide which
+// operands must take an action. Operand states with equal keys do not
+// make two couplings equal when an operand's alphabet differs (every
+// finished operand is ε), and equal keys would let ρ and the intern
+// table merge them. A quantifier operand needs no entry, because its
+// state key already starts with its expression, so a coupling of
+// quantifiers alone (Fig 7) has no tag.
+func (s *syncState) writeTag(b *strings.Builder, env *expr.Env) {
+	open := false
 	for i, k := range s.kids {
 		if namesOwnExpr(k) {
 			continue
 		}
-		if b.Len() == 0 {
+		if !open {
 			b.WriteByte('<')
+			open = true
 		}
 		b.WriteString(strconv.Itoa(i))
 		b.WriteByte('=')
-		b.WriteString(s.kidExprs[i].Key())
+		s.kidExprs[i].WriteIn(b, env)
 		b.WriteByte(';')
 	}
-	if b.Len() > 0 {
+	if open {
 		b.WriteByte('>')
 	}
-	return b.String()
 }
 
 // namesOwnExpr reports that a coupling operand's state key names the
@@ -91,7 +95,7 @@ func (s *syncState) trans(a expr.Action, sh sharing) State {
 	next := make([]State, len(s.kids))
 	involved := false
 	for i, kid := range s.kids {
-		if !s.alphas[i].Contains(a) {
+		if !s.alphas[i].ContainsIn(a, sh.env) {
 			next[i] = kid // the action passes this operand by
 			continue
 		}
