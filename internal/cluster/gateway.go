@@ -630,77 +630,29 @@ func (g *Gateway) Final(ctx context.Context) (bool, error) {
 // canceled or the gateway is closed. Satisfies manager.Coordinator.
 func (g *Gateway) Subscribe(a expr.Action) (<-chan manager.Inform, func(), error) {
 	involved := g.idx.Route(a)
-	out := make(chan manager.Inform, 16)
-	if len(involved) == 0 {
-		out <- manager.Inform{Action: a, Permissible: false}
-		close(out)
-		return out, func() {}, nil
-	}
 	// The context bounds only the subscription setup round trips; the
 	// subscriptions themselves live until canceled (ShardClient.Subscribe
 	// binds their lifetime to the cancel function, not to this context).
 	ctx, cancelCtx := context.WithTimeout(context.Background(), shardSettleTimeout)
 	defer cancelCtx()
 
-	var mu sync.Mutex
-	status := make(map[int]bool, len(involved))
-	combined, combinedKnown := false, false
-	var wg sync.WaitGroup
+	parts := make([]<-chan manager.Inform, 0, len(involved))
 	cancels := make([]func(), 0, len(involved))
-	for _, i := range involved {
-		ch, cancel, err := g.shards[i].Subscribe(ctx, a)
-		if err != nil {
-			for _, c := range cancels {
-				c()
-			}
-			return nil, nil, err
-		}
-		cancels = append(cancels, cancel)
-		wg.Add(1)
-		go func(i int, ch <-chan manager.Inform) {
-			defer wg.Done()
-			for inf := range ch {
-				mu.Lock()
-				status[i] = inf.Permissible
-				now := len(status) == len(involved)
-				for _, v := range status {
-					now = now && v
-				}
-				flip := !combinedKnown || now != combined
-				combinedKnown = true
-				combined = now
-				mu.Unlock()
-				if flip {
-					inf := manager.Inform{Action: a, Permissible: now}
-					select {
-					case out <- inf:
-					default:
-						// Drop the oldest pending inform to make room for
-						// the newest: a slow subscriber loses intermediate
-						// flips but always observes the latest status.
-						select {
-						case <-out:
-						default:
-						}
-						select {
-						case out <- inf:
-						default:
-						}
-					}
-				}
-			}
-		}(i, ch)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
 	cancelAll := func() {
 		for _, c := range cancels {
 			c()
 		}
 	}
-	return out, cancelAll, nil
+	for _, i := range involved {
+		ch, cancel, err := g.shards[i].Subscribe(ctx, a)
+		if err != nil {
+			cancelAll()
+			return nil, nil, err
+		}
+		parts = append(parts, ch)
+		cancels = append(cancels, cancel)
+	}
+	return manager.Conjoin(a, parts), cancelAll, nil
 }
 
 // Close releases all shard connections (detaching from the shared route

@@ -898,21 +898,7 @@ func (h *healingSub) run() {
 		inner := h.inner
 		h.mu.Unlock()
 		for inf := range inner {
-			select {
-			case h.out <- inf:
-			default:
-				// Drop the oldest pending inform to make room for the
-				// newest: a slow subscriber always observes the latest
-				// status.
-				select {
-				case <-h.out:
-				default:
-				}
-				select {
-				case h.out <- inf:
-				default:
-				}
-			}
+			manager.SendLatest(h.out, inf)
 		}
 		// The stream ended: canceled, or the owning connection died.
 		if h.ctx.Err() != nil {

@@ -666,7 +666,7 @@ func (m *Manager) Subscribe(a expr.Action) *Subscription {
 	sub := &Subscription{C: ch, id: m.nextSubID, action: a}
 	// The joiner's initial status comes from the group's cache: notify
 	// runs after every transition, so last is always current.
-	sendInform(ch, Inform{Action: g.action, Permissible: g.last})
+	SendLatest(ch, Inform{Action: g.action, Permissible: g.last})
 	m.stats.Informs++
 	return sub
 }
@@ -687,12 +687,14 @@ func (m *Manager) Unsubscribe(s *Subscription) {
 	}
 }
 
-func sendInform(ch chan Inform, i Inform) {
+// SendLatest delivers i on ch without blocking. When ch is full it drops
+// the oldest pending inform to make room: a slow subscriber loses
+// intermediate flips but always observes the latest status. Every
+// subscription channel, local or forwarded, is fed through it.
+func SendLatest(ch chan Inform, i Inform) {
 	select {
 	case ch <- i:
 	default:
-		// Drop the oldest pending inform to make room for the newest:
-		// the subscriber only needs the latest status.
 		select {
 		case <-ch:
 		default:
@@ -717,7 +719,7 @@ func (m *Manager) notifyLocked() {
 		g.last = now
 		inf := Inform{Action: g.action, Permissible: now}
 		for _, ch := range g.members {
-			sendInform(ch, inf)
+			SendLatest(ch, inf)
 			m.stats.Informs++
 		}
 	}

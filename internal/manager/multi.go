@@ -180,50 +180,63 @@ type aggPart struct {
 // status is the conjunction of the involved managers' statuses, and the
 // returned subscription informs on combined flips.
 func (r *Router) Subscribe(a expr.Action) *AggSubscription {
-	involved := r.Route(a)
-	out := make(chan Inform, 16)
-	agg := &AggSubscription{C: out}
-	if len(involved) == 0 {
-		out <- Inform{Action: a, Permissible: false}
-		close(out)
-		return agg
-	}
-	var mu sync.Mutex
-	status := make(map[int]bool, len(involved))
-	combinedKnown := false
-	combined := false
-	var wg sync.WaitGroup
-	for _, i := range involved {
+	agg := &AggSubscription{}
+	var parts []<-chan Inform
+	for _, i := range r.Route(a) {
 		part := aggPart{m: r.managers[i], sub: r.managers[i].Subscribe(a)}
 		agg.parts = append(agg.parts, part)
+		parts = append(parts, part.sub.C)
+	}
+	agg.C = Conjoin(a, parts)
+	return agg
+}
+
+// Conjoin folds the status streams of the parts (managers or shards)
+// that a subscription to action a spans into one stream: the combined
+// status is the conjunction of the parts' latest statuses, false until
+// every part has reported, and the returned channel informs on every
+// combined flip (SendLatest). It closes once every part's stream has
+// closed. With no parts the action is never permissible: one false
+// inform, then close.
+func Conjoin(a expr.Action, parts []<-chan Inform) <-chan Inform {
+	// As deep as a manager's own subscription channel: a subscriber that
+	// lags by up to 16 flips loses none.
+	out := make(chan Inform, 16)
+	if len(parts) == 0 {
+		out <- Inform{Action: a, Permissible: false}
+		close(out)
+		return out
+	}
+	var mu sync.Mutex
+	status := make(map[int]bool, len(parts))
+	combined, known := false, false
+	var wg sync.WaitGroup
+	for i, ch := range parts {
 		wg.Add(1)
-		go func(mi int, sub *Subscription) {
+		go func() {
 			defer wg.Done()
-			for inf := range sub.C {
+			for inf := range ch {
 				mu.Lock()
-				status[mi] = inf.Permissible
-				now := len(status) == len(involved)
+				status[i] = inf.Permissible
+				now := len(status) == len(parts)
 				for _, v := range status {
 					now = now && v
 				}
-				flip := !combinedKnown || now != combined
-				combinedKnown = true
-				combined = now
-				mu.Unlock()
-				if flip {
-					select {
-					case out <- Inform{Action: a, Permissible: now}:
-					default:
-					}
+				// Sent under the lock, so the parts' flips reach out in
+				// the order they were combined.
+				if !known || now != combined {
+					known, combined = true, now
+					SendLatest(out, Inform{Action: a, Permissible: now})
 				}
+				mu.Unlock()
 			}
-		}(i, part.sub)
+		}()
 	}
 	go func() {
 		wg.Wait()
 		close(out)
 	}()
-	return agg
+	return out
 }
 
 // Unsubscribe tears down an aggregated subscription.

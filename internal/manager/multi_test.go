@@ -102,9 +102,6 @@ func TestMultiManagerConcurrent(t *testing.T) {
 	if granted != 3 {
 		t.Errorf("granted: got %d want 3 (capacity)", granted)
 	}
-	if !r.Final() == r.Final() && false {
-		t.Error("unreachable")
-	}
 }
 
 // TestMultiManagerSubscribe: aggregated informs reflect the conjunction
@@ -232,4 +229,58 @@ func BenchmarkRouterRoute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRouterSubscribeDeliversLatestStatus: a subscriber that stops
+// draining its aggregated channel loses intermediate flips, but the last
+// inform it reads is the current status. The channel is filled to
+// capacity, one more flip is forwarded into the full channel, and
+// unsubscribing closes the channel.
+func TestRouterSubscribeDeliversLatestStatus(t *testing.T) {
+	r, err := NewRouter(parse.MustParse("(a - b)*"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b := act("b")
+	agg := r.Subscribe(b)
+	steps := 0
+	flip := func() {
+		t.Helper()
+		if err := r.Request(bg, []expr.Action{act("a"), b}[steps%2]); err != nil {
+			t.Fatal(err)
+		}
+		steps++
+	}
+	// The initial inform and one per flip, forwarded asynchronously.
+	wait := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for len(agg.C) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d informs pending, want %d", len(agg.C), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for wait(1); len(agg.C) < cap(agg.C); wait(steps + 1) {
+		flip()
+	}
+	flip()
+	// Let the forwarder take the last flip off the manager's channel
+	// before anything is drained.
+	for _, p := range agg.parts {
+		for len(p.sub.C) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	r.Unsubscribe(agg)
+	var last Inform
+	for inf := range agg.C {
+		last = inf
+	}
+	if want := r.Try(b); last.Permissible != want {
+		t.Fatalf("after %d flips the last inform says permissible=%t, Try says %t", steps, last.Permissible, want)
+	}
 }

@@ -36,7 +36,7 @@ import (
 // were added with replication; absent fields decode to zero, which is
 // exactly the pre-replication epoch, so version-1 snapshots stay
 // readable. Delta-chain pieces use the same envelope: the Engine
-// payload is the piece (state format v3), the metadata fields are those
+// payload is the piece (state format v4), the metadata fields are those
 // of the checkpoint instant, so the last piece's metadata wins.
 type managerSnap struct {
 	V           int             `json:"v"`

@@ -1,8 +1,11 @@
 package manager
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +13,9 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/expr"
+	"repro/internal/paper"
 	"repro/internal/parse"
+	"repro/internal/storage"
 )
 
 func snapOpts(t *testing.T, every int) (Options, string, string) {
@@ -279,5 +284,49 @@ func TestConfirmIdempotentRetry(t *testing.T) {
 	// Tickets never granted still fail.
 	if err := m.Confirm(tk + 999); !errors.Is(err, ErrUnknownTicket) {
 		t.Fatalf("confirm of an unknown ticket: %v", err)
+	}
+}
+
+// TestRestartOverV3ChainWritesFullBase: a manager restarted over a
+// checkpoint chain written in state format version 3 restores it, but
+// its next checkpoint is a full version-4 base, not a delta extending
+// the older chain.
+func TestRestartOverV3ChainWritesFullBase(t *testing.T) {
+	store := storage.NewMemory()
+	// The Fig 7 chain the state package keeps as a golden file, taken
+	// after 994, 997 and 1000 actions, in the manager's envelope.
+	for i := range 3 {
+		piece, err := os.ReadFile(fmt.Sprintf("../state/testdata/fig7_delta%d.json", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := json.Marshal(managerSnap{V: snapVersion, Engine: piece})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SaveCheckpoint(storage.Checkpoint{Seq: uint64(994 + 3*i), Full: i == 0, Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := MustNew(paper.Fig7Coupled(), Options{Storage: store, FullCheckpointEvery: 8})
+	defer m.Close()
+	if m.Steps() != 1000 {
+		t.Fatalf("restored %d steps, want 1000", m.Steps())
+	}
+	confirmN(t, m, paper.PrepareAct("fresh", paper.ExamSono))
+	if err := m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	chain, err := store.RestoreChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap managerSnap
+	if err := json.Unmarshal(chain[0].Data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 1 || !chain[0].Full || chain[0].Seq != 1001 || !bytes.HasPrefix(snap.Engine, []byte(`{"v":4,"expr"`)) {
+		t.Fatalf("next checkpoint: %d pieces, full %t at %d, engine %.20s; want one full version-4 base at 1001",
+			len(chain), chain[0].Full, chain[0].Seq, snap.Engine)
 	}
 }

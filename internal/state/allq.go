@@ -367,29 +367,6 @@ func (s *allQState) releases(b *branch, p string, sh sharing) bool {
 	return b.keyIn(p, sh) == b.fresh
 }
 
-func (s *allQState) subst(p, v string) State {
-	if !s.e.HasFreeParam(p) {
-		return s
-	}
-	ne := s.e.Subst(p, v)
-	q := ne.Param
-	var alts []allQAlt
-	seen := make(map[string]bool)
-	for _, a := range s.alts {
-		anon := make([]anonBranch, len(a.anon))
-		for j, ab := range a.anon {
-			anon[j] = anonBranch{st: ab.st.subst(p, v), excl: ab.excl}
-		}
-		na := allQAlt{named: a.named.subst(p, v).canonical(), anon: sortAnon(anon)}
-		// Substitution can make alternatives equal that ρ kept apart.
-		if na.key = na.keyIn(q, nil); !seen[na.key] {
-			seen[na.key] = true
-			alts = append(alts, na)
-		}
-	}
-	return &allQState{e: ne, sigma: sigma{y: ne.Kids[0]}, strictA: expr.AlphabetOf(ne.Kids[0]), nullable: s.nullable, alts: alts}
-}
-
 func (s *allQState) inert() bool { return false }
 
 func (s *allQState) internParts(c *Cache) State {

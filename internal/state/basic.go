@@ -44,14 +44,6 @@ func (s *atomState) render(b *strings.Builder, env *expr.Env) {
 	s.atom.WriteIn(b, env)
 }
 
-func (s *atomState) subst(p, v string) State {
-	na := s.atom.Subst(p, v)
-	if na.Equal(s.atom) {
-		return s
-	}
-	return &atomState{atom: na, done: s.done}
-}
-
 // inert: once traversed, an atom can never move again, regardless of
 // substitutions. A pending atom may still fire after substitution.
 func (s *atomState) inert() bool { return s.done }
@@ -69,7 +61,6 @@ func (emptyState) Final() bool                            { return true }
 func (emptyState) Size() int                              { return 1 }
 func (emptyState) trans(expr.Action, sharing) State       { return nil }
 func (emptyState) render(b *strings.Builder, _ *expr.Env) { b.WriteString("eps") }
-func (emptyState) subst(p, v string) State                { return theEmptyState }
 func (emptyState) inert() bool                            { return true }
 func (emptyState) internParts(*Cache) State               { return theEmptyState }
 func (emptyState) keys() *keyed                           { return nil }
@@ -125,10 +116,6 @@ func (s *orState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteByte(']')
 }
 
-func (s *orState) subst(p, v string) State {
-	return newOrState(substAll(s.kids, p, v))
-}
-
 func (s *orState) inert() bool { return allInert(s.kids) }
 
 func (s *orState) internParts(c *Cache) State {
@@ -172,10 +159,6 @@ func (s *andState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteString("and[")
 	writeList(b, s.kids, env)
 	b.WriteByte(']')
-}
-
-func (s *andState) subst(p, v string) State {
-	return newAndState(substAll(s.kids, p, v))
 }
 
 // inert: if any branch can never move again, no action can ever be

@@ -7,7 +7,7 @@ import (
 	"repro/internal/expr"
 )
 
-// Delta checkpoints (format version 3). The DAG snapshot format
+// Delta checkpoints. The DAG snapshot format
 // deduplicates by canonical key within one snapshot; a delta chain
 // simply stretches that deduplication across snapshots. A
 // DeltaMarshaller keeps its encoder alive between calls, so a state
@@ -27,9 +27,8 @@ import (
 // and the ordinal count it expects the loader to have (Ord); both are
 // verified, so a truncated, reordered or mixed-up chain fails loudly
 // rather than silently resolving references against the wrong nodes.
-
-// deltaFormatVersion is written by DeltaMarshaller pieces.
-const deltaFormatVersion = 3
+// Every piece carries its chain's format version: a chain written
+// before version 4 loads to its end, but is not extended (Marshaller).
 
 // DeltaMarshaller writes a chain of engine checkpoints: a full base
 // (MarshalBase) followed by deltas (MarshalDelta) that contain only
@@ -58,7 +57,7 @@ func (dm *DeltaMarshaller) MarshalBase(en *Engine) ([]byte, error) {
 	}
 	enc := newEncoder()
 	data, err := json.Marshal(engineSnap{
-		V:     deltaFormatVersion,
+		V:     snapFormatVersion,
 		Expr:  en.e.String(),
 		Steps: en.steps,
 		State: enc.state(en.cur),
@@ -83,7 +82,7 @@ func (dm *DeltaMarshaller) MarshalDelta(en *Engine) ([]byte, error) {
 	}
 	ord := dm.enc.n // before the walk assigns this piece's ordinals
 	data, err := json.Marshal(engineSnap{
-		V:     deltaFormatVersion,
+		V:     snapFormatVersion,
 		Idx:   dm.next,
 		Ord:   ord,
 		Expr:  en.e.String(),
@@ -98,13 +97,14 @@ func (dm *DeltaMarshaller) MarshalDelta(en *Engine) ([]byte, error) {
 }
 
 // DeltaRestorer rebuilds an engine from a checkpoint chain, loading the
-// pieces oldest first. It also accepts a single standalone snapshot
-// (format 0 or 2) as the first piece, so a restore path can treat "one
-// old-style snapshot" as the degenerate one-piece chain.
+// pieces oldest first. A standalone snapshot of any supported format is
+// a valid first piece, so a restore path treats "one snapshot" as the
+// degenerate one-piece chain.
 type DeltaRestorer struct {
 	e    *expr.Expr
 	d    *decoder
 	next int // chain index of the next expected piece
+	v    int // format version the chain's later pieces carry
 	cur  State
 	st   int
 }
@@ -129,18 +129,19 @@ func (dr *DeltaRestorer) Load(data []byte) error {
 	}
 	if dr.next == 0 {
 		switch snap.V {
-		case 0, snapFormatVersion:
-			// A standalone snapshot is a valid chain base.
-		case deltaFormatVersion:
+		case 0, 2, 3, snapFormatVersion:
 			if snap.Idx != 0 || snap.Ord != 0 {
 				return fmt.Errorf("state: delta chain broken: first piece has chain index %d (want a full base)", snap.Idx)
 			}
 		default:
-			return fmt.Errorf("state: snapshot format version %d not supported (want 0, %d or %d)", snap.V, snapFormatVersion, deltaFormatVersion)
+			return fmt.Errorf("state: snapshot format version %d not supported (want 0, 2, 3 or %d)", snap.V, snapFormatVersion)
 		}
+		// Version 3 extended the standalone formats 0 and 2 with version-3
+		// deltas.
+		dr.v = max(snap.V, 3)
 	} else {
-		if snap.V != deltaFormatVersion {
-			return fmt.Errorf("state: delta chain broken: piece %d has format version %d (want %d)", dr.next, snap.V, deltaFormatVersion)
+		if snap.V != dr.v {
+			return fmt.Errorf("state: delta chain broken: piece %d has format version %d (want %d)", dr.next, snap.V, dr.v)
 		}
 		if snap.Idx != dr.next {
 			return fmt.Errorf("state: delta chain broken: piece has chain index %d, want %d", snap.Idx, dr.next)
@@ -175,8 +176,13 @@ func (dr *DeltaRestorer) Engine() (*Engine, error) {
 // chain: its encoder is seeded with every node ordinal the chain has
 // assigned, so the next MarshalDelta references them instead of
 // re-serializing, and a restarted manager keeps extending the chain it
-// recovered from.
+// recovered from. A chain written before the current format version is
+// not extended: Marshaller returns nil, and the next checkpoint is a
+// full base.
 func (dr *DeltaRestorer) Marshaller() *DeltaMarshaller {
+	if dr.v != snapFormatVersion {
+		return nil
+	}
 	enc := &encoder{seen: make(map[string]int, len(dr.d.byOrd)), n: len(dr.d.byOrd)}
 	for i, s := range dr.d.byOrd {
 		enc.seen[s.Key()] = i + 1

@@ -1,11 +1,13 @@
 package state
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/paper"
 	"repro/internal/parse"
 )
 
@@ -58,8 +60,10 @@ func restoreChain(t *testing.T, e *expr.Expr, chain [][]byte) *DeltaRestorer {
 }
 
 // TestDeltaChainRoundTrip: restoring base+deltas reproduces the exact
-// engine state (key, steps, finality) at every checkpoint, and the
-// delta pieces stay a fraction of what a full snapshot would be.
+// engine state (key, steps, finality) at every checkpoint, every piece
+// and the full snapshot stay within the bytes the substituted format
+// (version 3) needed, and the last delta emits in full exactly the nodes
+// no earlier piece emitted.
 func TestDeltaChainRoundTrip(t *testing.T) {
 	e, en, chain := driveDeltaChain(t, 24, 4)
 	if len(chain) < 3 {
@@ -77,16 +81,51 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 		t.Fatalf("steps: got %d want %d", re.Steps(), en.Steps())
 	}
 
-	// The last delta must be dramatically smaller than a standalone full
-	// snapshot of the same state: the quantifier's earlier branches are
-	// all back-references into prior pieces.
+	// The bytes of the same chain and full snapshot in format version 3,
+	// which wrote every branch substituted.
+	v3Pieces, v3Full := []int{857, 963, 1072, 1182, 1282, 1382}, 4542
+	if len(chain) != len(v3Pieces) {
+		t.Fatalf("%d pieces, want %d", len(chain), len(v3Pieces))
+	}
+	for i, piece := range chain {
+		if len(piece) > v3Pieces[i] {
+			t.Fatalf("piece %d is %d B, more than version 3's %d B", i, len(piece), v3Pieces[i])
+		}
+	}
 	full, err := en.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := chain[len(chain)-1]
-	if len(last)*2 > len(full) {
-		t.Fatalf("delta piece not compact: %dB delta vs %dB full snapshot", len(last), len(full))
+	if len(full) > v3Full {
+		t.Fatalf("full snapshot is %d B, more than version 3's %d B", len(full), v3Full)
+	}
+	t.Logf("pieces %d..%d B, full snapshot %d B", len(chain[0]), len(chain[len(chain)-1]), len(full))
+
+	// The last delta's full nodes are the state's nodes no earlier piece
+	// emitted, each once: the ordinals it assigned are exactly those keys.
+	prev := restoreChain(t, e, chain[:len(chain)-1]).d.byOrd
+	earlier := make(map[string]bool)
+	for _, s := range prev {
+		earlier[s.Key()] = true
+	}
+	enc := newEncoder()
+	enc.state(en.cur)
+	want := make(map[string]bool)
+	for k := range enc.seen {
+		if !earlier[k] {
+			want[k] = true
+		}
+	}
+	emitted := dr.d.byOrd[len(prev):]
+	got := make(map[string]bool)
+	for _, s := range emitted {
+		if !want[s.Key()] || got[s.Key()] {
+			t.Fatalf("last delta emits %s, which an earlier piece emitted or it repeats", s.Key())
+		}
+		got[s.Key()] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("last delta emits %d full nodes, want the %d no earlier piece emitted", len(got), len(want))
 	}
 }
 
@@ -218,8 +257,9 @@ func TestDeltaChainValidation(t *testing.T) {
 	}
 }
 
-// TestDeltaStandaloneBase: a plain MarshalState (format 2) snapshot
-// seeds a chain, and a continuation delta on top restores exactly.
+// TestDeltaStandaloneBase: a plain MarshalState snapshot, which is a
+// chain base, seeds a chain, and a continuation delta on top restores
+// exactly.
 func TestDeltaStandaloneBase(t *testing.T) {
 	e := parse.MustParse("all p: (call(p) - perform(p))*")
 	en := MustEngine(e)
@@ -271,5 +311,83 @@ func TestDeltaStandaloneBase(t *testing.T) {
 	}
 	if got, want := re2.StateKey(), en.StateKey(); got != want {
 		t.Fatalf("state key mismatch:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestPreV4ChainNotExtended: a chain written before format version 4
+// loads to its end, but Marshaller does not extend it, so the next
+// checkpoint is a full base; a chain's later pieces must carry its base's
+// version, and a version-2 standalone base takes version-3 deltas.
+func TestPreV4ChainNotExtended(t *testing.T) {
+	e := paper.Fig7Coupled()
+	load := func(pieces ...[]byte) (*DeltaRestorer, error) {
+		dr, err := NewDeltaRestorer(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pieces {
+			if err := dr.Load(p); err != nil {
+				return dr, err
+			}
+		}
+		return dr, nil
+	}
+	v3 := [][]byte{readGolden(t, "fig7_delta0.json"), readGolden(t, "fig7_delta1.json"), readGolden(t, "fig7_delta2.json")}
+	v4 := [][]byte{readGolden(t, "fig7_delta0_v4.json"), readGolden(t, "fig7_delta1_v4.json"), readGolden(t, "fig7_delta2_v4.json")}
+	dr, err := load(v3...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dm := dr.Marshaller(); dm != nil {
+		t.Fatal("Marshaller extends a version-3 chain")
+	}
+	if dr, err = load(v4...); err != nil {
+		t.Fatal(err)
+	}
+	dm := dr.Marshaller()
+	if dm == nil {
+		t.Fatal("Marshaller does not extend a version-4 chain")
+	}
+	en := chainEngine(t, dr)
+	if err := en.Step(fig7Step(goldenSteps)); err != nil {
+		t.Fatal(err)
+	}
+	next, err := dm.MarshalDelta(en)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr, err = load(append(v4, next)...); err != nil {
+		t.Fatal(err)
+	}
+	if got := chainEngine(t, dr).StateKey(); got != en.StateKey() {
+		t.Fatalf("extended chain restores to %s, want %s", got, en.StateKey())
+	}
+
+	// Mixed versions: the later piece's version is checked.
+	for _, tc := range []struct {
+		name   string
+		pieces [][]byte
+	}{
+		{"v3 base, v4 delta", [][]byte{v3[0], v4[1]}},
+		{"v4 base, v3 delta", [][]byte{v4[0], v3[1]}},
+	} {
+		if _, err := load(tc.pieces...); err == nil || !strings.Contains(err.Error(), "format version") {
+			t.Fatalf("%s: got %v, want a format-version error", tc.name, err)
+		}
+	}
+	// A version-2 standalone base took version-3 deltas.
+	v2, err := NewDeltaRestorer(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bytes.Replace(v3[0], []byte(`{"v":3,`), []byte(`{"v":2,`), 1)
+	if err := v2.Load(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := v2.Load(v3[1]); err != nil {
+		t.Fatalf("version-3 delta on a version-2 base: %v", err)
+	}
+	if v2.Marshaller() != nil {
+		t.Fatal("Marshaller extends a version-2 chain")
 	}
 }

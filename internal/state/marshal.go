@@ -1,7 +1,6 @@
 package state
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/expr"
@@ -9,7 +8,7 @@ import (
 )
 
 // Snapshot serialization: a State is encoded as a DAG of tagged-union
-// nodes mirroring the state hierarchy (format version 2). The encoder
+// nodes mirroring the state hierarchy (format version 4). The encoder
 // deduplicates by canonical key: the first occurrence of a structure (in
 // a deterministic preorder walk) is emitted in full and assigned the
 // next ordinal; every later occurrence is a one-field back-reference
@@ -21,9 +20,16 @@ import (
 // function of the structure, marshal → unmarshal → marshal is
 // byte-identical (FuzzSnapshotRoundTrip).
 //
-// Version-0 snapshots (the pre-DAG tree format, no "v" field) contain no
-// back-references and decode through the same decoder; old checkpoints
-// keep loading unchanged.
+// A quantifier branch is written as the engine holds it: its value and
+// its state over the body with the parameter still free (parametric, see
+// state.go). The branches of many values in one phase are one state, so
+// they cost one node and back-references. Versions 0 to 3 wrote each
+// branch's state with the parameter substituted; such a state is just as
+// valid a branch (binding leaves it as it is), so they decode through the
+// same decoder. Version-0 snapshots (the pre-DAG tree format, no "v"
+// field) contain no back-references; old checkpoints keep loading
+// unchanged. A decoder older than version 4 refuses a version-4 snapshot
+// with its version error rather than misread a free $p.
 //
 // Expressions referenced by states (iteration bodies, quantifier nodes,
 // ...) are stored in their canonical text form and re-parsed on load —
@@ -37,9 +43,9 @@ import (
 // truncate the action log: restart then costs O(actions since the last
 // checkpoint) instead of O(full history).
 
-// snapFormatVersion is written by MarshalState. Version 0 (absent field)
-// is the legacy tree format; both decode.
-const snapFormatVersion = 2
+// snapFormatVersion is written by MarshalState and by every piece of a
+// delta chain. Versions 0, 2 and 3 still decode (see engineSnap).
+const snapFormatVersion = 4
 
 // Node type tags. One per State implementation.
 const (
@@ -149,15 +155,14 @@ func (enc *encoder) alts(alts [][]State) [][]*snapNode {
 	return out
 }
 
-// branches writes the branches of a quantifier over p in substituted
-// form: a live branch's state is over the body with p free, its
-// snapshot is the state with p := val, as the format has always stored
-// it (restored branches are such states, which binding leaves as they
-// are).
-func (enc *encoder) branches(p string, bs branchSet) []snapBranch {
+// branches writes the branches of a quantifier as the engine holds
+// them: each value with its state over the body, the parameter free.
+// Branches of different values in the same phase share that state, so
+// all but the first are back-references.
+func (enc *encoder) branches(bs branchSet) []snapBranch {
 	out := make([]snapBranch, len(bs))
 	for i, b := range bs {
-		out[i] = snapBranch{Val: b.val, St: enc.state(b.st.subst(p, b.val))}
+		out[i] = snapBranch{Val: b.val, St: enc.state(b.st)}
 	}
 	return out
 }
@@ -203,19 +208,19 @@ func (enc *encoder) state(s State) *snapNode {
 		}
 		return n
 	case *anyQState:
-		n := &snapNode{T: tagAnyQ, E: st.e.String(), Br: enc.branches(st.e.Param, st.touched), Excl: st.excluded}
+		n := &snapNode{T: tagAnyQ, E: st.e.String(), Br: enc.branches(st.touched), Excl: st.excluded}
 		if st.generic != nil {
 			n.Gen = enc.state(st.generic)
 		}
 		return n
 	case *conQState:
-		return &snapNode{T: tagConQ, E: st.e.String(), Br: enc.branches(st.e.Param, st.touched), Gen: enc.state(st.generic)}
+		return &snapNode{T: tagConQ, E: st.e.String(), Br: enc.branches(st.touched), Gen: enc.state(st.generic)}
 	case *syncQState:
-		return &snapNode{T: tagSyncQ, E: st.e.String(), Br: enc.branches(st.e.Param, st.touched), Gen: enc.state(st.generic)}
+		return &snapNode{T: tagSyncQ, E: st.e.String(), Br: enc.branches(st.touched), Gen: enc.state(st.generic)}
 	case *allQState:
 		n := &snapNode{T: tagAllQ, E: st.e.String()}
 		for _, a := range st.alts {
-			qa := snapQAlt{Named: enc.branches(st.e.Param, a.named)}
+			qa := snapQAlt{Named: enc.branches(a.named)}
 			for _, ab := range a.anon {
 				qa.Anon = append(qa.Anon, enc.state(ab.st))
 				qa.Excl = append(qa.Excl, ab.excl)
@@ -227,11 +232,11 @@ func (enc *encoder) state(s State) *snapNode {
 	panic(fmt.Sprintf("state: cannot snapshot %T", s))
 }
 
-// decoder caches parsed expressions (snapshots of quantified states repeat
-// the same substituted body text across branches) and resolves DAG
-// back-references: byOrd mirrors the encoder's preorder ordinals, so a
-// {"r":N} node returns the N-th fully decoded state. Version-0 snapshots
-// simply never reference the slots.
+// decoder caches parsed expressions (sub-states of one expression repeat
+// its text, and pre-v4 snapshots repeat each quantifier body, substituted
+// once per branch) and resolves DAG back-references: byOrd mirrors the
+// encoder's preorder ordinals, so a {"r":N} node returns the N-th fully
+// decoded state. Version-0 snapshots simply never reference the slots.
 type decoder struct {
 	exprs map[string]*expr.Expr
 	byOrd []State
@@ -500,11 +505,13 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 // format version: 0/absent is the legacy tree encoding, 2 the shared DAG
 // encoding with back-references, 3 the delta-chain encoding (same DAG
 // node format, but back-references may reach nodes emitted by earlier
-// pieces of the chain — see delta.go). Idx and Ord only appear in
-// version 3: Idx is the piece's position in its chain (0 = full base)
-// and Ord the number of node ordinals all earlier pieces assigned,
-// which a loader checks before decoding so a mismatched or reordered
-// chain fails loudly instead of resolving references wrongly.
+// pieces of the chain — see delta.go), 4 the delta-chain encoding with
+// parametric quantifier branches. A standalone snapshot is a chain base.
+// Idx and Ord appear in the later pieces of a chain: Idx is the piece's
+// position in its chain (0 = full base) and Ord the number of node
+// ordinals all earlier pieces assigned, which a loader checks before
+// decoding so a mismatched or reordered chain fails loudly instead of
+// resolving references wrongly.
 type engineSnap struct {
 	V     int       `json:"v,omitempty"`
 	Idx   int       `json:"idx,omitempty"`
@@ -515,21 +522,14 @@ type engineSnap struct {
 }
 
 // MarshalState serializes the engine's current state and step count in
-// the DAG format. The snapshot embeds the canonical form of the
-// expression so a restore against a different expression is rejected.
-// Because states are immutable the snapshot shares structure with the
-// live state — no deep copy happens; the encoder walks the (possibly
-// hash-consed) DAG once per distinct sub-state.
+// the DAG format: the base of a new delta chain. The snapshot embeds the
+// canonical form of the expression so a restore against a different
+// expression is rejected. Because states are immutable the snapshot
+// shares structure with the live state — no deep copy happens; the
+// encoder walks the (possibly hash-consed) DAG once per distinct
+// sub-state.
 func (en *Engine) MarshalState() ([]byte, error) {
-	if en.cur == nil {
-		return nil, fmt.Errorf("state: cannot snapshot an invalid engine state")
-	}
-	return json.Marshal(engineSnap{
-		V:     snapFormatVersion,
-		Expr:  en.e.String(),
-		Steps: en.steps,
-		State: newEncoder().state(en.cur),
-	})
+	return NewDeltaMarshaller().MarshalBase(en)
 }
 
 // RestoreEngine rebuilds an engine for e from a standalone snapshot

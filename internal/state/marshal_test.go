@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/paper"
 	"repro/internal/parse"
 )
 
@@ -173,6 +174,63 @@ func TestSnapshotGarbage(t *testing.T) {
 	for _, data := range []string{"", "{", `{"expr":"a","state":{"t":"nope"}}`, `{"expr":"a","state":null}`} {
 		if _, err := RestoreEngine(e, []byte(data)); err == nil {
 			t.Errorf("restore of %q should fail", data)
+		}
+	}
+}
+
+// openVisitRound is round k of the open-visits window on Fig 7: patient
+// k is prepared, and the patient prepared n rounds earlier is called and
+// performed, so n visits stay open.
+func openVisitRound(t *testing.T, en *Engine, k, n int) {
+	t.Helper()
+	acts := []expr.Action{paper.PrepareAct(paper.Patient(k), paper.ExamSono)}
+	if k >= n {
+		p := paper.Patient(k - n)
+		acts = append(acts, paper.CallAct(p, paper.ExamSono), paper.PerformAct(p, paper.ExamSono))
+	}
+	for _, a := range acts {
+		if err := en.Step(a); err != nil {
+			t.Fatalf("round %d: %s: %v", k, a, err)
+		}
+	}
+}
+
+// TestFig7OpenVisitsSnapshotBytes: with 512 visits open, the branches of
+// the visits in one phase are one state, so the snapshot holds each
+// value once and that state once (269,777 B when every branch was
+// written substituted). The restored engine holds the same nodes as the
+// live one: equal key and size, and equal keys for 100 more rounds.
+func TestFig7OpenVisitsSnapshotBytes(t *testing.T) {
+	const rounds, more = 300, 100
+	for _, n := range []int{4, 64, 512} {
+		en := MustEngine(paper.Fig7Coupled())
+		for k := 0; k < n+rounds; k++ {
+			openVisitRound(t, en, k, n)
+		}
+		data, err := en.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d open visits: snapshot %d B, state size %d", n, len(data), en.StateSize())
+		if n < 512 {
+			continue
+		}
+		if len(data) > 20_000 {
+			t.Fatalf("snapshot of %d open visits is %d B, want at most 20,000", n, len(data))
+		}
+		back, err := RestoreEngine(paper.Fig7Coupled(), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.StateKey() != en.StateKey() || back.StateSize() != en.StateSize() {
+			t.Fatalf("restored engine: size %d, want %d; keys equal %t", back.StateSize(), en.StateSize(), back.StateKey() == en.StateKey())
+		}
+		for k := n + rounds; k < n+rounds+more; k++ {
+			openVisitRound(t, en, k, n)
+			openVisitRound(t, back, k, n)
+			if back.StateKey() != en.StateKey() {
+				t.Fatalf("round %d: restored engine's key differs from the live one's", k)
+			}
 		}
 	}
 }

@@ -122,14 +122,6 @@ func (s *parState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteByte('}')
 }
 
-func (s *parState) subst(p, v string) State {
-	next := make([][]State, len(s.alts))
-	for i, alt := range s.alts {
-		next[i] = substAll(alt, p, v)
-	}
-	return &parState{alts: dedupAlts(next)}
-}
-
 func (s *parState) inert() bool {
 	for _, alt := range s.alts {
 		if !allInert(alt) {
@@ -215,14 +207,6 @@ func (s *multState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteString("mult{")
 	writeAlts(b, s.alts, env, true)
 	b.WriteByte('}')
-}
-
-func (s *multState) subst(p, v string) State {
-	next := make([][]State, len(s.alts))
-	for i, alt := range s.alts {
-		next[i] = sortStatesKeepDup(substAll(alt, p, v))
-	}
-	return &multState{alts: dedupAlts(next)}
 }
 
 func (s *multState) inert() bool {
@@ -322,17 +306,6 @@ func (s *parIterState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteString(">{")
 	writeAlts(b, s.alts, env, true)
 	b.WriteByte('}')
-}
-
-func (s *parIterState) subst(p, v string) State {
-	if !s.y.HasFreeParam(p) {
-		return s
-	}
-	next := make([][]State, len(s.alts))
-	for i, alt := range s.alts {
-		next[i] = sortStatesKeepDup(substAll(alt, p, v))
-	}
-	return &parIterState{sigma: sigma{y: s.y.Subst(p, v)}, alts: dedupAlts(next)}
 }
 
 // inert: a fresh instance can always be started, so a parallel iteration

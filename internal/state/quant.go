@@ -9,8 +9,9 @@ import (
 
 // branch is one value-instantiated branch of a quantifier state: the
 // value and a state over the quantifier's body with the parameter still
-// free. τ̂ walks st with p bound to val (see sharing); a restored branch
-// may hold the substituted state instead, which binding leaves as it is.
+// free. τ̂ walks st with p bound to val (see sharing); a branch restored
+// from a pre-v4 snapshot holds the substituted state instead, which
+// binding leaves as it is.
 type branch struct {
 	val string
 	st  State
@@ -101,15 +102,6 @@ func (bs branchSet) size() int {
 		n += b.st.Size()
 	}
 	return n
-}
-
-// subst substitutes p := v in every branch state.
-func (bs branchSet) subst(p, v string) branchSet {
-	out := make(branchSet, len(bs))
-	for i, b := range bs {
-		out[i] = branch{val: b.val, st: b.st.subst(p, v)}
-	}
-	return out
 }
 
 // internParts canonicalizes every branch state, preserving order.
@@ -280,18 +272,6 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 	return &anyQState{e: s.e, strictA: s.strictA, touched: touched.canonical(), generic: generic, excluded: excluded}
 }
 
-func (s *anyQState) subst(p, v string) State {
-	if !s.e.HasFreeParam(p) {
-		return s
-	}
-	var generic State
-	if s.generic != nil {
-		generic = s.generic.subst(p, v)
-	}
-	ne := s.e.Subst(p, v)
-	return &anyQState{e: ne, strictA: expr.AlphabetOf(ne.Kids[0]), touched: s.touched.subst(p, v), generic: generic, excluded: s.excluded}
-}
-
 func (s *anyQState) internParts(c *Cache) State {
 	var generic State
 	if s.generic != nil {
@@ -399,14 +379,6 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 		}
 	}
 	return &conQState{e: s.e, strictA: s.strictA, touched: touched.canonical(), generic: generic}
-}
-
-func (s *conQState) subst(p, v string) State {
-	if !s.e.HasFreeParam(p) {
-		return s
-	}
-	ne := s.e.Subst(p, v)
-	return &conQState{e: ne, strictA: expr.AlphabetOf(ne.Kids[0]), touched: s.touched.subst(p, v), generic: s.generic.subst(p, v)}
 }
 
 func (s *conQState) inert() bool {
@@ -520,20 +492,6 @@ func (s *syncQState) takesPart(a expr.Action, bs sharing) bool {
 // takes part in a, without building y_v.
 func (s *syncQState) involved(a expr.Action, v string) bool {
 	return s.takesPart(a, sharing{}.bind(s.e.Param, v))
-}
-
-func (s *syncQState) subst(p, v string) State {
-	if !s.e.HasFreeParam(p) {
-		return s
-	}
-	ne := s.e.Subst(p, v)
-	return &syncQState{
-		e:       ne,
-		whole:   expr.AlphabetOf(ne),
-		touched: s.touched.subst(p, v),
-		generic: s.generic.subst(p, v),
-		genA:    expr.AlphabetOf(ne.Kids[0]),
-	}
 }
 
 func (s *syncQState) inert() bool { return false }

@@ -295,23 +295,28 @@ func forBranches(s State, f func(p string, b branch)) {
 	}
 }
 
+// reboundSrcs rebind $p inside a branch: any p inside all p, two-
+// parameter atoms, and mult, conq and syncq bodies. FuzzSnapshotRoundTrip
+// seeds with them too.
+var reboundSrcs = []string{
+	"all p: (any q: z($p,$q) - z($q,$p))*",
+	"all p: x($p) - (any p: z($p,v1))",
+	"all p: (x($p) | x(v1))* || (all q: z($p,$q)?)",
+	"any p: (x($p) || x(v1))# @ (syncq q: z($q,$p)*)",
+	"conq p: (x($p) | x(v2) | (all p: z($p,v2)?))*",
+	"all p: mult(2, (any q: z($p,$q) - x($q))*)",
+	"all p: (all q: (z($p,$q) || z($q,$p))?)?",
+}
+
 // TestBranchKeysRenderSubstitution: a branch holds a state over the body
 // with its parameter free, and its key is that state's key rendered
 // under the binding. The rendering must be the key of the substituted
 // state — what the branch held before binding walked the template —
 // including where binding makes distinct states equal or reorders
-// them, and under shadowing; and a snapshot, which stores branches
-// substituted, must restore to the same keys and go on identically.
+// them, and under shadowing; and a snapshot, which stores branches as
+// they are, must restore to the same keys and go on identically.
 func TestBranchKeysRenderSubstitution(t *testing.T) {
-	srcs := []string{
-		"all p: (any q: z($p,$q) - z($q,$p))*",
-		"all p: x($p) - (any p: z($p,v1))",
-		"all p: (x($p) | x(v1))* || (all q: z($p,$q)?)",
-		"any p: (x($p) || x(v1))# @ (syncq q: z($q,$p)*)",
-		"conq p: (x($p) | x(v2) | (all p: z($p,v2)?))*",
-		"all p: mult(2, (any q: z($p,$q) - x($q))*)",
-		"all p: (all q: (z($p,$q) || z($q,$p))?)?",
-	}
+	srcs := reboundSrcs
 	sigma := []expr.Action{
 		ca("x", "v1"), ca("x", "v2"), ca("z", "v1", "v2"), ca("z", "v2", "v1"),
 		ca("z", "v1", "v1"), ca("z", "v2", "v2"), ca("z", "v2", "v3"), ca("x", "v3"),
@@ -329,7 +334,7 @@ func TestBranchKeysRenderSubstitution(t *testing.T) {
 				}
 				forBranches(en.cur, func(p string, b branch) {
 					checked++
-					want := b.st.subst(p, b.val).Key()
+					want := substRef(b.st, p, b.val).Key()
 					if got := keyIn(b.st, &expr.Env{P: p, V: b.val}); got != want {
 						t.Fatalf("%s: branch %s=%s renders %s, substituted key %s", src, p, b.val, got, want)
 					}
@@ -359,12 +364,133 @@ func TestBranchKeysRenderSubstitution(t *testing.T) {
 	t.Logf("%d branch keys checked", checked)
 }
 
+// substRef is the tests' reference substitution: the state of the
+// substituted body y_v that a branch over y with p free stands for,
+// built by replacing p := v throughout, as the engine's branches were
+// built before they stayed parametric.
+func substRef(s State, p, v string) State {
+	all := func(ss []State) []State {
+		out := make([]State, len(ss))
+		for i, s := range ss {
+			out[i] = substRef(s, p, v)
+		}
+		return out
+	}
+	alts := func(alts [][]State, keepDup bool) [][]State {
+		out := make([][]State, len(alts))
+		for i, alt := range alts {
+			if out[i] = all(alt); keepDup {
+				out[i] = sortStatesKeepDup(out[i])
+			}
+		}
+		return dedupAlts(out)
+	}
+	branches := func(bs branchSet) branchSet {
+		out := make(branchSet, len(bs))
+		for i, b := range bs {
+			out[i] = branch{val: b.val, st: substRef(b.st, p, v)}
+		}
+		return out.canonical()
+	}
+	switch st := s.(type) {
+	case emptyState:
+		return s
+	case *atomState:
+		return &atomState{atom: st.atom.Subst(p, v), done: st.done}
+	case *orState:
+		return newOrState(all(st.kids))
+	case *andState:
+		return newAndState(all(st.kids))
+	case *seqState:
+		if !st.e.HasFreeParam(p) {
+			return s
+		}
+		ns := &seqState{e: st.e.Subst(p, v)}
+		as := make([]seqAlt, len(st.alts))
+		for i, a := range st.alts {
+			as[i] = seqAlt{a.idx, substRef(a.st, p, v)}
+		}
+		ns.alts = ns.close(as)
+		return ns
+	case *seqIterState:
+		if !st.y.HasFreeParam(p) {
+			return s
+		}
+		return &seqIterState{sigma: sigma{y: st.y.Subst(p, v)}, insts: sortDedupStates(all(st.insts)), boundary: st.boundary}
+	case *parState:
+		return &parState{alts: alts(st.alts, false)}
+	case *multState:
+		return &multState{alts: alts(st.alts, true)}
+	case *parIterState:
+		if !st.y.HasFreeParam(p) {
+			return s
+		}
+		return &parIterState{sigma: sigma{y: st.y.Subst(p, v)}, alts: alts(st.alts, true)}
+	case *syncState:
+		ns := &syncState{}
+		for i, k := range st.kidExprs {
+			ke := k.Subst(p, v)
+			ns.kidExprs = append(ns.kidExprs, ke)
+			ns.kids = append(ns.kids, substRef(st.kids[i], p, v))
+			ns.alphas = append(ns.alphas, expr.AlphabetOf(ke))
+		}
+		return ns
+	}
+	var e *expr.Expr
+	switch st := s.(type) {
+	case *anyQState:
+		e = st.e
+	case *conQState:
+		e = st.e
+	case *syncQState:
+		e = st.e
+	case *allQState:
+		e = st.e
+	}
+	if !e.HasFreeParam(p) {
+		return s
+	}
+	ne := e.Subst(p, v)
+	body := ne.Kids[0]
+	switch st := s.(type) {
+	case *anyQState:
+		var generic State
+		if st.generic != nil {
+			generic = substRef(st.generic, p, v)
+		}
+		return &anyQState{e: ne, strictA: expr.AlphabetOf(body), touched: branches(st.touched), generic: generic, excluded: st.excluded}
+	case *conQState:
+		return &conQState{e: ne, strictA: expr.AlphabetOf(body), touched: branches(st.touched), generic: substRef(st.generic, p, v)}
+	case *syncQState:
+		return &syncQState{e: ne, whole: expr.AlphabetOf(ne), touched: branches(st.touched), generic: substRef(st.generic, p, v), genA: expr.AlphabetOf(body)}
+	case *allQState:
+		var as []allQAlt
+		seen := make(map[string]bool)
+		for _, a := range st.alts {
+			anon := make([]anonBranch, len(a.anon))
+			for j, ab := range a.anon {
+				anon[j] = anonBranch{st: substRef(ab.st, p, v), excl: ab.excl}
+			}
+			na := allQAlt{named: branches(a.named), anon: sortAnon(anon)}
+			// Substitution can make alternatives equal that ρ kept apart.
+			if na.key = na.keyIn(ne.Param, nil); !seen[na.key] {
+				seen[na.key] = true
+				as = append(as, na)
+			}
+		}
+		return &allQState{e: ne, sigma: sigma{y: body}, strictA: expr.AlphabetOf(body), nullable: st.nullable, alts: as}
+	}
+	panic(fmt.Sprintf("substRef: %T", s))
+}
+
 // TestStateSizeCountsTemplateNodes: a branch's state is the body's state
-// with the parameter free, and Size counts its nodes as they are, while
-// a restored branch holds the substituted state. Where binding makes two
-// nodes of a set equal, as or[-x($p),-x(v1)] under p := v1, the live
-// state counts one node more than its restored copy, whose key is the
-// same.
+// with the parameter free, and Size counts its nodes as they are. A
+// snapshot writes the branch as it is, so the restored engine counts the
+// same nodes. A version-3 snapshot wrote the substituted state: where
+// binding makes two nodes of a set equal, as or[-x($p),-x(v1)] under
+// p := v1, the engine restored from it counts one node less, under the
+// same key. testdata/template_v3.json is that snapshot, written by the
+// version-3 encoder after z(v1).
 func TestStateSizeCountsTemplateNodes(t *testing.T) {
 	e := parse.MustParse("all p: z($p) - (x($p) | x(v1))")
 	en := MustEngine(e)
@@ -375,14 +501,23 @@ func TestStateSizeCountsTemplateNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := RestoreEngine(e, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.StateKey() != en.StateKey() {
-		t.Fatalf("restored key %s, want %s", back.StateKey(), en.StateKey())
-	}
-	if live, restored := en.StateSize(), back.StateSize(); live != 6 || restored != 5 {
-		t.Fatalf("state size: live %d, restored %d; want 6 and 5", live, restored)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		size int
+	}{
+		{"v4", data, 6},
+		{"v3", readGolden(t, "template_v3.json"), 5},
+	} {
+		back, err := RestoreEngine(e, tc.data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if back.StateKey() != en.StateKey() {
+			t.Fatalf("%s: restored key %s, want %s", tc.name, back.StateKey(), en.StateKey())
+		}
+		if live, restored := en.StateSize(), back.StateSize(); live != 6 || restored != tc.size {
+			t.Fatalf("%s: state size: live %d, restored %d; want 6 and %d", tc.name, live, restored, tc.size)
+		}
 	}
 }

@@ -143,21 +143,6 @@ type seqAltKey struct {
 	key string
 }
 
-func (s *seqState) subst(p, v string) State {
-	if !s.e.HasFreeParam(p) {
-		return s
-	}
-	ns := &seqState{e: s.e.Subst(p, v)}
-	alts := make([]seqAlt, len(s.alts))
-	for i, a := range s.alts {
-		alts[i] = seqAlt{a.idx, a.st.subst(p, v)}
-	}
-	// Substitution preserves validity and finality, so the closure
-	// invariant still holds; rebuild for canonical order.
-	ns.alts = ns.close(alts)
-	return ns
-}
-
 func (s *seqState) inert() bool {
 	for _, a := range s.alts {
 		if !a.st.inert() {
@@ -246,17 +231,6 @@ func (s *seqIterState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteByte('[')
 	writeSet(b, s.insts, env, true)
 	b.WriteByte(']')
-}
-
-func (s *seqIterState) subst(p, v string) State {
-	if !s.y.HasFreeParam(p) {
-		return s
-	}
-	return &seqIterState{
-		sigma:    sigma{y: s.y.Subst(p, v)},
-		insts:    sortDedupStates(substAll(s.insts, p, v)),
-		boundary: s.boundary,
-	}
 }
 
 func (s *seqIterState) inert() bool {

@@ -67,7 +67,8 @@ func assertRoundTrip(t *testing.T, en *Engine, cands []expr.Action) {
 // reached state. The seed corpus covers the exclusion-carrying
 // quantifier states introduced by the PR-2 binding-soundness fix
 // (anonymous allQ branches and anyQ generic branches with excluded
-// bindings) as well as every node type of the format.
+// bindings), every node type of the format, and the rebound parameters
+// of reboundSrcs, whose branch states are written with $p free.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	seeds := []string{
 		"all p0: ((x($p0) || a) @ mult(2, x(v2)))?",
@@ -79,7 +80,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		"(a - b)# & (a | b)*",
 		"mult(3, a - b) || (any p: lock(p) - unlock(p))",
 	}
-	for _, src := range seeds {
+	for _, src := range append(seeds, reboundSrcs...) {
 		f.Add(src, []byte{0, 1, 2, 3, 4, 5, 6, 7})
 		f.Add(src, []byte{0, 0, 1, 1, 2, 2})
 		f.Add(src, []byte{3, 1, 4, 1, 5, 9, 2, 6})
@@ -100,7 +101,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		assertRoundTrip(t, en, cands)
 		steps := 0
 		for _, b := range word {
-			if steps >= 10 {
+			// A malignant expression (Sec 6) can multiply its state with
+			// every action: all A:(all q:(z(p,q)||z(q,p))?)? reaches
+			// 593,040 nodes in 8, where one Try sweep takes seconds and the
+			// fuzzer reports a hung worker. Seeds and corpus words stay
+			// under 1,500 nodes.
+			if steps >= 10 || en.StateSize() > 5000 {
 				break
 			}
 			a := cands[int(b)%len(cands)]
@@ -221,8 +227,8 @@ func TestSnapshotLegacyTreeFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Contains(data2, []byte(`"v":2`)) {
-				t.Fatalf("re-marshal should be version 2: %s", data2)
+			if !bytes.Contains(data2, []byte(`"v":4`)) {
+				t.Fatalf("re-marshal should be version 4: %s", data2)
 			}
 		})
 	}

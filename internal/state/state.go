@@ -28,8 +28,9 @@
 // sharing), and a branch's key is its state's key rendered under that
 // binding (keyIn), which is the key the substituted state would have. So
 // the branches of different values in the same phase are one state, and
-// binding a value costs a walk, not a copy of the body. Only snapshots
-// write branches in substituted form (subst, in marshal.go).
+// binding a value costs a walk, not a copy of the body. Snapshots write
+// branches the same way (marshal.go), so a restored engine holds the
+// nodes the live one held; no code in the package substitutes a state.
 //
 // The package is verified against the executable formal semantics
 // (internal/semantics) by exhaustive bounded-language comparison and by
@@ -57,8 +58,9 @@ type State interface {
 	// by the complexity experiments of Sec 6. A quantifier branch counts
 	// its state over the body with the parameter free, so where binding
 	// makes two nodes equal (or[-x($p),-x(v1)] under p := v1) it counts
-	// one more node than the substituted state, which a restored branch
-	// holds, although the keys agree.
+	// one more node than the substituted state would, although the keys
+	// agree. A branch restored from a pre-v4 snapshot holds that
+	// substituted state, and counts the fewer nodes.
 	Size() int
 	// trans performs the optimized transition τ̂ for a concrete action
 	// under strict matching, with the parameters the walk sh binds read
@@ -72,10 +74,6 @@ type State interface {
 	// which is the Key of the substituted state. With env nil it writes
 	// Key.
 	render(b *strings.Builder, env *expr.Env)
-	// subst replaces the free parameter p with value v throughout the
-	// state. Snapshots use it to write branches in substituted form; no
-	// transition does.
-	subst(p, v string) State
 	// inert reports that no transition can ever succeed from this state,
 	// under any future parameter substitution. Used by ρ to drop
 	// completed instances of parallel iterations. Must be conservative:
@@ -421,12 +419,4 @@ func sumSizes(ss []State) int {
 		n += s.Size()
 	}
 	return n
-}
-
-func substAll(ss []State, p, v string) []State {
-	out := make([]State, len(ss))
-	for i, s := range ss {
-		out[i] = s.subst(p, v)
-	}
-	return out
 }

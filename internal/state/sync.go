@@ -112,31 +112,6 @@ func (s *syncState) trans(a expr.Action, sh sharing) State {
 	return &syncState{kidExprs: s.kidExprs, kids: next, alphas: s.alphas}
 }
 
-func (s *syncState) subst(p, v string) State {
-	free := false
-	for _, k := range s.kidExprs {
-		if k.HasFreeParam(p) {
-			free = true
-			break
-		}
-	}
-	if !free {
-		return s
-	}
-	n := len(s.kids)
-	ns := &syncState{
-		kidExprs: make([]*expr.Expr, n),
-		kids:     make([]State, n),
-		alphas:   make([]*expr.Alphabet, n),
-	}
-	for i := range s.kids {
-		ns.kidExprs[i] = s.kidExprs[i].Subst(p, v)
-		ns.kids[i] = s.kids[i].subst(p, v)
-		ns.alphas[i] = expr.AlphabetOf(ns.kidExprs[i])
-	}
-	return ns
-}
-
 func (s *syncState) inert() bool { return allInert(s.kids) }
 
 func (s *syncState) internParts(c *Cache) State {
