@@ -412,6 +412,15 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			// Close ran between Accept and here: it has closed every conn
+			// it found, so this one is closed here or nothing would.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = true
 		s.mu.Unlock()
 		s.wg.Add(1)

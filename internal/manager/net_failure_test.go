@@ -224,3 +224,54 @@ func TestSendAfterServerGone(t *testing.T) {
 		}
 	}
 }
+
+// lateListener hands Accept one last connection while it is being
+// closed, as a listener whose backlog still held one does.
+type lateListener struct {
+	conns chan net.Conn
+	once  sync.Once
+	peer  net.Conn
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	c, ok := <-l.conns
+	if !ok {
+		return nil, errors.New("listener closed")
+	}
+	return c, nil
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() {
+		srv, cli := net.Pipe()
+		l.peer = cli
+		l.conns <- srv
+		close(l.conns)
+	})
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestServerCloseClosesLateConn: a connection that Accept returns while
+// Close runs is closed too, so Close returns instead of waiting forever
+// on that connection's reader.
+func TestServerCloseClosesLateConn(t *testing.T) {
+	m := MustNew(parse.MustParse("a"), Options{})
+	defer m.Close()
+	for i := 0; i < 200; i++ {
+		ln := &lateListener{conns: make(chan net.Conn, 1)}
+		s := NewServer(m, ln)
+		closed := make(chan struct{})
+		go func() {
+			s.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: Close still waits on a connection accepted while it ran", i)
+		}
+		ln.peer.Close()
+	}
+}
