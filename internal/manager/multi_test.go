@@ -267,8 +267,10 @@ func TestRouterSubscribeDeliversLatestStatus(t *testing.T) {
 		flip()
 	}
 	flip()
-	// Let the forwarder take the last flip off the manager's channel
-	// before anything is drained.
+	// Let the forwarder take the last flip off the manager's channel and
+	// offer it to the full agg.C before anything is drained. Draining at
+	// once would free a slot first, and a forwarder that drops the newest
+	// inform would then deliver it anyway: the test would pass against it.
 	for _, p := range agg.parts {
 		for len(p.sub.C) > 0 {
 			time.Sleep(time.Millisecond)

@@ -293,10 +293,10 @@ func TestConfirmIdempotentRetry(t *testing.T) {
 // the older chain.
 func TestRestartOverV3ChainWritesFullBase(t *testing.T) {
 	store := storage.NewMemory()
-	// The Fig 7 chain the state package keeps as a golden file, taken
-	// after 994, 997 and 1000 actions, in the manager's envelope.
+	// A copy of the state package's v3 Fig 7 golden chain, taken after
+	// 994, 997 and 1000 actions, put in the manager's envelope.
 	for i := range 3 {
-		piece, err := os.ReadFile(fmt.Sprintf("../state/testdata/fig7_delta%d.json", i))
+		piece, err := os.ReadFile(fmt.Sprintf("testdata/fig7_v3_delta%d.json", i))
 		if err != nil {
 			t.Fatal(err)
 		}
