@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,36 +101,84 @@ func TestIxcheckActionProblem(t *testing.T) {
 	}
 }
 
-// freePort reserves a loopback port and releases it for a subprocess.
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+// proc is a tool subprocess whose standard output is collected line by
+// line.
+type proc struct {
+	mu    sync.Mutex
+	lines []string
+	more  chan struct{} // signalled when a line arrives
+	done  chan struct{} // closed when the output ends: the process exited
 }
 
 // startProc launches a tool subprocess and kills it at cleanup.
-func startProc(t *testing.T, bin string, args ...string) *exec.Cmd {
+func startProc(t *testing.T, bin string, args ...string) *proc {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout = io.Discard
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", filepath.Base(bin), err)
 	}
+	p := &proc{more: make(chan struct{}, 1), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			p.mu.Lock()
+			p.lines = append(p.lines, sc.Text())
+			p.mu.Unlock()
+			select {
+			case p.more <- struct{}{}:
+			default:
+			}
+		}
+	}()
 	t.Cleanup(func() {
 		cmd.Process.Kill()
+		<-p.done
 		cmd.Wait()
 	})
-	return cmd
+	return p
 }
 
-// waitPort blocks until the address accepts connections.
-func waitPort(t *testing.T, addr string) {
+// addr returns the address the process prints on the line that starts
+// with prefix, after its last " on ": "serving ... on ADDR", "admin
+// endpoint on ADDR", "metrics on http://ADDR/metrics". The tools listen
+// on port 0 and print the port they were given, so no port is reserved
+// and released first, for another process to take. It waits up to 10 s,
+// and fails at once if the process exits first.
+func (p *proc) addr(t *testing.T, prefix string) string {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for seen, exited := 0, false; ; {
+		p.mu.Lock()
+		lines := p.lines
+		p.mu.Unlock()
+		for ; seen < len(lines); seen++ {
+			if line := lines[seen]; strings.HasPrefix(line, prefix) {
+				a := strings.Fields(line[strings.LastIndex(line, " on ")+len(" on "):])[0]
+				return strings.TrimSuffix(strings.TrimPrefix(a, "http://"), "/metrics")
+			}
+		}
+		if exited {
+			t.Fatalf("the process exited without printing %q", prefix)
+		}
+		select {
+		case <-p.more:
+		case <-p.done:
+			exited = true
+		case <-deadline:
+			t.Fatalf("no %q line within 10 s", prefix)
+		}
+	}
+}
+
+// waitPort blocks until the address accepts connections, and fails at
+// once if the process serving it exits.
+func waitPort(t *testing.T, p *proc, addr string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -138,7 +187,11 @@ func waitPort(t *testing.T, addr string) {
 			c.Close()
 			return
 		}
-		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-p.done:
+			t.Fatalf("the process serving %s exited", addr)
+		case <-time.After(50 * time.Millisecond):
+		}
 	}
 	t.Fatalf("%s never came up", addr)
 }
@@ -168,24 +221,23 @@ func TestIxgatewayAdminEndpoint(t *testing.T) {
 	mgrBin := buildTool(t, "ixmanager")
 	gwBin := buildTool(t, "ixgateway")
 
-	shard0 := freePort(t)
-	shard1 := freePort(t)
-	gwAddr := freePort(t)
-	admAddr := freePort(t)
-	metAddr := freePort(t)
-
-	startProc(t, mgrBin, "-e", "(a - b)*", "-addr", shard0)
-	startProc(t, mgrBin, "-e", "(a - c)*", "-addr", shard1)
-	waitPort(t, shard0)
-	waitPort(t, shard1)
-	startProc(t, gwBin,
+	const port0 = "127.0.0.1:0" // any free port
+	m0 := startProc(t, mgrBin, "-e", "(a - b)*", "-addr", port0)
+	m1 := startProc(t, mgrBin, "-e", "(a - c)*", "-addr", port0)
+	shard0, shard1 := m0.addr(t, "ixmanager: serving"), m1.addr(t, "ixmanager: serving")
+	waitPort(t, m0, shard0)
+	waitPort(t, m1, shard1)
+	gw := startProc(t, gwBin,
 		"-e", "(a - b)* @ (a - c)*",
 		"-shards", shard0+","+shard1,
-		"-addr", gwAddr, "-admin", admAddr, "-metrics", metAddr, "-trace", "16",
+		"-addr", port0, "-admin", port0, "-metrics", port0, "-trace", "16",
 		"-autopilot-dry-run")
-	waitPort(t, gwAddr)
-	waitPort(t, admAddr)
-	waitPort(t, metAddr)
+	gwAddr := gw.addr(t, "ixgateway: serving")
+	admAddr := gw.addr(t, "ixgateway: admin endpoint on")
+	metAddr := gw.addr(t, "ixgateway: metrics on")
+	waitPort(t, gw, gwAddr)
+	waitPort(t, gw, admAddr)
+	waitPort(t, gw, metAddr)
 
 	// Traffic through the gateway so stats and traces have content.
 	cl, err := ix.Dial(gwAddr)
@@ -306,9 +358,9 @@ func TestIxgatewayAdminEndpoint(t *testing.T) {
 	}
 
 	// Live migration via admin: move shard 0 onto a fresh follower.
-	target := freePort(t)
-	startProc(t, mgrBin, "-e", "(a - b)*", "-addr", target, "-follower")
-	waitPort(t, target)
+	fol := startProc(t, mgrBin, "-e", "(a - b)*", "-addr", port0, "-follower")
+	target := fol.addr(t, "ixmanager: serving")
+	waitPort(t, fol, target)
 	if rep := roundTrip(fmt.Sprintf(`{"op":"migrate","shard":0,"target":%q,"retire":true}`, target)); !rep.OK {
 		t.Fatalf("migrate: %+v", rep)
 	}

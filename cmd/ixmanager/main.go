@@ -105,17 +105,17 @@ func main() {
 	srv := ix.NewServer(m, ln)
 	defer srv.Close()
 
-	fmt.Printf("ixmanager: serving %q on %s", e, srv.Addr())
+	var detail string
 	switch {
 	case *storeDir != "":
-		fmt.Printf(" (storage %s, %d actions recovered)", *storeDir, m.Steps())
+		detail = fmt.Sprintf(" (storage %s, %d actions recovered)", *storeDir, m.Steps())
 	case *logPath != "":
-		fmt.Printf(" (log %s, %d actions recovered)", *logPath, m.Steps())
+		detail = fmt.Sprintf(" (log %s, %d actions recovered)", *logPath, m.Steps())
 	}
 	if st := m.Status(); *follower || len(replicas) > 0 {
-		fmt.Printf(" [%s, epoch %d, %d replicas]", st.Role, st.Epoch, len(replicas))
+		detail += fmt.Sprintf(" [%s, epoch %d, %d replicas]", st.Role, st.Epoch, len(replicas))
 	}
-	fmt.Println()
+	fmt.Printf("ixmanager: serving %q on %s%s\n", e, srv.Addr(), detail)
 
 	if *metricAddr != "" {
 		mln, err := net.Listen("tcp", *metricAddr)

@@ -93,7 +93,8 @@ type Expr struct {
 	Param string  // OpAnyQ/OpAllQ/OpSyncQ/OpConQ: bound parameter
 	N     int     // OpMult: multiplicity (≥ 1)
 
-	str string // canonical form, computed at construction
+	str  string // canonical form, computed at construction
+	hash uint64 // HashKey(str)
 }
 
 // String returns the canonical parser syntax of the expression. Two
@@ -102,6 +103,16 @@ func (e *Expr) String() string { return e.str }
 
 // Key is an alias for String kept for symmetry with the state model.
 func (e *Expr) Key() string { return e.str }
+
+// Hash is HashKey(e.String()), computed once at construction: the state
+// engine folds it into the ids of the state nodes that name e.
+func (e *Expr) Hash() uint64 { return e.hash }
+
+// setStr sets the canonical form and its hash.
+func (e *Expr) setStr(s string) {
+	e.str = s
+	e.hash = HashKey(s)
+}
 
 // Equal reports structural equality.
 func (e *Expr) Equal(f *Expr) bool {
@@ -117,7 +128,7 @@ func (e *Expr) Equal(f *Expr) bool {
 // Atom returns an atomic expression for a single action.
 func Atom(a Action) *Expr {
 	e := &Expr{Op: OpAtom, Atom: a}
-	e.str = a.String()
+	e.setStr(a.String())
 	return e
 }
 
@@ -127,7 +138,7 @@ func AtomNamed(name string, args ...Arg) *Expr { return Atom(Act(name, args...))
 // Empty returns the neutral expression ε.
 func Empty() *Expr {
 	e := &Expr{Op: OpEmpty}
-	e.str = "()"
+	e.setStr("()")
 	return e
 }
 
@@ -301,7 +312,7 @@ func (o Op) infix() string {
 func (e *Expr) finish() {
 	var b strings.Builder
 	e.render(&b, precQuant, nil)
-	e.str = b.String()
+	e.setStr(b.String())
 }
 
 // render writes the canonical form of e in a context of precedence

@@ -22,14 +22,54 @@ import (
 //	              just the nodes unseen since the previous piece)
 //	restart-ns    recovery time: New() on the stored directory
 //
-// The PR 9 acceptance gate holds the mean delta at ≤ 0.5x the mean
-// full checkpoint on this workload.
+// TestDeltaCheckpointCompact gates the byte sizes, which are exact.
 func BenchmarkCheckpointStorage(b *testing.B) {
 	b.Run("monolithic", func(b *testing.B) { benchCheckpointStorage(b, false) })
 	b.Run("segmented-delta", func(b *testing.B) { benchCheckpointStorage(b, true) })
 }
 
+// TestDeltaCheckpointCompact: on BenchmarkCheckpointStorage's growing
+// DAG, a delta piece costs on average at most half a full checkpoint,
+// because it holds only the nodes unseen since the previous piece.
+func TestDeltaCheckpointCompact(t *testing.T) {
+	c := runCheckpointWorkload(t, true)
+	full, delta := c.fullB/float64(c.fullN), c.deltaB/float64(c.deltaN)
+	t.Logf("full checkpoint %.0f B, delta piece %.0f B (%.2fx)", full, delta, delta/full)
+	if c.fullN == 0 || c.deltaN == 0 || 2*delta > full {
+		t.Fatalf("%d full checkpoints of %.0f B, %d delta pieces of %.0f B: want a mean delta ≤ half the mean full checkpoint", c.fullN, full, c.deltaN, delta)
+	}
+}
+
+// checkpointRun is what one run of the checkpoint workload left on disk,
+// and the time New took to recover it.
+type checkpointRun struct {
+	fullB, deltaB float64
+	fullN, deltaN int
+	restart       time.Duration
+}
+
 func benchCheckpointStorage(b *testing.B, segmented bool) {
+	var sum checkpointRun
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		c := runCheckpointWorkload(b, segmented)
+		sum.fullB, sum.deltaB, sum.restart = sum.fullB+c.fullB, sum.deltaB+c.deltaB, sum.restart+c.restart
+		sum.fullN, sum.deltaN = sum.fullN+c.fullN, sum.deltaN+c.deltaN
+	}
+	b.StopTimer()
+	if sum.fullN > 0 {
+		b.ReportMetric(sum.fullB/float64(sum.fullN), "full-ckpt-B")
+	}
+	if segmented && sum.deltaN > 0 {
+		b.ReportMetric(sum.deltaB/float64(sum.deltaN), "delta-ckpt-B")
+	}
+	b.ReportMetric(float64(sum.restart.Nanoseconds())/float64(b.N), "restart-ns")
+}
+
+// runCheckpointWorkload runs the workload once in a fresh directory,
+// with a checkpoint every 20 actions and, segmented, a full base every
+// 8th checkpoint.
+func runCheckpointWorkload(tb testing.TB, segmented bool) checkpointRun {
 	const parties = 200
 	e := parse.MustParse("all p: (req(p) - ack(p))*")
 	var workload []expr.Action
@@ -40,80 +80,69 @@ func benchCheckpointStorage(b *testing.B, segmented bool) {
 		workload = append(workload, expr.ConcreteAct("ack", fmt.Sprintf("p%d", i)))
 	}
 
-	var fullB, deltaB, restartNs float64
-	var fullN, deltaN int
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		dir := b.TempDir()
-		opts := Options{SnapshotEvery: 20, BatchMaxSize: 16}
-		if segmented {
-			opts.StorageDir = filepath.Join(dir, "store")
-			opts.FullCheckpointEvery = 8
-		} else {
-			opts.LogPath = filepath.Join(dir, "actions.log")
-			opts.SnapshotPath = filepath.Join(dir, "state.snap")
+	var c checkpointRun
+	dir := tb.TempDir()
+	opts := Options{SnapshotEvery: 20, BatchMaxSize: 16}
+	if segmented {
+		opts.StorageDir = filepath.Join(dir, "store")
+		opts.FullCheckpointEvery = 8
+	} else {
+		opts.LogPath = filepath.Join(dir, "actions.log")
+		opts.SnapshotPath = filepath.Join(dir, "state.snap")
+	}
+	m, err := New(e, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for at := 0; at < len(workload); at += 16 {
+		end := at + 16
+		if end > len(workload) {
+			end = len(workload)
 		}
-		m, err := New(e, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for at := 0; at < len(workload); at += 16 {
-			end := at + 16
-			if end > len(workload) {
-				end = len(workload)
-			}
-			for _, err := range m.RequestMany(context.Background(), workload[at:end]) {
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, err := range m.RequestMany(context.Background(), workload[at:end]) {
+			if err != nil {
+				tb.Fatal(err)
 			}
 		}
-		if err := m.Close(); err != nil {
-			b.Fatal(err)
-		}
+	}
+	if err := m.Close(); err != nil {
+		tb.Fatal(err)
+	}
 
-		// Close waited out compaction: only the live restore chain (or
-		// the single snapshot file) remains on disk.
-		if segmented {
-			fullB += globBytes(b, &fullN, filepath.Join(opts.StorageDir, "*.full"))
-			deltaB += globBytes(b, &deltaN, filepath.Join(opts.StorageDir, "*.delta"))
-		} else {
-			fullB += globBytes(b, &fullN, opts.SnapshotPath)
-		}
+	// Close waited out compaction: only the live restore chain (or
+	// the single snapshot file) remains on disk.
+	if segmented {
+		c.fullB = globBytes(tb, &c.fullN, filepath.Join(opts.StorageDir, "*.full"))
+		c.deltaB = globBytes(tb, &c.deltaN, filepath.Join(opts.StorageDir, "*.delta"))
+	} else {
+		c.fullB = globBytes(tb, &c.fullN, opts.SnapshotPath)
+	}
 
-		start := time.Now()
-		m2, err := New(e, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		restartNs += float64(time.Since(start).Nanoseconds())
-		if err := m2.Close(); err != nil {
-			b.Fatal(err)
-		}
+	start := time.Now()
+	m2, err := New(e, opts)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.StopTimer()
-	if fullN > 0 {
-		b.ReportMetric(fullB/float64(fullN), "full-ckpt-B")
+	c.restart = time.Since(start)
+	if err := m2.Close(); err != nil {
+		tb.Fatal(err)
 	}
-	if segmented && deltaN > 0 {
-		b.ReportMetric(deltaB/float64(deltaN), "delta-ckpt-B")
-	}
-	b.ReportMetric(restartNs/float64(b.N), "restart-ns")
+	return c
 }
 
 // globBytes sums the sizes of the files matching pattern, counting them
 // into n.
-func globBytes(b *testing.B, n *int, pattern string) float64 {
-	b.Helper()
+func globBytes(tb testing.TB, n *int, pattern string) float64 {
+	tb.Helper()
 	paths, err := filepath.Glob(pattern)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var total float64
 	for _, p := range paths {
 		st, err := os.Stat(p)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		total += float64(st.Size())
 		*n++

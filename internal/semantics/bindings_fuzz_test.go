@@ -113,17 +113,24 @@ func decodeBindingCase(data []byte) (*expr.Expr, Word) {
 	return e, w
 }
 
+// bindingSeeds are FuzzBindingsVsOracle's structured seeds, one decoder
+// decision per byte:
+// all p: (any q: z($p,$q))*; all p: x($p) - any p: z($p,v1);
+// (all p: z($p,v1)?) @ (syncq q: z(v2,$q)*); all p: any q: all p: z($q,$p)?.
+var bindingSeeds = [][]byte{
+	{9, 1, 0, 3, 8, 1, 2, 1, 0, 1, 1, 4, 3, 4, 3, 6},
+	{9, 1, 0, 2, 0, 1, 1, 0, 8, 0, 2, 1, 1, 0, 0, 5, 1, 4, 3, 5, 2},
+	{6, 9, 0, 0, 0, 2, 1, 0, 0, 0, 10, 1, 3, 2, 0, 1, 1, 0, 5, 3, 4, 6, 4, 5},
+	{9, 1, 0, 8, 1, 9, 0, 0, 2, 1, 1, 1, 2, 4, 3, 5, 4, 6},
+}
+
 // FuzzBindingsVsOracle asserts that the engine, the plain transition
 // function (Trans, no cache) and the oracle agree on the verdict of every
 // prefix of the decoded word.
 func FuzzBindingsVsOracle(f *testing.F) {
-	// Structured seeds, one decoder decision per byte:
-	// all p: (any q: z($p,$q))*; all p: x($p) - any p: z($p,v1);
-	// (all p: z($p,v1)?) @ (syncq q: z(v2,$q)*); all p: any q: all p: z($q,$p)?.
-	f.Add([]byte{9, 1, 0, 3, 8, 1, 2, 1, 0, 1, 1, 4, 3, 4, 3, 6})
-	f.Add([]byte{9, 1, 0, 2, 0, 1, 1, 0, 8, 0, 2, 1, 1, 0, 0, 5, 1, 4, 3, 5, 2})
-	f.Add([]byte{6, 9, 0, 0, 0, 2, 1, 0, 0, 0, 10, 1, 3, 2, 0, 1, 1, 0, 5, 3, 4, 6, 4, 5})
-	f.Add([]byte{9, 1, 0, 8, 1, 9, 0, 0, 2, 1, 1, 1, 2, 4, 3, 5, 4, 6})
+	for _, seed := range bindingSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, w := decodeBindingCase(data)
 		en, err := state.NewEngine(e)

@@ -135,17 +135,24 @@ func decodeCase(data []byte) (*expr.Expr, Word) {
 	return e, r.fuzzWord()
 }
 
+// operationalSeeds are FuzzOperationalVsOracle's structured seeds: each
+// byte drives one decoder decision, so these spell out canonical
+// operator mixes (iteration under conjunction, coupling, quantifiers
+// over shared values).
+var operationalSeeds = [][]byte{
+	{2, 0, 0, 3, 1, 0, 4, 0, 1, 0, 1},
+	{7, 3, 0, 0, 6, 0, 1, 1, 2, 0, 1, 3, 1, 0},
+	{10, 2, 0, 2, 0, 2, 0, 5, 2, 3, 4},
+	{8, 3, 2, 0, 1, 0, 0, 1, 1, 5, 2, 0, 2, 1, 0},
+	{12, 0, 2, 2, 0, 1, 1, 0, 4, 3, 2, 2, 1},
+}
+
 // FuzzOperationalVsOracle asserts engine and oracle verdicts agree on
 // every prefix of the decoded word. Seed corpus: testdata/fuzz.
 func FuzzOperationalVsOracle(f *testing.F) {
-	// A few structured seeds: each byte drives one decoder decision, so
-	// these spell out canonical operator mixes (iteration under
-	// conjunction, coupling, quantifiers over shared values).
-	f.Add([]byte{2, 0, 0, 3, 1, 0, 4, 0, 1, 0, 1})
-	f.Add([]byte{7, 3, 0, 0, 6, 0, 1, 1, 2, 0, 1, 3, 1, 0})
-	f.Add([]byte{10, 2, 0, 2, 0, 2, 0, 5, 2, 3, 4})
-	f.Add([]byte{8, 3, 2, 0, 1, 0, 0, 1, 1, 5, 2, 0, 2, 1, 0})
-	f.Add([]byte{12, 0, 2, 2, 0, 1, 1, 0, 4, 3, 2, 2, 1})
+	for _, seed := range operationalSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, w := decodeCase(data)
 		en, err := state.NewEngine(e)

@@ -46,14 +46,19 @@ type allQState struct {
 	sigma                   // the body y (p free) and σ(y), the template of fresh branches
 	strictA  *expr.Alphabet // α of the body with p free: parameter-free atoms
 	nullable bool           // ϕ(σ(y)): whether every untouched branch may stay empty
-	alts     []allQAlt
-	keyed
+	alts     []allQAlt      // sorted by id, deduplicated
+	node
 }
 
 type allQAlt struct {
 	named branchSet    // sorted by value
-	anon  []anonBranch // sorted by key
-	key   string       // the alternative's key, built by ρ's dedup; "" until then
+	anon  []anonBranch // sorted by id
+}
+
+// sortDedupQAlts orders alternatives by id and removes duplicates.
+func sortDedupQAlts(alts []allQAlt, p string) []allQAlt {
+	key := func(a allQAlt) string { return a.keyIn(p, nil) }
+	return sortByID(alts, hashOf[allQAlt], key, sameShape[allQAlt], true)
 }
 
 // anonBranch is one branch with p unbound, together with the values its
@@ -94,8 +99,7 @@ func mergeExcl(excl, vals []string) []string {
 }
 
 func sortAnon(abs []anonBranch) []anonBranch {
-	slices.SortFunc(abs, func(x, y anonBranch) int { return strings.Compare(x.key(), y.key()) })
-	return abs
+	return sortByID(abs, hashOf[anonBranch], anonBranch.key, sameShape[anonBranch], false)
 }
 
 func anonStates(abs []anonBranch) []State {
@@ -107,32 +111,19 @@ func anonStates(abs []anonBranch) []State {
 }
 
 // keyIn renders the alternative's key under env: named branches bind p
-// to their values, anonymous ones leave it unbound and are sorted again.
-// With env nil it is the alternative's own key, which ρ deduplicates
-// alternatives by.
+// to their values, anonymous ones leave it unbound and are written in
+// key order. With env nil it is the alternative's own key.
 func (a allQAlt) keyIn(p string, env *expr.Env) string {
-	if env == nil && a.key != "" {
-		return a.key
-	}
 	var b strings.Builder
 	b.WriteByte('{')
 	a.named.write(&b, p, env)
 	b.WriteByte('|')
 	free := sharing{env: env}.free(p).env
-	if free == nil {
-		for i, ab := range a.anon {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(ab.key())
-		}
-	} else {
-		keys := make([]string, len(a.anon))
-		for i, ab := range a.anon {
-			keys[i] = ab.keyIn(free)
-		}
-		writeSorted(&b, keys, ',', false)
+	keys := make([]string, len(a.anon))
+	for i, ab := range a.anon {
+		keys[i] = ab.keyIn(free)
 	}
+	writeSorted(&b, keys, ',', false)
 	b.WriteByte('}')
 	return b.String()
 }
@@ -140,10 +131,10 @@ func (a allQAlt) keyIn(p string, env *expr.Env) string {
 func newAllQState(e *expr.Expr) State {
 	s := &allQState{e: e, sigma: sigma{y: e.Kids[0]}, strictA: expr.AlphabetOf(e.Kids[0]), alts: []allQAlt{{}}}
 	s.nullable = s.initial().Final()
-	return s
+	return sealed(s)
 }
 
-func (s *allQState) Key() string { return s.of(s) }
+func (s *allQState) Key() string { return keyIn(s, nil) }
 
 func (s *allQState) render(b *strings.Builder, env *expr.Env) {
 	keys := make([]string, len(s.alts))
@@ -196,10 +187,9 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 	// fork rule that (2b) and (3b) apply.
 	taint := s.strictA.BindingMatchesIn(p, act, sh.env)
 	var next []allQAlt
-	seen := make(map[string]bool)
 	// add applies ρ to a candidate alternative, in which named[changed]
-	// (if changed ≥ 0) is the one branch this step changed, and keeps it
-	// unless an equal alternative is kept already.
+	// (if changed ≥ 0) is the one branch this step changed, and keeps it;
+	// equal alternatives are merged at the end.
 	add := func(a allQAlt, changed int) {
 		// ρ, branch release: a named branch whose state equals a fresh
 		// branch for its value is indistinguishable from an untouched
@@ -233,7 +223,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 				}
 				kept = append(kept, *b)
 			}
-			a.named = kept.canonical()
+			a.named = kept.canonical(p)
 		}
 		// Copy before filtering: the incoming slice may alias the
 		// predecessor state's (immutable) branch set.
@@ -249,11 +239,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			anon = append(anon, m)
 		}
 		a.anon = sortAnon(anon)
-		a.key = a.keyIn(p, nil)
-		if !seen[a.key] {
-			seen[a.key] = true
-			next = append(next, a)
-		}
+		next = append(next, a)
 	}
 
 	for _, alt := range s.alts {
@@ -275,7 +261,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 
 		// (2) An existing anonymous branch consumes the action...
 		for i, m := range alt.anon {
-			if i > 0 && alt.anon[i].key() == alt.anon[i-1].key() {
+			if i > 0 && sameShape(alt.anon[i], alt.anon[i-1]) {
 				continue // interchangeable instances
 			}
 			// (2a) ... without binding its value. Consuming with p free
@@ -340,7 +326,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: next}
+	return sealed(&allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: sortDedupQAlts(next, p)})
 }
 
 // releases reports ρ's branch release test: the branch's state, under
@@ -370,13 +356,13 @@ func (s *allQState) releases(b *branch, p string, sh sharing) bool {
 func (s *allQState) inert() bool { return false }
 
 func (s *allQState) internParts(c *Cache) State {
-	alts := make([]allQAlt, len(s.alts))
-	for i, a := range s.alts {
-		anon := make([]anonBranch, len(a.anon))
-		for j, ab := range a.anon {
-			anon[j] = anonBranch{st: c.Canon(ab.st), excl: ab.excl}
-		}
-		alts[i] = allQAlt{named: a.named.internParts(c), anon: anon, key: a.key}
-	}
-	return &allQState{e: s.e, sigma: s.sigma, strictA: s.strictA, nullable: s.nullable, alts: alts, keyed: s.keyed}
+	alts, changed := canonEach(s.alts, func(a allQAlt) (allQAlt, bool) {
+		named, nc := a.named.internParts(c)
+		anon, ac := canonEach(a.anon, func(ab anonBranch) (anonBranch, bool) {
+			st, changed := c.canonOf(ab.st)
+			return anonBranch{st, ab.excl}, changed
+		})
+		return allQAlt{named, anon}, nc || ac
+	})
+	return reuse(s, changed, func(n *allQState) { n.alts = alts })
 }

@@ -11,19 +11,12 @@ import (
 type atomState struct {
 	atom expr.Action
 	done bool
-	key  string
+	node
 }
 
-func (s *atomState) Key() string {
-	if s.key == "" {
-		if s.done {
-			s.key = "+" + s.atom.Key()
-		} else {
-			s.key = "-" + s.atom.Key()
-		}
-	}
-	return s.key
-}
+func newAtomState(a expr.Action, done bool) State { return sealed(&atomState{atom: a, done: done}) }
+
+func (s *atomState) Key() string { return keyIn(s, nil) }
 
 func (s *atomState) Final() bool { return s.done }
 func (s *atomState) Size() int   { return 1 }
@@ -32,7 +25,7 @@ func (s *atomState) trans(a expr.Action, sh sharing) State {
 	if s.done || !s.atom.MatchIn(a, sh.env) {
 		return nil
 	}
-	return &atomState{atom: s.atom, done: true}
+	return newAtomState(s.atom, true)
 }
 
 func (s *atomState) render(b *strings.Builder, env *expr.Env) {
@@ -49,7 +42,6 @@ func (s *atomState) render(b *strings.Builder, env *expr.Env) {
 func (s *atomState) inert() bool { return s.done }
 
 func (s *atomState) internParts(c *Cache) State { return s }
-func (s *atomState) keys() *keyed               { return nil }
 
 // emptyState is the (single) state of the neutral expression ε.
 type emptyState struct{}
@@ -63,15 +55,16 @@ func (emptyState) trans(expr.Action, sharing) State       { return nil }
 func (emptyState) render(b *strings.Builder, _ *expr.Env) { b.WriteString("eps") }
 func (emptyState) inert() bool                            { return true }
 func (emptyState) internParts(*Cache) State               { return theEmptyState }
-func (emptyState) keys() *keyed                           { return nil }
+func (emptyState) sid() uint64                            { return emptyID }
+func (emptyState) setID(uint64)                           {}
 
 // orState is the state of a disjunction: the walker is in exactly one
 // branch, but which one is not yet determined, so all still-valid branch
 // states are tracked. Branches whose state dies are removed by ρ; when
 // none remains the whole state is invalid.
 type orState struct {
-	kids []State
-	keyed
+	kids []State // sorted by id, deduplicated
+	node
 }
 
 func newOrState(kids []State) State {
@@ -84,10 +77,10 @@ func newOrState(kids []State) State {
 	if len(live) == 0 {
 		return nil
 	}
-	return &orState{kids: sortDedupStates(live)}
+	return sealed(&orState{kids: sortDedupStates(live)})
 }
 
-func (s *orState) Key() string { return s.of(s) }
+func (s *orState) Key() string { return keyIn(s, nil) }
 
 func (s *orState) Final() bool {
 	for _, k := range s.kids {
@@ -119,14 +112,15 @@ func (s *orState) render(b *strings.Builder, env *expr.Env) {
 func (s *orState) inert() bool { return allInert(s.kids) }
 
 func (s *orState) internParts(c *Cache) State {
-	return &orState{kids: canonAll(c, s.kids), keyed: s.keyed}
+	kids, changed := canonAll(c, s.kids)
+	return reuse(s, changed, func(n *orState) { n.kids = kids })
 }
 
 // andState is the state of a strict conjunction: every branch must accept
 // every action; a single dying branch invalidates the whole state.
 type andState struct {
 	kids []State
-	keyed
+	node
 }
 
 func newAndState(kids []State) State {
@@ -135,10 +129,10 @@ func newAndState(kids []State) State {
 			return nil
 		}
 	}
-	return &andState{kids: kids}
+	return sealed(&andState{kids: kids})
 }
 
-func (s *andState) Key() string { return s.of(s) }
+func (s *andState) Key() string { return keyIn(s, nil) }
 
 func (s *andState) Final() bool { return allFinal(s.kids) }
 func (s *andState) Size() int   { return 1 + sumSizes(s.kids) }
@@ -152,7 +146,7 @@ func (s *andState) trans(a expr.Action, sh sharing) State {
 		}
 		next[i] = compress(nk)
 	}
-	return &andState{kids: next}
+	return sealed(&andState{kids: next})
 }
 
 func (s *andState) render(b *strings.Builder, env *expr.Env) {
@@ -173,5 +167,6 @@ func (s *andState) inert() bool {
 }
 
 func (s *andState) internParts(c *Cache) State {
-	return &andState{kids: canonAll(c, s.kids), keyed: s.keyed}
+	kids, changed := canonAll(c, s.kids)
+	return reuse(s, changed, func(n *andState) { n.kids = kids })
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Delta checkpoints. The DAG snapshot format
-// deduplicates by canonical key within one snapshot; a delta chain
+// deduplicates by structural identity within one snapshot; a delta chain
 // simply stretches that deduplication across snapshots. A
 // DeltaMarshaller keeps its encoder alive between calls, so a state
 // node already emitted by an earlier checkpoint of the chain encodes as
@@ -38,8 +38,9 @@ import (
 // has already assigned ordinals to nodes the failed piece was supposed
 // to persist, so later deltas from it would dangle.
 //
-// Deduplication is by canonical state key, not object identity, so the
-// chain survives hash-cons cache flushes and engine restarts alike.
+// Deduplication is by structural identity (equal shapes, hence equal
+// keys), not object identity, so the chain survives hash-cons cache
+// flushes and engine restarts alike.
 type DeltaMarshaller struct {
 	enc  *encoder
 	next int // chain index of the next piece
@@ -183,9 +184,9 @@ func (dr *DeltaRestorer) Marshaller() *DeltaMarshaller {
 	if dr.v != snapFormatVersion {
 		return nil
 	}
-	enc := &encoder{seen: make(map[string]int, len(dr.d.byOrd)), n: len(dr.d.byOrd)}
+	enc := &encoder{seen: make(idTable[int]), n: len(dr.d.byOrd)}
 	for i, s := range dr.d.byOrd {
-		enc.seen[s.Key()] = i + 1
+		enc.seen.put(s, i+1)
 	}
 	return &DeltaMarshaller{enc: enc, next: dr.next}
 }

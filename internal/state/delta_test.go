@@ -111,8 +111,8 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 	enc := newEncoder()
 	enc.state(en.cur)
 	want := make(map[string]bool)
-	for k := range enc.seen {
-		if !earlier[k] {
+	for _, s := range enc.seen.states() {
+		if k := s.Key(); !earlier[k] {
 			want[k] = true
 		}
 	}
@@ -127,6 +127,17 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("last delta emits %d full nodes, want the %d no earlier piece emitted", len(got), len(want))
 	}
+}
+
+// states returns every state of the table.
+func (t idTable[V]) states() []State {
+	var out []State
+	for _, es := range t {
+		for _, e := range es {
+			out = append(out, e.st)
+		}
+	}
+	return out
 }
 
 // TestDeltaChainIntermediatePieces: every chain prefix restores the

@@ -2,6 +2,7 @@ package state
 
 import (
 	"container/list"
+	"slices"
 
 	"repro/internal/expr"
 )
@@ -16,20 +17,22 @@ import (
 // repeated work on three levels:
 //
 //   - hash-consing: states are interned in a structural-sharing table
-//     keyed by their canonical Key, so identical sub-states — across
-//     quantifier branches and parallel arms — are one object with a
-//     small integer identity.
-//     Interned states form a DAG; because states are immutable,
-//     transitions are copy-on-write against that DAG and a snapshot
-//     shares structure with the live state instead of deep-copying it.
+//     keyed by their structural ids (shape.go), each match confirmed by
+//     comparing shapes, so identical sub-states — across quantifier
+//     branches and parallel arms — are one object. A node's id folds its
+//     children's ids, so interning a node costs O(arity), however large
+//     the state it names. Interned states form a DAG; because states are
+//     immutable, transitions are copy-on-write against that DAG and a
+//     snapshot shares structure with the live state instead of
+//     deep-copying it.
 //
 //   - memoization: the transition function τ̂ and the permissibility
-//     probe are memoized in a bounded LRU keyed by (interned state ID,
-//     action hash), hits confirmed by structural comparison against the
-//     stored action. A hit turns a term walk into a map lookup;
-//     rejections (successor = nil) are memoized too, which is what makes
-//     repeated Try probes — the manager's subscription re-evaluation —
-//     almost free in steady state.
+//     probe are memoized in a bounded LRU keyed by (canonical state id,
+//     action hash), hits confirmed by the canonical state's identity and
+//     a structural comparison against the stored action. A hit turns a
+//     term walk into a map lookup; rejections (successor = nil) are
+//     memoized too, which is what makes repeated Try probes — the
+//     manager's subscription re-evaluation — almost free in steady state.
 //
 //   - sharing: a miss transitions each distinct node of the canonical DAG
 //     once, however many paths reach it (see sharing).
@@ -38,8 +41,9 @@ import (
 // and a Cache, like its Engine, is not safe for concurrent use. Both
 // tables are bounded by the constants below, so the heap a cache can
 // retain is bounded too: at most DefaultMemoCapacity memo entries, and
-// defaultInternCapacity interned nodes or internKeyBudget bytes of their
-// keys (plus one descent), whatever the expression does.
+// defaultInternCapacity interned nodes or defaultInternParts parts of
+// their shapes (plus one descent), none holding a key as long as the
+// state it names, whatever the expression does.
 
 // DefaultMemoCapacity bounds the transition memo (LRU eviction).
 const DefaultMemoCapacity = 1 << 16
@@ -48,11 +52,12 @@ const DefaultMemoCapacity = 1 << 16
 // flushes both tables (see maybeFlush).
 const defaultInternCapacity = 1 << 20
 
-// internKeyBudget bounds the key bytes the interning table holds, with
-// the same flush. A node count does not bound the heap: a node's key is
-// as long as the sub-state it names, and a state that grows with every
-// action would leave every one of its predecessors interned.
-const internKeyBudget = 64 << 20
+// defaultInternParts bounds the parts (children, branches, values) of
+// the interned nodes' shapes, with the same flush. A node count does not
+// bound the heap: an all node holds a branch per open value, and a state
+// that grows with every action leaves every predecessor interned, so the
+// table's parts grow with the square of the actions.
+const defaultInternParts = 1 << 22
 
 // CacheStats reports the cache's traffic counters. All counters are
 // cumulative; Nodes and MemoEntries are current sizes.
@@ -67,28 +72,21 @@ type CacheStats struct {
 	Flushes       uint64 // full-table resets after interning overflow
 }
 
-// internEntry is one canonical state node: the representative object and
-// its small identity used as the memo key.
-type internEntry struct {
-	id  uint64
-	key string
-	st  State
-}
-
 // memoKey identifies one memoized transition: canonical state id plus
 // the action's stable structural hash (expr.Action.Hash — no key string
-// is built on the lookup path). Hash collisions are disambiguated by
-// the structural comparison against memoEnt.act on every hit.
+// is built on the lookup path). Collisions are disambiguated on every
+// hit by memoEnt.from and memoEnt.act.
 type memoKey struct {
 	sid uint64
 	ah  uint64
 }
 
-// memoEnt is one memo value. act is the exact action the entry was
-// derived for (the collision guard); next == nil records a memoized
-// rejection.
+// memoEnt is one memo value. from and act are the exact canonical state
+// and action the entry was derived for (the collision guard); next ==
+// nil records a memoized rejection.
 type memoEnt struct {
 	k    memoKey
+	from State
 	act  expr.Action
 	next State
 }
@@ -96,13 +94,11 @@ type memoEnt struct {
 // Cache is a hash-consing table plus a bounded transition memo, owned by
 // one Engine.
 type Cache struct {
-	buckets   map[uint64][]*internEntry // expr.HashKey(state key) → chain
-	byState   map[State]*internEntry    // identity fast path for canonical states
+	table     idTable[struct{}] // the canonical nodes
 	nodes     int
-	keyBytes  int
-	nextID    uint64 // monotone across flushes, so stale memo keys never alias
+	parts     int
 	internCap int
-	keyCap    int
+	partsCap  int
 
 	memo    map[memoKey]*list.Element
 	lru     *list.List // front = most recently used
@@ -114,16 +110,16 @@ type Cache struct {
 
 // NewCache creates an empty cache with the constant bounds.
 func NewCache() *Cache {
-	return &Cache{
-		buckets:   make(map[uint64][]*internEntry),
-		byState:   make(map[State]*internEntry),
+	c := &Cache{
+		table:     make(idTable[struct{}]),
 		internCap: defaultInternCapacity,
-		keyCap:    internKeyBudget,
+		partsCap:  defaultInternParts,
 		memo:      make(map[memoKey]*list.Element),
 		lru:       list.New(),
 		memoCap:   DefaultMemoCapacity,
-		walk:      walkTable{next: make(map[walkKey]State)},
 	}
+	c.walk = walkTable{c: c, next: make(map[walkKey]State)}
+	return c
 }
 
 // Stats returns a snapshot of the counters.
@@ -134,34 +130,20 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// Canon returns the canonical interned representative of s: a state with
-// the same Key whose every sub-state is the one shared object the table
-// holds for that structure. Canonicalizing nil (the invalid state) is
-// nil.
+// Canon returns the canonical interned representative of s: an equal
+// state (same id and shape, hence the same Key) whose every sub-state is
+// the one shared object the table holds for that structure.
+// Canonicalizing nil (the invalid state) is nil. A state that is the
+// canonical representative (an engine's current state after the first
+// step, every interned child) resolves by its id and pointer, so the
+// memoized transition hit path is O(1) in the term size.
 func (c *Cache) Canon(s State) State {
-	st, _ := c.canon(s)
-	return st
-}
-
-// canon interns s (and, on a miss, its parts) and returns the canonical
-// state with its identity.
-func (c *Cache) canon(s State) (State, uint64) {
 	if s == nil {
-		return nil, 0
+		return nil
 	}
-	// Identity fast path: a state that IS the canonical representative
-	// (an engine's current state after the first step, every interned
-	// child) resolves without hashing or comparing its key string — this
-	// keeps the memoized transition hit path O(1) in the term size.
-	if e, ok := c.byState[s]; ok {
+	if e, ok := c.table.get(s); ok {
 		c.stats.InternHits++
-		return e.st, e.id
-	}
-	// Materialize the key and hash caches before the node is shared.
-	k, h := s.Key(), keyHash(s)
-	if e := c.find(h, k); e != nil {
-		c.stats.InternHits++
-		return e.st, e.id
+		return e.st
 	}
 	// Flush on overflow BEFORE descending, so the node and the children
 	// interned for it land in the same table generation (the cap is soft
@@ -169,41 +151,26 @@ func (c *Cache) canon(s State) (State, uint64) {
 	c.maybeFlush()
 	// Miss: canonicalize the children (each child looks itself up, so an
 	// unchanged subtree stops descending at its first interned node),
-	// then publish. No child has s's key, so s is still absent.
+	// then publish. No child equals s, so s is still absent.
 	cs := s.internParts(c)
-	c.nextID++
-	e := &internEntry{id: c.nextID, key: k, st: cs}
-	c.buckets[h] = append(c.buckets[h], e)
-	c.byState[cs] = e
+	c.table.put(cs, struct{}{})
 	c.nodes++
-	c.keyBytes += len(k)
+	c.parts += partsOf(cs)
 	c.stats.InternMisses++
-	return cs, e.id
-}
-
-func (c *Cache) find(h uint64, k string) *internEntry {
-	for _, e := range c.buckets[h] {
-		if e.key == k {
-			return e
-		}
-	}
-	return nil
+	return cs
 }
 
 // maybeFlush resets both tables when the interning table outgrows
-// either of its bounds. Eviction from a hash-consing table is delicate — memo
-// entries reference node identities — so overflow drops everything at
-// once: correctness is untouched (interning is an optimization) and the
-// working set re-interns within a few transitions. nextID keeps
-// counting, so memo keys minted before the flush can never collide with
-// nodes minted after it.
+// either of its bounds. Eviction from a hash-consing table is delicate — memo entries
+// reference canonical nodes — so overflow drops everything at once:
+// correctness is untouched (interning is an optimization) and the
+// working set re-interns within a few transitions.
 func (c *Cache) maybeFlush() {
-	if c.nodes < c.internCap && c.keyBytes < c.keyCap {
+	if c.nodes < c.internCap && c.parts < c.partsCap {
 		return
 	}
-	c.buckets = make(map[uint64][]*internEntry)
-	c.byState = make(map[State]*internEntry)
-	c.nodes, c.keyBytes = 0, 0
+	c.table = make(idTable[struct{}])
+	c.nodes, c.parts = 0, 0
 	c.memo = make(map[memoKey]*list.Element)
 	c.lru = list.New()
 	c.stats.Flushes++
@@ -219,16 +186,16 @@ func (c *Cache) Transition(s State, a expr.Action) State {
 	if s == nil {
 		return nil
 	}
-	cs, sid := c.canon(s)
-	mk := memoKey{sid: sid, ah: a.Hash()}
+	cs := c.Canon(s)
+	mk := memoKey{sid: cs.sid(), ah: a.Hash()}
 	if el, ok := c.memo[mk]; ok {
-		if ent := el.Value.(*memoEnt); ent.act.Equal(a) {
+		if ent := el.Value.(*memoEnt); ent.from == cs && ent.act.Equal(a) {
 			c.lru.MoveToFront(el)
 			c.stats.MemoHits++
 			return ent.next
 		}
-		// Hash collision between distinct actions: evict the colliding
-		// entry in favour of the fresh result derived below.
+		// Collision between distinct states or actions: evict the
+		// colliding entry in favour of the fresh result derived below.
 		c.lru.Remove(el)
 		delete(c.memo, mk)
 	}
@@ -236,9 +203,9 @@ func (c *Cache) Transition(s State, a expr.Action) State {
 
 	next := cs.trans(a, sharing{tab: &c.walk})
 	c.walk.reset()
-	next, _ = c.canon(next)
+	next = c.Canon(next)
 
-	el := c.lru.PushFront(&memoEnt{k: mk, act: a, next: next})
+	el := c.lru.PushFront(&memoEnt{k: mk, from: cs, act: a, next: next})
 	c.memo[mk] = el
 	for c.lru.Len() > c.memoCap {
 		back := c.lru.Back()
@@ -249,20 +216,46 @@ func (c *Cache) Transition(s State, a expr.Action) State {
 	return next
 }
 
-// canonAll canonicalizes a slice of states, preserving order.
-func canonAll(c *Cache, ss []State) []State {
-	out := make([]State, len(ss))
-	for i, s := range ss {
-		out[i] = c.Canon(s)
+// canonEach applies canon, which canonicalizes the states of an element
+// and reports whether any changed, to every element of xs, preserving
+// order. It returns xs itself when every element is canonical already,
+// as the elements of a node a cache's walk built are, and a copy
+// otherwise; it reports which.
+func canonEach[T any](xs []T, canon func(T) (T, bool)) ([]T, bool) {
+	for i, x := range xs {
+		if y, changed := canon(x); changed {
+			out := slices.Clone(xs)
+			out[i] = y
+			for j := i + 1; j < len(xs); j++ {
+				out[j], _ = canon(xs[j])
+			}
+			return out, true
+		}
 	}
-	return out
+	return xs, false
 }
 
-// canonAlts canonicalizes the states of a set of alternatives.
-func canonAlts(c *Cache, alts [][]State) [][]State {
-	out := make([][]State, len(alts))
-	for i, alt := range alts {
-		out[i] = canonAll(c, alt)
+// reuse returns s when changed is false, and otherwise a copy of s that
+// set has given the canonical parts.
+func reuse[T any](s *T, changed bool, set func(*T)) *T {
+	if !changed {
+		return s
 	}
-	return out
+	n := *s
+	set(&n)
+	return &n
+}
+
+// canonOf is Canon that reports whether s was not canonical.
+func (c *Cache) canonOf(s State) (State, bool) {
+	cs := c.Canon(s)
+	return cs, cs != s
+}
+
+// canonAll canonicalizes a slice of states (canonEach).
+func canonAll(c *Cache, ss []State) ([]State, bool) { return canonEach(ss, c.canonOf) }
+
+// canonAlts canonicalizes the states of a set of alternatives.
+func canonAlts(c *Cache, alts [][]State) ([][]State, bool) {
+	return canonEach(alts, func(alt []State) ([]State, bool) { return canonAll(c, alt) })
 }

@@ -1,7 +1,10 @@
 package state
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/parse"
@@ -9,16 +12,20 @@ import (
 
 // Snapshot serialization: a State is encoded as a DAG of tagged-union
 // nodes mirroring the state hierarchy (format version 4). The encoder
-// deduplicates by canonical key: the first occurrence of a structure (in
-// a deterministic preorder walk) is emitted in full and assigned the
-// next ordinal; every later occurrence is a one-field back-reference
-// {"r": ordinal}. States produced by the hash-consing cache share
-// sub-structure heavily — quantifier branches, parallel alternatives —
-// so the DAG form keeps snapshots proportional to the number of
+// deduplicates by structural identity, which is key identity (shape.go):
+// the first occurrence of a structure (in a deterministic preorder walk)
+// is emitted in full and assigned the next ordinal; every later
+// occurrence is a one-field back-reference {"r": ordinal}. States
+// produced by the hash-consing cache share sub-structure heavily —
+// quantifier branches, parallel alternatives — so the DAG form keeps
+// snapshots proportional to the number of
 // *distinct* sub-states, matching the in-memory representation instead
 // of exploding it back into a tree. Because encoding is a pure preorder
 // function of the structure, marshal → unmarshal → marshal is
-// byte-identical (FuzzSnapshotRoundTrip).
+// byte-identical (FuzzSnapshotRoundTrip). Sets, multisets and
+// alternative lists are written in key order, which does not depend on
+// how ids hash; the decoder builds every node through the constructors
+// that store them in id order.
 //
 // A quantifier branch is written as the engine holds it: its value and
 // its state over the body with the parameter still free (parametric, see
@@ -129,15 +136,34 @@ func decodeAction(sa *snapAction) expr.Action {
 	return expr.Act(sa.Name, args...)
 }
 
-// encoder deduplicates states by canonical key while emitting the DAG:
-// the first occurrence of a key (preorder) is emitted in full and given
-// the next 1-based ordinal; later occurrences emit a back-reference.
+// encoder deduplicates states by structural identity while emitting the
+// DAG: the first occurrence of a state (preorder) is emitted in full and
+// given the next 1-based ordinal; later occurrences emit a
+// back-reference.
 type encoder struct {
-	seen map[string]int
+	seen idTable[int]
 	n    int
 }
 
-func newEncoder() *encoder { return &encoder{seen: make(map[string]int)} }
+func newEncoder() *encoder { return &encoder{seen: make(idTable[int])} }
+
+// inKeyOrder returns xs sorted by key, the order in which snapshots
+// write sets and alternative lists; xs itself is not reordered.
+func inKeyOrder[T any](xs []T, key func(T) string) []T {
+	if len(xs) < 2 {
+		return xs
+	}
+	keys, idx := make([]string, len(xs)), make([]int, len(xs))
+	for i, x := range xs {
+		idx[i], keys[i] = i, key(x)
+	}
+	slices.SortStableFunc(idx, func(i, j int) int { return strings.Compare(keys[i], keys[j]) })
+	out := make([]T, len(xs))
+	for i, j := range idx {
+		out[i] = xs[j]
+	}
+	return out
+}
 
 func (enc *encoder) states(ss []State) []*snapNode {
 	out := make([]*snapNode, len(ss))
@@ -147,9 +173,15 @@ func (enc *encoder) states(ss []State) []*snapNode {
 	return out
 }
 
-func (enc *encoder) alts(alts [][]State) [][]*snapNode {
+// alts writes alternatives in key order, and a multiset's states in key
+// order too.
+func (enc *encoder) alts(alts [][]State, multiset bool) [][]*snapNode {
+	alts = inKeyOrder(alts, func(alt []State) string { return altKey(alt, multiset) })
 	out := make([][]*snapNode, len(alts))
 	for i, alt := range alts {
+		if multiset {
+			alt = inKeyOrder(alt, State.Key)
+		}
 		out[i] = enc.states(alt)
 	}
 	return out
@@ -169,38 +201,39 @@ func (enc *encoder) branches(bs branchSet) []snapBranch {
 
 // state translates a live state into its snapshot node or back-reference.
 func (enc *encoder) state(s State) *snapNode {
-	k := s.Key()
-	if ord, ok := enc.seen[k]; ok {
-		return &snapNode{R: ord}
+	if e, ok := enc.seen.get(s); ok {
+		return &snapNode{R: e.v}
 	}
 	// Assign the ordinal before descending (preorder), mirroring the
 	// decoder's slot reservation.
 	enc.n++
-	enc.seen[k] = enc.n
+	enc.seen.put(s, enc.n)
 	switch st := s.(type) {
 	case emptyState:
 		return &snapNode{T: tagEmpty}
 	case *atomState:
 		return &snapNode{T: tagAtom, Act: encodeAction(st.atom), Done: st.done}
 	case *orState:
-		return &snapNode{T: tagOr, Kids: enc.states(st.kids)}
+		return &snapNode{T: tagOr, Kids: enc.states(inKeyOrder(st.kids, State.Key))}
 	case *andState:
 		return &snapNode{T: tagAnd, Kids: enc.states(st.kids)}
 	case *seqState:
 		n := &snapNode{T: tagSeq, E: st.e.String()}
-		for _, a := range st.alts {
+		alts := inKeyOrder(st.alts, func(a seqAlt) string { return a.st.Key() })
+		slices.SortStableFunc(alts, func(x, y seqAlt) int { return cmp.Compare(x.idx, y.idx) })
+		for _, a := range alts {
 			n.Idx = append(n.Idx, a.idx)
 			n.Kids = append(n.Kids, enc.state(a.st))
 		}
 		return n
 	case *seqIterState:
-		return &snapNode{T: tagSeqIter, E: st.y.String(), Kids: enc.states(st.insts), Done: st.boundary}
+		return &snapNode{T: tagSeqIter, E: st.y.String(), Kids: enc.states(inKeyOrder(st.insts, State.Key)), Done: st.boundary}
 	case *parState:
-		return &snapNode{T: tagPar, Alts: enc.alts(st.alts)}
+		return &snapNode{T: tagPar, Alts: enc.alts(st.alts, false)}
 	case *multState:
-		return &snapNode{T: tagMult, Alts: enc.alts(st.alts)}
+		return &snapNode{T: tagMult, Alts: enc.alts(st.alts, true)}
 	case *parIterState:
-		return &snapNode{T: tagParIter, E: st.y.String(), Alts: enc.alts(st.alts)}
+		return &snapNode{T: tagParIter, E: st.y.String(), Alts: enc.alts(st.alts, true)}
 	case *syncState:
 		n := &snapNode{T: tagSync, Kids: enc.states(st.kids)}
 		for _, e := range st.kidExprs {
@@ -219,9 +252,9 @@ func (enc *encoder) state(s State) *snapNode {
 		return &snapNode{T: tagSyncQ, E: st.e.String(), Br: enc.branches(st.touched), Gen: enc.state(st.generic)}
 	case *allQState:
 		n := &snapNode{T: tagAllQ, E: st.e.String()}
-		for _, a := range st.alts {
+		for _, a := range inKeyOrder(st.alts, func(a allQAlt) string { return a.keyIn(st.e.Param, nil) }) {
 			qa := snapQAlt{Named: enc.branches(a.named)}
-			for _, ab := range a.anon {
+			for _, ab := range inKeyOrder(a.anon, anonBranch.key) {
 				qa.Anon = append(qa.Anon, enc.state(ab.st))
 				qa.Excl = append(qa.Excl, ab.excl)
 			}
@@ -237,6 +270,8 @@ func (enc *encoder) state(s State) *snapNode {
 // once per branch) and resolves DAG back-references: byOrd mirrors the
 // encoder's preorder ordinals, so a {"r":N} node returns the N-th fully
 // decoded state. Version-0 snapshots simply never reference the slots.
+// Every node is made through the constructors the transitions use, which
+// store sets in id order and seal the node's id.
 type decoder struct {
 	exprs map[string]*expr.Expr
 	byOrd []State
@@ -266,16 +301,21 @@ func (d *decoder) states(ns []*snapNode) ([]State, error) {
 	return out, nil
 }
 
-func (d *decoder) alts(nss [][]*snapNode) ([][]State, error) {
+// alts decodes alternatives, sorting a multiset's states, and returns
+// them sorted and deduplicated.
+func (d *decoder) alts(nss [][]*snapNode, multiset bool) ([][]State, error) {
 	out := make([][]State, len(nss))
 	for i, ns := range nss {
 		ss, err := d.states(ns)
 		if err != nil {
 			return nil, err
 		}
+		if multiset {
+			ss = sortStatesKeepDup(ss)
+		}
 		out[i] = ss
 	}
-	return out, nil
+	return sortDedupAlts(out, multiset), nil
 }
 
 func (d *decoder) branches(bs []snapBranch) (branchSet, error) {
@@ -334,19 +374,22 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if n.Act == nil {
 			return nil, fmt.Errorf("state: snapshot atom without action")
 		}
-		return &atomState{atom: decodeAction(n.Act), done: n.Done}, nil
+		return newAtomState(decodeAction(n.Act), n.Done), nil
 	case tagOr:
 		kids, err := d.states(n.Kids)
 		if err != nil {
 			return nil, err
 		}
-		return &orState{kids: kids}, nil
+		if len(kids) == 0 {
+			return nil, fmt.Errorf("state: or snapshot without branches")
+		}
+		return newOrState(kids), nil
 	case tagAnd:
 		kids, err := d.states(n.Kids)
 		if err != nil {
 			return nil, err
 		}
-		return &andState{kids: kids}, nil
+		return sealed(&andState{kids: kids}), nil
 	case tagSeq:
 		e, err := d.expr(n.E)
 		if err != nil {
@@ -366,7 +409,8 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 			}
 			s.alts = append(s.alts, seqAlt{idx: n.Idx[i], st: st})
 		}
-		return s, nil
+		s.alts = sortSeqAlts(s.alts)
+		return sealed(s), nil
 	case tagSeqIter:
 		y, err := d.expr(n.E)
 		if err != nil {
@@ -376,29 +420,29 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &seqIterState{sigma: sigma{y: y}, insts: insts, boundary: n.Done}, nil
+		return sealed(&seqIterState{sigma: sigma{y: y}, insts: sortDedupStates(insts), boundary: n.Done}), nil
 	case tagPar:
-		alts, err := d.alts(n.Alts)
+		alts, err := d.alts(n.Alts, false)
 		if err != nil {
 			return nil, err
 		}
-		return &parState{alts: alts}, nil
+		return sealed(&parState{alts: alts}), nil
 	case tagMult:
-		alts, err := d.alts(n.Alts)
+		alts, err := d.alts(n.Alts, true)
 		if err != nil {
 			return nil, err
 		}
-		return &multState{alts: alts}, nil
+		return sealed(&multState{alts: alts}), nil
 	case tagParIter:
 		y, err := d.expr(n.E)
 		if err != nil {
 			return nil, err
 		}
-		alts, err := d.alts(n.Alts)
+		alts, err := d.alts(n.Alts, true)
 		if err != nil {
 			return nil, err
 		}
-		return &parIterState{sigma: sigma{y: y}, alts: alts}, nil
+		return sealed(&parIterState{sigma: sigma{y: y}, alts: alts}), nil
 	case tagSync:
 		if len(n.Es) != len(n.Kids) {
 			return nil, fmt.Errorf("state: malformed sync snapshot")
@@ -417,7 +461,7 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 			s.kids = append(s.kids, st)
 			s.alphas = append(s.alphas, expr.AlphabetOf(e))
 		}
-		return s, nil
+		return sealed(s), nil
 	case tagAnyQ:
 		e, err := d.quantExpr(n.E, expr.OpAnyQ)
 		if err != nil {
@@ -427,13 +471,13 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &anyQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), touched: touched, excluded: n.Excl}
+		s := &anyQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), touched: touched.canonical(e.Param), excluded: n.Excl}
 		if n.Gen != nil {
 			if s.generic, err = d.state(n.Gen); err != nil {
 				return nil, err
 			}
 		}
-		return s, nil
+		return sealed(s), nil
 	case tagConQ:
 		e, err := d.quantExpr(n.E, expr.OpConQ)
 		if err != nil {
@@ -447,7 +491,7 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &conQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), touched: touched, generic: generic}, nil
+		return sealed(&conQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), touched: touched.canonical(e.Param), generic: generic}), nil
 	case tagSyncQ:
 		e, err := d.quantExpr(n.E, expr.OpSyncQ)
 		if err != nil {
@@ -461,13 +505,13 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &syncQState{
+		return sealed(&syncQState{
 			e:       e,
 			whole:   expr.AlphabetOf(e),
-			touched: touched,
+			touched: touched.canonical(e.Param),
 			generic: generic,
 			genA:    expr.AlphabetOf(e.Kids[0]),
-		}, nil
+		}), nil
 	case tagAllQ:
 		e, err := d.quantExpr(n.E, expr.OpAllQ)
 		if err != nil {
@@ -491,12 +535,13 @@ func (d *decoder) stateBody(n *snapNode) (State, error) {
 					anon[i].excl = qa.Excl[i]
 				}
 			}
-			s.alts = append(s.alts, allQAlt{named: named, anon: anon})
+			s.alts = append(s.alts, allQAlt{named: named.canonical(e.Param), anon: sortAnon(anon)})
 		}
 		if len(s.alts) == 0 {
 			s.alts = []allQAlt{{}}
 		}
-		return s, nil
+		s.alts = sortDedupQAlts(s.alts, e.Param)
+		return sealed(s), nil
 	}
 	return nil, fmt.Errorf("state: unknown snapshot node type %q", n.T)
 }

@@ -1,7 +1,6 @@
 package state
 
 import (
-	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -14,8 +13,8 @@ import (
 // consumed the action; ρ drops variants whose operand state died and
 // deduplicates the rest.
 type parState struct {
-	alts [][]State
-	keyed
+	alts [][]State // sorted by id, deduplicated
+	node
 }
 
 func newParState(e *expr.Expr) State {
@@ -23,31 +22,7 @@ func newParState(e *expr.Expr) State {
 	for i, k := range e.Kids {
 		kids[i] = Initial(k)
 	}
-	return &parState{alts: [][]State{kids}}
-}
-
-// dedupAlts removes duplicate alternatives (tuples compared slot-wise),
-// keeping first occurrences in order. Alternatives are bucketed by a hash
-// folded from their slots' cached key hashes, and a bucket hit is
-// confirmed slot by slot.
-func dedupAlts(alts [][]State) [][]State {
-	first := make(map[uint64]int, len(alts)) // alternative hash → first index in out
-	out := alts[:0]
-	for _, alt := range alts {
-		h := uint64(len(alt))
-		for _, st := range alt {
-			h = (h ^ keyHash(st)) * 1099511628211 // FNV-1a, a word at a time
-		}
-		i, seen := first[h]
-		if seen && slices.ContainsFunc(out[i:], func(o []State) bool { return slices.EqualFunc(o, alt, sameState) }) {
-			continue
-		}
-		if !seen {
-			first[h] = len(out)
-		}
-		out = append(out, alt)
-	}
-	return out
+	return sealed(&parState{alts: [][]State{kids}})
 }
 
 // writeAlts writes alternatives' keys under env, separated by ';', in
@@ -67,6 +42,13 @@ func writeAlts(b *strings.Builder, alts [][]State, env *expr.Env, multiset bool)
 	writeSorted(b, keys, ';', true)
 }
 
+// altKey is an alternative's key.
+func altKey(alt []State, multiset bool) string {
+	var b strings.Builder
+	writeAlt(&b, alt, nil, multiset)
+	return b.String()
+}
+
 // writeAlt writes one alternative's states under env: in slot order, or
 // sorted again for a multiset.
 func writeAlt(b *strings.Builder, alt []State, env *expr.Env, multiset bool) {
@@ -77,7 +59,7 @@ func writeAlt(b *strings.Builder, alt []State, env *expr.Env, multiset bool) {
 	writeList(b, alt, env)
 }
 
-func (s *parState) Key() string { return s.of(s) }
+func (s *parState) Key() string { return keyIn(s, nil) }
 
 func (s *parState) Final() bool {
 	for _, alt := range s.alts {
@@ -113,7 +95,7 @@ func (s *parState) trans(a expr.Action, sh sharing) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &parState{alts: dedupAlts(next)}
+	return sealed(&parState{alts: sortDedupAlts(next, false)})
 }
 
 func (s *parState) render(b *strings.Builder, env *expr.Env) {
@@ -132,7 +114,8 @@ func (s *parState) inert() bool {
 }
 
 func (s *parState) internParts(c *Cache) State {
-	return &parState{alts: canonAlts(c, s.alts), keyed: s.keyed}
+	alts, changed := canonAlts(c, s.alts)
+	return reuse(s, changed, func(n *parState) { n.alts = alts })
 }
 
 // multState is the state of a multiplier mult(n, y): exactly n
@@ -142,8 +125,8 @@ func (s *parState) internParts(c *Cache) State {
 // composition of identical operands would produce — one of the practical
 // optimizations ρ is responsible for in the paper.
 type multState struct {
-	alts [][]State // each sorted, length n
-	keyed
+	alts [][]State // each sorted by id, length n; sorted by id, deduplicated
+	node
 }
 
 func newMultState(e *expr.Expr) State {
@@ -152,10 +135,10 @@ func newMultState(e *expr.Expr) State {
 	for i := range alt {
 		alt[i] = init
 	}
-	return &multState{alts: [][]State{alt}}
+	return sealed(&multState{alts: [][]State{alt}})
 }
 
-func (s *multState) Key() string { return s.of(s) }
+func (s *multState) Key() string { return keyIn(s, nil) }
 
 func (s *multState) Final() bool {
 	for _, alt := range s.alts {
@@ -180,7 +163,7 @@ func (s *multState) trans(a expr.Action, sh sharing) State {
 		for i, inst := range alt {
 			// Identical instances are interchangeable: transitioning the
 			// first of a run of equal states covers them all.
-			if i > 0 && alt[i].Key() == alt[i-1].Key() {
+			if i > 0 && sameState(alt[i], alt[i-1]) {
 				continue
 			}
 			ni := sh.trans(inst, a)
@@ -200,7 +183,7 @@ func (s *multState) trans(a expr.Action, sh sharing) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &multState{alts: dedupAlts(next)}
+	return sealed(&multState{alts: sortDedupAlts(next, true)})
 }
 
 func (s *multState) render(b *strings.Builder, env *expr.Env) {
@@ -219,7 +202,8 @@ func (s *multState) inert() bool {
 }
 
 func (s *multState) internParts(c *Cache) State {
-	return &multState{alts: canonAlts(c, s.alts), keyed: s.keyed}
+	alts, changed := canonAlts(c, s.alts)
+	return reuse(s, changed, func(n *multState) { n.alts = alts })
 }
 
 // parIterState is the state of a parallel iteration y#: an unbounded
@@ -229,15 +213,15 @@ func (s *multState) internParts(c *Cache) State {
 // finality — which keeps states of benign expressions small.
 type parIterState struct {
 	sigma           // the body y and σ(y)
-	alts  [][]State // sorted multisets (possibly empty)
-	keyed
+	alts  [][]State // multisets sorted by id (possibly empty); sorted by id, deduplicated
+	node
 }
 
 func newParIterState(y *expr.Expr) State {
-	return &parIterState{sigma: sigma{y: y}, alts: [][]State{nil}}
+	return sealed(&parIterState{sigma: sigma{y: y}, alts: [][]State{nil}})
 }
 
-func (s *parIterState) Key() string { return s.of(s) }
+func (s *parIterState) Key() string { return keyIn(s, nil) }
 
 func (s *parIterState) Final() bool {
 	for _, alt := range s.alts {
@@ -274,7 +258,7 @@ func (s *parIterState) trans(a expr.Action, sh sharing) State {
 	for _, alt := range s.alts {
 		// An existing instance consumes the action...
 		for i, inst := range alt {
-			if i > 0 && alt[i].Key() == alt[i-1].Key() {
+			if i > 0 && sameState(alt[i], alt[i-1]) {
 				continue
 			}
 			ni := sh.trans(inst, a)
@@ -297,7 +281,7 @@ func (s *parIterState) trans(a expr.Action, sh sharing) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &parIterState{sigma: s.sigma, alts: dedupAlts(next)}
+	return sealed(&parIterState{sigma: s.sigma, alts: sortDedupAlts(next, true)})
 }
 
 func (s *parIterState) render(b *strings.Builder, env *expr.Env) {
@@ -314,5 +298,6 @@ func (s *parIterState) render(b *strings.Builder, env *expr.Env) {
 func (s *parIterState) inert() bool { return false }
 
 func (s *parIterState) internParts(c *Cache) State {
-	return &parIterState{sigma: s.sigma, alts: canonAlts(c, s.alts), keyed: s.keyed}
+	alts, changed := canonAlts(c, s.alts)
+	return reuse(s, changed, func(n *parIterState) { n.alts = alts })
 }

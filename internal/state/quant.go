@@ -16,9 +16,11 @@ type branch struct {
 	val string
 	st  State
 	// key is st's key rendered under p := val alone: the branch's part of
-	// the quantifier's Key, and at the top level the key ρ compares. ""
-	// means not built yet; successors carry it while st is unchanged.
+	// the quantifier's Key and shape, and at the top level the key ρ
+	// compares. "" means not built yet; successors carry it, and its
+	// hash kh, while st is unchanged.
 	key string
+	kh  uint64
 	// fresh is σ(y)'s key rendered under p := val, the key that releases
 	// an allQ branch at the top level, built the first time ρ needs it
 	// and carried by successors. Other quantifiers release against their
@@ -36,6 +38,7 @@ func (b *branch) keyIn(p string, sh sharing) string {
 	}
 	if b.key == "" {
 		b.key = sh.bind(p, b.val).key(b.st)
+		b.kh = expr.HashKey(b.key)
 	}
 	return b.key
 }
@@ -69,8 +72,13 @@ func (bs branchSet) has(v string) bool {
 
 func byVal(x, y branch) int { return strings.Compare(x.val, y.val) }
 
-func (bs branchSet) canonical() branchSet {
+// canonical orders the branches of a new node by value and builds their
+// keys, which its shape names.
+func (bs branchSet) canonical(p string) branchSet {
 	slices.SortFunc(bs, byVal)
+	for i := range bs {
+		bs[i].keyIn(p, sharing{})
+	}
 	return bs
 }
 
@@ -104,13 +112,14 @@ func (bs branchSet) size() int {
 	return n
 }
 
-// internParts canonicalizes every branch state, preserving order.
-func (bs branchSet) internParts(c *Cache) branchSet {
-	out := make(branchSet, len(bs))
-	for i, b := range bs {
-		out[i] = branch{val: b.val, st: c.Canon(b.st), key: b.key, fresh: b.fresh}
-	}
-	return out
+// internParts canonicalizes every branch state, preserving order; see
+// canonEach.
+func (bs branchSet) internParts(c *Cache) (branchSet, bool) {
+	return canonEach(bs, func(b branch) (branch, bool) {
+		st, changed := c.canonOf(b.st)
+		b.st = st
+		return b, changed
+	})
 }
 
 // newValue reports the i-th argument of a as a value to fork a branch
@@ -160,14 +169,14 @@ type anyQState struct {
 	// that binding, committing the not-yet-chosen value to differ (the
 	// bound variant was forked as its own touched branch at that action).
 	excluded []string // sorted
-	keyed
+	node
 }
 
 func newAnyQState(e *expr.Expr) State {
-	return &anyQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), generic: Initial(e.Kids[0])}
+	return sealed(&anyQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), generic: Initial(e.Kids[0])})
 }
 
-func (s *anyQState) Key() string { return s.of(s) }
+func (s *anyQState) Key() string { return keyIn(s, nil) }
 
 func (s *anyQState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteString("any<")
@@ -178,7 +187,7 @@ func (s *anyQState) render(b *strings.Builder, env *expr.Env) {
 	if s.generic == nil {
 		b.WriteByte('!')
 	} else {
-		writeKey(b, s.generic, sharing{env: env}.free(s.e.Param).env)
+		s.generic.render(b, sharing{env: env}.free(s.e.Param).env)
 		if len(s.excluded) > 0 {
 			b.WriteByte('!')
 			b.WriteString(strings.Join(s.excluded, ","))
@@ -269,16 +278,13 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 	if len(touched) == 0 && generic == nil {
 		return nil
 	}
-	return &anyQState{e: s.e, strictA: s.strictA, touched: touched.canonical(), generic: generic, excluded: excluded}
+	return sealed(&anyQState{e: s.e, strictA: s.strictA, touched: touched.canonical(p), generic: generic, excluded: excluded})
 }
 
 func (s *anyQState) internParts(c *Cache) State {
-	var generic State
-	if s.generic != nil {
-		generic = c.Canon(s.generic)
-	}
-	return &anyQState{e: s.e, strictA: s.strictA, touched: s.touched.internParts(c),
-		generic: generic, excluded: s.excluded, keyed: s.keyed}
+	touched, tc := s.touched.internParts(c)
+	generic, gc := c.canonOf(s.generic)
+	return reuse(s, tc || gc, func(n *anyQState) { n.touched, n.generic = touched, generic })
 }
 
 func (s *anyQState) inert() bool {
@@ -305,14 +311,14 @@ type conQState struct {
 	strictA *expr.Alphabet
 	touched branchSet
 	generic State
-	keyed
+	node
 }
 
 func newConQState(e *expr.Expr) State {
-	return &conQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), generic: Initial(e.Kids[0])}
+	return sealed(&conQState{e: e, strictA: expr.AlphabetOf(e.Kids[0]), generic: Initial(e.Kids[0])})
 }
 
-func (s *conQState) Key() string { return s.of(s) }
+func (s *conQState) Key() string { return keyIn(s, nil) }
 
 func (s *conQState) render(b *strings.Builder, env *expr.Env) {
 	renderGeneric(b, "conq<", s.e, s.touched, s.generic, env)
@@ -326,7 +332,7 @@ func renderGeneric(b *strings.Builder, open string, e *expr.Expr, touched branch
 	b.WriteString(">{")
 	touched.write(b, e.Param, env)
 	b.WriteByte('|')
-	writeKey(b, generic, sharing{env: env}.free(e.Param).env)
+	generic.render(b, sharing{env: env}.free(e.Param).env)
 	b.WriteByte('}')
 }
 
@@ -378,7 +384,7 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 			touched = append(touched, nb)
 		}
 	}
-	return &conQState{e: s.e, strictA: s.strictA, touched: touched.canonical(), generic: generic}
+	return sealed(&conQState{e: s.e, strictA: s.strictA, touched: touched.canonical(p), generic: generic})
 }
 
 func (s *conQState) inert() bool {
@@ -388,8 +394,9 @@ func (s *conQState) inert() bool {
 }
 
 func (s *conQState) internParts(c *Cache) State {
-	return &conQState{e: s.e, strictA: s.strictA, touched: s.touched.internParts(c),
-		generic: c.Canon(s.generic), keyed: s.keyed}
+	touched, tc := s.touched.internParts(c)
+	generic, gc := c.canonOf(s.generic)
+	return reuse(s, tc || gc, func(n *conQState) { n.touched, n.generic = touched, generic })
 }
 
 // --- synchronization quantifier ("syncq p: y") ------------------------
@@ -405,19 +412,19 @@ type syncQState struct {
 	touched branchSet
 	generic State
 	genA    *expr.Alphabet // α of the body with p free
-	keyed
+	node
 }
 
 func newSyncQState(e *expr.Expr) State {
-	return &syncQState{
+	return sealed(&syncQState{
 		e:       e,
 		whole:   expr.AlphabetOf(e),
 		generic: Initial(e.Kids[0]),
 		genA:    expr.AlphabetOf(e.Kids[0]),
-	}
+	})
 }
 
-func (s *syncQState) Key() string { return s.of(s) }
+func (s *syncQState) Key() string { return keyIn(s, nil) }
 
 func (s *syncQState) render(b *strings.Builder, env *expr.Env) {
 	renderGeneric(b, "syncq<", s.e, s.touched, s.generic, env)
@@ -479,7 +486,7 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 			touched = append(touched, nb)
 		}
 	}
-	return &syncQState{e: s.e, whole: s.whole, touched: touched.canonical(), generic: generic, genA: s.genA}
+	return sealed(&syncQState{e: s.e, whole: s.whole, touched: touched.canonical(p), generic: generic, genA: s.genA})
 }
 
 // takesPart reports a ∈ α(y) under the walk's binding: whether the
@@ -497,6 +504,7 @@ func (s *syncQState) involved(a expr.Action, v string) bool {
 func (s *syncQState) inert() bool { return false }
 
 func (s *syncQState) internParts(c *Cache) State {
-	return &syncQState{e: s.e, whole: s.whole, touched: s.touched.internParts(c),
-		generic: c.Canon(s.generic), genA: s.genA, keyed: s.keyed}
+	touched, tc := s.touched.internParts(c)
+	generic, gc := c.canonOf(s.generic)
+	return reuse(s, tc || gc, func(n *syncQState) { n.touched, n.generic = touched, generic })
 }

@@ -383,20 +383,20 @@ func substRef(s State, p, v string) State {
 				out[i] = sortStatesKeepDup(out[i])
 			}
 		}
-		return dedupAlts(out)
+		return sortDedupAlts(out, keepDup)
 	}
-	branches := func(bs branchSet) branchSet {
+	branches := func(bs branchSet, q string) branchSet {
 		out := make(branchSet, len(bs))
 		for i, b := range bs {
 			out[i] = branch{val: b.val, st: substRef(b.st, p, v)}
 		}
-		return out.canonical()
+		return out.canonical(q)
 	}
 	switch st := s.(type) {
 	case emptyState:
 		return s
 	case *atomState:
-		return &atomState{atom: st.atom.Subst(p, v), done: st.done}
+		return newAtomState(st.atom.Subst(p, v), st.done)
 	case *orState:
 		return newOrState(all(st.kids))
 	case *andState:
@@ -411,21 +411,21 @@ func substRef(s State, p, v string) State {
 			as[i] = seqAlt{a.idx, substRef(a.st, p, v)}
 		}
 		ns.alts = ns.close(as)
-		return ns
+		return sealed(ns)
 	case *seqIterState:
 		if !st.y.HasFreeParam(p) {
 			return s
 		}
-		return &seqIterState{sigma: sigma{y: st.y.Subst(p, v)}, insts: sortDedupStates(all(st.insts)), boundary: st.boundary}
+		return sealed(&seqIterState{sigma: sigma{y: st.y.Subst(p, v)}, insts: sortDedupStates(all(st.insts)), boundary: st.boundary})
 	case *parState:
-		return &parState{alts: alts(st.alts, false)}
+		return sealed(&parState{alts: alts(st.alts, false)})
 	case *multState:
-		return &multState{alts: alts(st.alts, true)}
+		return sealed(&multState{alts: alts(st.alts, true)})
 	case *parIterState:
 		if !st.y.HasFreeParam(p) {
 			return s
 		}
-		return &parIterState{sigma: sigma{y: st.y.Subst(p, v)}, alts: alts(st.alts, true)}
+		return sealed(&parIterState{sigma: sigma{y: st.y.Subst(p, v)}, alts: alts(st.alts, true)})
 	case *syncState:
 		ns := &syncState{}
 		for i, k := range st.kidExprs {
@@ -434,7 +434,7 @@ func substRef(s State, p, v string) State {
 			ns.kids = append(ns.kids, substRef(st.kids[i], p, v))
 			ns.alphas = append(ns.alphas, expr.AlphabetOf(ke))
 		}
-		return ns
+		return sealed(ns)
 	}
 	var e *expr.Expr
 	switch st := s.(type) {
@@ -458,27 +458,22 @@ func substRef(s State, p, v string) State {
 		if st.generic != nil {
 			generic = substRef(st.generic, p, v)
 		}
-		return &anyQState{e: ne, strictA: expr.AlphabetOf(body), touched: branches(st.touched), generic: generic, excluded: st.excluded}
+		return sealed(&anyQState{e: ne, strictA: expr.AlphabetOf(body), touched: branches(st.touched, ne.Param), generic: generic, excluded: st.excluded})
 	case *conQState:
-		return &conQState{e: ne, strictA: expr.AlphabetOf(body), touched: branches(st.touched), generic: substRef(st.generic, p, v)}
+		return sealed(&conQState{e: ne, strictA: expr.AlphabetOf(body), touched: branches(st.touched, ne.Param), generic: substRef(st.generic, p, v)})
 	case *syncQState:
-		return &syncQState{e: ne, whole: expr.AlphabetOf(ne), touched: branches(st.touched), generic: substRef(st.generic, p, v), genA: expr.AlphabetOf(body)}
+		return sealed(&syncQState{e: ne, whole: expr.AlphabetOf(ne), touched: branches(st.touched, ne.Param), generic: substRef(st.generic, p, v), genA: expr.AlphabetOf(body)})
 	case *allQState:
 		var as []allQAlt
-		seen := make(map[string]bool)
 		for _, a := range st.alts {
 			anon := make([]anonBranch, len(a.anon))
 			for j, ab := range a.anon {
 				anon[j] = anonBranch{st: substRef(ab.st, p, v), excl: ab.excl}
 			}
-			na := allQAlt{named: branches(a.named), anon: sortAnon(anon)}
-			// Substitution can make alternatives equal that ρ kept apart.
-			if na.key = na.keyIn(ne.Param, nil); !seen[na.key] {
-				seen[na.key] = true
-				as = append(as, na)
-			}
+			as = append(as, allQAlt{named: branches(a.named, ne.Param), anon: sortAnon(anon)})
 		}
-		return &allQState{e: ne, sigma: sigma{y: body}, strictA: expr.AlphabetOf(body), nullable: st.nullable, alts: as}
+		// Substitution can make alternatives equal that ρ kept apart.
+		return sealed(&allQState{e: ne, sigma: sigma{y: body}, strictA: expr.AlphabetOf(body), nullable: st.nullable, alts: sortDedupQAlts(as, ne.Param)})
 	}
 	panic(fmt.Sprintf("substRef: %T", s))
 }

@@ -18,9 +18,9 @@ import (
 // present too.
 type seqState struct {
 	e     *expr.Expr // the OpSeq node, for lazily starting later operands
-	alts  []seqAlt   // sorted by (idx, key), deduplicated
+	alts  []seqAlt   // sorted by id, deduplicated
 	inits []State    // σ of each operand, built on first need; successors share it
-	keyed
+	node
 }
 
 type seqAlt struct {
@@ -31,7 +31,7 @@ type seqAlt struct {
 func newSeqState(e *expr.Expr) State {
 	s := &seqState{e: e}
 	s.alts = s.close([]seqAlt{{0, Initial(e.Kids[0])}})
-	return s
+	return sealed(s)
 }
 
 // initial returns σ of operand i.
@@ -55,16 +55,18 @@ func (s *seqState) close(alts []seqAlt) []seqAlt {
 			alts = append(alts, seqAlt{a.idx + 1, s.initial(a.idx + 1)})
 		}
 	}
-	slices.SortFunc(alts, func(x, y seqAlt) int {
-		if c := cmp.Compare(x.idx, y.idx); c != 0 {
-			return c
-		}
-		return byKey(x.st, y.st)
-	})
-	return slices.CompactFunc(alts, func(x, y seqAlt) bool { return x.idx == y.idx && sameState(x.st, y.st) })
+	return sortSeqAlts(alts)
 }
 
-func (s *seqState) Key() string { return s.of(s) }
+// sortSeqAlts orders alternatives by id and removes duplicates.
+func sortSeqAlts(alts []seqAlt) []seqAlt {
+	id := func(a seqAlt) uint64 { return (a.st.sid() ^ uint64(a.idx)) * fnvPrime }
+	key := func(a seqAlt) string { return strconv.Itoa(a.idx) + ":" + a.st.Key() }
+	same := func(x, y seqAlt) bool { return x.idx == y.idx && sameState(x.st, y.st) }
+	return sortByID(alts, id, key, same, true)
+}
+
+func (s *seqState) Key() string { return keyIn(s, nil) }
 
 func (s *seqState) Final() bool {
 	last := len(s.e.Kids) - 1
@@ -95,27 +97,15 @@ func (s *seqState) trans(act expr.Action, sh sharing) State {
 		return nil
 	}
 	next = s.close(next) // before s.inits is handed on: close may build it
-	return &seqState{e: s.e, alts: next, inits: s.inits}
+	return sealed(&seqState{e: s.e, alts: next, inits: s.inits})
 }
 
 func (s *seqState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteString("seq<")
 	s.e.WriteIn(b, env)
 	b.WriteString(">[")
-	// The alternatives are stored in (index, key) order; binding can
-	// reorder them and make two equal.
-	if env == nil || len(s.alts) == 1 {
-		for i, a := range s.alts {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(a.idx))
-			b.WriteByte(':')
-			writeKey(b, a.st, env)
-		}
-		b.WriteByte(']')
-		return
-	}
+	// The alternatives are stored in id order and written in
+	// (index, key) order; binding can also make two equal.
 	alts := make([]seqAltKey, len(s.alts))
 	for i, a := range s.alts {
 		alts[i] = seqAltKey{a.idx, keyIn(a.st, env)}
@@ -153,11 +143,11 @@ func (s *seqState) inert() bool {
 }
 
 func (s *seqState) internParts(c *Cache) State {
-	alts := make([]seqAlt, len(s.alts))
-	for i, a := range s.alts {
-		alts[i] = seqAlt{a.idx, c.Canon(a.st)}
-	}
-	return &seqState{e: s.e, alts: alts, inits: s.inits, keyed: s.keyed}
+	alts, changed := canonEach(s.alts, func(a seqAlt) (seqAlt, bool) {
+		st, changed := c.canonOf(a.st)
+		return seqAlt{a.idx, st}, changed
+	})
+	return reuse(s, changed, func(n *seqState) { n.alts = alts })
 }
 
 // seqIterState is the state of a sequential iteration y*. It tracks the
@@ -167,19 +157,19 @@ func (s *seqState) internParts(c *Cache) State {
 // next action start a fresh iteration — represented by keeping σ(y)
 // among the instances whenever the flag is set).
 type seqIterState struct {
-	sigma    // the body y and σ(y)
-	insts    []State
+	sigma            // the body y and σ(y)
+	insts    []State // sorted by id, deduplicated
 	boundary bool
-	keyed
+	node
 }
 
 func newSeqIterState(y *expr.Expr) State {
 	s := &seqIterState{sigma: sigma{y: y}, boundary: true}
 	s.insts = []State{s.initial()}
-	return s
+	return sealed(s)
 }
 
-func (s *seqIterState) Key() string { return s.of(s) }
+func (s *seqIterState) Key() string { return keyIn(s, nil) }
 
 func (s *seqIterState) Final() bool { return s.boundary }
 func (s *seqIterState) Size() int   { return 1 + sumSizes(s.insts) }
@@ -216,7 +206,7 @@ func (s *seqIterState) trans(a expr.Action, sh sharing) State {
 	if len(next) == 0 {
 		return nil
 	}
-	return &seqIterState{sigma: s.sigma, insts: sortDedupStates(next), boundary: boundary}
+	return sealed(&seqIterState{sigma: s.sigma, insts: sortDedupStates(next), boundary: boundary})
 }
 
 func (s *seqIterState) render(b *strings.Builder, env *expr.Env) {
@@ -242,5 +232,6 @@ func (s *seqIterState) inert() bool {
 }
 
 func (s *seqIterState) internParts(c *Cache) State {
-	return &seqIterState{sigma: s.sigma, insts: canonAll(c, s.insts), boundary: s.boundary, keyed: s.keyed}
+	insts, changed := canonAll(c, s.insts)
+	return reuse(s, changed, func(n *seqIterState) { n.insts = insts })
 }

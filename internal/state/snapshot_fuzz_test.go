@@ -62,15 +62,10 @@ func assertRoundTrip(t *testing.T, en *Engine, cands []expr.Action) {
 	}
 }
 
-// FuzzSnapshotRoundTrip drives a random word through a parsed expression
-// and asserts the DAG snapshot format round-trips exactly at every
-// reached state. The seed corpus covers the exclusion-carrying
-// quantifier states introduced by the PR-2 binding-soundness fix
-// (anonymous allQ branches and anyQ generic branches with excluded
-// bindings), every node type of the format, and the rebound parameters
-// of reboundSrcs, whose branch states are written with $p free.
-func FuzzSnapshotRoundTrip(f *testing.F) {
-	seeds := []string{
+// snapshotSeeds are FuzzSnapshotRoundTrip's seed expressions, each
+// seeded with every word of snapshotSeedWords.
+func snapshotSeeds() []string {
+	return append([]string{
 		"all p0: ((x($p0) || a) @ mult(2, x(v2)))?",
 		"any p0: ((x($p0) || a) @ mult(2, x(v2)))",
 		"all p: (call(p) - perform(p))*",
@@ -79,11 +74,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		"conq p: (b? - x(p)?)?",
 		"(a - b)# & (a | b)*",
 		"mult(3, a - b) || (any p: lock(p) - unlock(p))",
-	}
-	for _, src := range append(seeds, reboundSrcs...) {
-		f.Add(src, []byte{0, 1, 2, 3, 4, 5, 6, 7})
-		f.Add(src, []byte{0, 0, 1, 1, 2, 2})
-		f.Add(src, []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	}, reboundSrcs...)
+}
+
+var snapshotSeedWords = [][]byte{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 0, 1, 1, 2, 2}, {3, 1, 4, 1, 5, 9, 2, 6}}
+
+// FuzzSnapshotRoundTrip drives a random word through a parsed expression
+// and asserts the DAG snapshot format round-trips exactly at every
+// reached state. The seed corpus covers the exclusion-carrying
+// quantifier states introduced by the PR-2 binding-soundness fix
+// (anonymous allQ branches and anyQ generic branches with excluded
+// bindings), every node type of the format, and the rebound parameters
+// of reboundSrcs, whose branch states are written with $p free.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	for _, src := range snapshotSeeds() {
+		for _, word := range snapshotSeedWords {
+			f.Add(src, word)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string, word []byte) {
 		e, err := parse.Parse(src)

@@ -9,8 +9,8 @@
 // States are immutable, hierarchically structured values mirroring the
 // expression tree. Nondeterministic choices that the descriptive
 // traversal semantics leaves open (where a walker might be) are
-// represented as alternative sets, deduplicated by canonical keys; this
-// is the generalization of the paper's parallel-composition example
+// represented as alternative sets, deduplicated by structural ids (see
+// shape.go); this is the generalization of the paper's parallel-composition example
 // (states [∥, A] with alternative pairs) to all operators.
 //
 // Quantifier states are finite despite ranging over the infinite value
@@ -48,8 +48,11 @@ import (
 // State is an operational state of some interaction (sub)expression. The
 // nil State represents the invalid ("null") state.
 type State interface {
-	// Key returns the canonical identity of the state; equal keys mean
-	// semantically identical states (used for deduplication).
+	// Key returns the canonical rendering of the state: equal keys mean
+	// semantically identical states, and equal shapes (sameState). It is
+	// as long as the state's tree unfolding and rendered on each call,
+	// for StateKey, snapshots and tests; nothing on the transition path
+	// calls it.
 	Key() string
 	// Final reports ϕ(s): whether the walkers may have reached the end of
 	// the graph, i.e. the word consumed so far is a complete word.
@@ -79,44 +82,15 @@ type State interface {
 	// completed instances of parallel iterations. Must be conservative:
 	// false is always safe.
 	inert() bool
-	// internParts returns an equal state (same Key) whose child states
-	// have been replaced by their canonical representatives from c; the
-	// hash-consing descent of Cache.Canon. Leaves return themselves.
+	// internParts returns an equal state (same id and shape) whose child
+	// states have been replaced by their canonical representatives from
+	// c; the hash-consing descent of Cache.Canon. Leaves return
+	// themselves.
 	internParts(c *Cache) State
-	// keys returns the node's key cache; nil for leaves (short keys).
-	keys() *keyed
-}
-
-// keyed caches a composite state's key and the key's hash, each built on
-// first use; Cache.Canon builds both before a node is shared.
-type keyed struct {
-	key  string
-	hash uint64
-}
-
-func (k *keyed) keys() *keyed { return k }
-
-// of returns the Key of s, the composite state k belongs to: its
-// rendering under no binding, built on first use.
-func (k *keyed) of(s State) string {
-	if k.key == "" {
-		var b strings.Builder
-		s.render(&b, nil)
-		k.key = b.String()
-	}
-	return k.key
-}
-
-// keyHash is expr.HashKey(s.Key()), cached on composite nodes.
-func keyHash(s State) uint64 {
-	k := s.keys()
-	if k == nil {
-		return expr.HashKey(s.Key())
-	}
-	if k.hash == 0 {
-		k.hash = expr.HashKey(s.Key())
-	}
-	return k.hash
+	// sid returns the node's structural id (shape.go), which sealed sets
+	// with setID.
+	sid() uint64
+	setID(id uint64)
 }
 
 // sigma caches σ(y) of an operand on the state node, built on first need
@@ -148,6 +122,7 @@ type sharing struct {
 }
 
 type walkTable struct {
+	c    *Cache // interns every successor the walk derives
 	next map[walkKey]State
 	envs map[expr.Env]*expr.Env // interned frames: one per (parameter, value, outer frame); made on first bind
 }
@@ -162,7 +137,9 @@ func (t *walkTable) reset() {
 	clear(t.envs)
 }
 
-// trans is τ̂ of the child s within the walk.
+// trans is τ̂ of the child s within the walk. A cache's walk interns
+// the successor, so the nodes a step builds have canonical children, and
+// equal children are one object: comparing them is comparing pointers.
 func (sh sharing) trans(s State, a expr.Action) State {
 	if sh.tab == nil {
 		return s.trans(a, sh)
@@ -170,7 +147,7 @@ func (sh sharing) trans(s State, a expr.Action) State {
 	k := walkKey{s, sh.env}
 	next, ok := sh.tab.next[k]
 	if !ok {
-		next = s.trans(a, sh)
+		next = sh.tab.c.Canon(s.trans(a, sh))
 		sh.tab.next[k] = next
 	}
 	return next
@@ -211,52 +188,31 @@ func (sh sharing) key(s State) string { return keyIn(s, sh.env) }
 // keyIn returns the key s has under env: its Key with every parameter
 // env binds replaced by its value, which is the Key of the state the
 // substitutions would build. It is rendered into one builder, and
-// without building any state or expression; a key that mentions no
-// parameter is its own rendering.
+// without building any state or expression. With env nil it is Key.
 func keyIn(s State, env *expr.Env) string {
-	k := s.Key()
-	if env == nil || strings.IndexByte(k, '$') < 0 {
-		return k
-	}
 	var b strings.Builder
-	b.Grow(len(k))
 	s.render(&b, env)
 	return b.String()
 }
 
-// writeKey writes keyIn(s, env) to b.
-func writeKey(b *strings.Builder, s State, env *expr.Env) {
-	k := s.Key()
-	if env == nil || strings.IndexByte(k, '$') < 0 {
-		b.WriteString(k)
-		return
-	}
-	s.render(b, env)
-}
-
 // writeList writes the keys of states under env, comma-separated in
-// order. The builder grows once, by the states' own key lengths.
+// order.
 func writeList(b *strings.Builder, ss []State, env *expr.Env) {
-	n := len(ss)
-	for _, s := range ss {
-		n += len(s.Key())
-	}
-	b.Grow(n)
 	for i, s := range ss {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		writeKey(b, s, env)
+		s.render(b, env)
 	}
 }
 
 // writeSet writes the keys of a state set (dedup) or multiset under env,
-// comma-separated in key order. The states are stored in key order, so
-// with no binding they are written as they are. Binding can reorder keys
-// and make distinct states equal, so the rendered keys are sorted (and
-// deduplicated) again, as the substituted states' keys would be.
+// comma-separated in key order. The states are stored in id order, so
+// their keys are sorted here; binding can also make distinct states
+// equal, so a set's keys are deduplicated again, as the substituted
+// states' keys would be.
 func writeSet(b *strings.Builder, ss []State, env *expr.Env, dedup bool) {
-	if env == nil || len(ss) == 1 {
+	if len(ss) < 2 {
 		writeList(b, ss, env)
 		return
 	}
@@ -292,7 +248,7 @@ func writeSorted(b *strings.Builder, keys []string, sep byte, dedup bool) {
 func Initial(e *expr.Expr) State {
 	switch e.Op {
 	case expr.OpAtom:
-		return &atomState{atom: e.Atom}
+		return newAtomState(e.Atom, false)
 	case expr.OpEmpty:
 		return theEmptyState
 	case expr.OpOption:
@@ -375,24 +331,6 @@ func compress(s State) State {
 		return theEmptyState
 	}
 	return s
-}
-
-func byKey(x, y State) int { return strings.Compare(x.Key(), y.Key()) }
-
-func sameState(x, y State) bool { return x == y || x.Key() == y.Key() }
-
-// sortDedupStates orders states by key and removes duplicates, returning
-// the canonical representation of a state multiset turned set.
-func sortDedupStates(ss []State) []State {
-	slices.SortFunc(ss, byKey)
-	return slices.CompactFunc(ss, sameState)
-}
-
-// sortStatesKeepDup orders a state multiset by key, keeping duplicates
-// (parallel iterations and multipliers track instance multiplicity).
-func sortStatesKeepDup(ss []State) []State {
-	slices.SortFunc(ss, byKey)
-	return ss
 }
 
 func allFinal(ss []State) bool {

@@ -21,7 +21,7 @@ type syncState struct {
 	kidExprs []*expr.Expr
 	kids     []State
 	alphas   []*expr.Alphabet
-	keyed
+	node
 }
 
 func newSyncState(e *expr.Expr) State {
@@ -35,10 +35,10 @@ func newSyncState(e *expr.Expr) State {
 		s.kids[i] = Initial(k)
 		s.alphas[i] = expr.AlphabetOf(k)
 	}
-	return s
+	return sealed(s)
 }
 
-func (s *syncState) Key() string { return s.of(s) }
+func (s *syncState) Key() string { return keyIn(s, nil) }
 
 func (s *syncState) render(b *strings.Builder, env *expr.Env) {
 	b.WriteString("sync")
@@ -109,11 +109,12 @@ func (s *syncState) trans(a expr.Action, sh sharing) State {
 	if !involved {
 		return nil // a ∉ α(x)
 	}
-	return &syncState{kidExprs: s.kidExprs, kids: next, alphas: s.alphas}
+	return sealed(&syncState{kidExprs: s.kidExprs, kids: next, alphas: s.alphas})
 }
 
 func (s *syncState) inert() bool { return allInert(s.kids) }
 
 func (s *syncState) internParts(c *Cache) State {
-	return &syncState{kidExprs: s.kidExprs, kids: canonAll(c, s.kids), alphas: s.alphas, keyed: s.keyed}
+	kids, changed := canonAll(c, s.kids)
+	return reuse(s, changed, func(n *syncState) { n.kids = kids })
 }
