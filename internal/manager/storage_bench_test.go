@@ -149,3 +149,54 @@ func globBytes(tb testing.TB, n *int, pattern string) float64 {
 	}
 	return total
 }
+
+// TestRecoveryAllocations gates the storage read path on the image the
+// recover_replay benchmark restarts from: 10,000 actions of a two-operand
+// parallel expression on segmented storage, a full checkpoint at 4,000,
+// a delta at 8,000 and a crash, so the restart restores the chain and
+// reads the whole log, 8,000 of its entries already covered. Decoding
+// a record allocates nothing but its argument values, so a restart
+// costs a few hundred allocations, where encoding/json cost five per
+// entry.
+func TestRecoveryAllocations(t *testing.T) {
+	const steps = 10000
+	e := parse.MustParse("((a0 - b0) | b0)* || ((a1 - b1) | b1)*")
+	opts := Options{StorageDir: filepath.Join(t.TempDir(), "image"), BatchMaxSize: 64,
+		SnapshotEvery: 4000, FullCheckpointEvery: 8}
+	m := MustNew(e, opts)
+	// Each operand cycles through "a b b": a pair, then a lone b.
+	var burst []expr.Action
+	for i := 0; i < steps; i++ {
+		c, k := i%2, (i/2)%3
+		name := fmt.Sprintf("b%d", c)
+		if k == 0 {
+			name = fmt.Sprintf("a%d", c)
+		}
+		burst = append(burst, expr.ConcreteAct(name))
+		if len(burst) == 32 || i == steps-1 {
+			for _, err := range m.RequestMany(context.Background(), burst) {
+				if err != nil {
+					t.Fatalf("writing the image: %v", err)
+				}
+			}
+			burst = burst[:0]
+		}
+	}
+	key := m.StateKey()
+	m.crashForTest()
+
+	allocs := testing.AllocsPerRun(3, func() {
+		r, err := New(e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Steps() != steps || r.StateKey() != key {
+			t.Fatalf("recovered %d steps, want %d; state keys equal: %t", r.Steps(), steps, r.StateKey() == key)
+		}
+		r.crashForTest()
+	})
+	t.Logf("a restart allocates %.0f times", allocs)
+	if allocs > 1500 {
+		t.Fatalf("a restart allocates %.0f times, want at most 1,500", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package state
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/expr"
@@ -44,7 +45,7 @@ func lawSigma(vals []string, es ...*expr.Expr) []expr.Action {
 		for _, at := range e.Actions() {
 			add(at)
 			insts := []expr.Action{at}
-			for p := range at.Params() {
+			for _, p := range sortedParams(at) {
 				var next []expr.Action
 				for _, in := range insts {
 					for _, v := range vals {
@@ -59,6 +60,18 @@ func lawSigma(vals []string, es ...*expr.Expr) []expr.Action {
 		}
 	}
 	return out
+}
+
+// sortedParams is at's parameter names in sorted order, so that the
+// instances lawSigma lists come in the same order in every process and
+// a fuzz word names the same actions whenever it is replayed.
+func sortedParams(at expr.Action) []string {
+	var ps []string
+	for p := range at.Params() {
+		ps = append(ps, p)
+	}
+	sort.Strings(ps)
+	return ps
 }
 
 // traceEquivalent explores both state spaces jointly up to depth and
@@ -383,6 +396,19 @@ func TestMemoizationPreservesSemantics(t *testing.T) {
 				t.Fatalf("%s step %d (%s): states diverge:\n plain %s (final %v, size %d)\n memo  %s (final %v, size %d)",
 					c.src, step, a, plain.key(), Final(plain.cur), Size(plain.cur), memo.StateKey(), memo.Final(), memo.StateSize())
 			}
+		}
+	}
+}
+
+// TestLawSigmaOrderIsStable: lawSigma lists a two-parameter atom's
+// instances in one order, so FuzzSnapshotRoundTrip maps a word's bytes
+// to the same actions in every run (it ranged over a map before).
+func TestLawSigmaOrderIsStable(t *testing.T) {
+	e := parse.MustParse("z($p, $q)")
+	want := fmt.Sprint(lawSigma([]string{"v1", "v2", "v3"}, e))
+	for i := 0; i < 20; i++ {
+		if got := fmt.Sprint(lawSigma([]string{"v1", "v2", "v3"}, e)); got != want {
+			t.Fatalf("call %d lists %s, the first listed %s", i, got, want)
 		}
 	}
 }

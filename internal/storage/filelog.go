@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -20,6 +19,7 @@ type FileLog struct {
 	path string
 	f    *os.File
 	w    *bufio.Writer
+	rec  []byte // scratch: the record being written
 }
 
 // OpenFileLog opens or creates a log file.
@@ -31,7 +31,8 @@ func OpenFileLog(path string) (*FileLog, error) {
 	return &FileLog{path: path, f: f, w: bufio.NewWriter(f)}, nil
 }
 
-// replayFile scans one JSON-lines log file, calling fn per entry.
+// replayFile scans one JSON-lines log file, calling fn per entry
+// decoded by d.
 // Entries without an explicit sequence number (pre-snapshot logs) are
 // numbered seq+1, seq+2, ... positionally; the running sequence is
 // returned so multi-file (segmented) replay numbers continuously.
@@ -42,7 +43,7 @@ func OpenFileLog(path string) (*FileLog, error) {
 // append onto torn bytes turns a benign torn tail into a mid-file
 // corrupt record that fails every later recovery. Corruption anywhere
 // but the final line is an error.
-func replayFile(f *os.File, seq uint64, fn func(Entry) error) (nextSeq uint64, tornAt int64, err error) {
+func replayFile(f *os.File, seq uint64, d *recordDecoder, fn func(Entry) error) (nextSeq uint64, tornAt int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return seq, -1, fmt.Errorf("storage: log seek: %w", err)
 	}
@@ -55,8 +56,8 @@ func replayFile(f *os.File, seq uint64, fn func(Entry) error) (nextSeq uint64, t
 			good += 1
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(raw, &e); err != nil {
+		e, err := d.decode(raw)
+		if err != nil {
 			if !sc.Scan() { // torn tail
 				return seq, good, nil
 			}
@@ -88,7 +89,7 @@ func replayFile(f *os.File, seq uint64, fn func(Entry) error) (nextSeq uint64, t
 func (l *FileLog) Replay(fn func(Entry) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, tornAt, err := replayFile(l.f, 0, fn)
+	_, tornAt, err := replayFile(l.f, 0, newRecordDecoder(), fn)
 	if err != nil {
 		return err
 	}
@@ -127,14 +128,8 @@ func (l *FileLog) Buffer(e Entry) error {
 }
 
 func (l *FileLog) bufferLocked(e Entry) error {
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("storage: log marshal: %w", err)
-	}
-	if _, err := l.w.Write(buf); err != nil {
-		return fmt.Errorf("storage: log write: %w", err)
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
+	l.rec = append(appendRecord(l.rec[:0], e), '\n')
+	if _, err := l.w.Write(l.rec); err != nil {
 		return fmt.Errorf("storage: log write: %w", err)
 	}
 	return nil

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -52,6 +51,7 @@ type Segmented struct {
 	activeIdx   int
 	activeBytes int64
 	lastSeq     uint64 // highest sequence number written to the log
+	rec         []byte // scratch: the record being written
 
 	sealed []sealedSeg
 	chain  []ckptFile
@@ -246,12 +246,13 @@ func (s *Segmented) Replay(fn func(Entry) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var seq uint64
+	d := newRecordDecoder() // one for every segment, so each name is interned once
 	for _, seg := range s.sealed {
 		f, err := os.Open(seg.path)
 		if err != nil {
 			return fmt.Errorf("storage: open segment: %w", err)
 		}
-		nextSeq, tornAt, err := replayFile(f, seq, fn)
+		nextSeq, tornAt, err := replayFile(f, seq, d, fn)
 		f.Close()
 		if err != nil {
 			return err
@@ -261,7 +262,7 @@ func (s *Segmented) Replay(fn func(Entry) error) error {
 		}
 		seq = nextSeq
 	}
-	nextSeq, tornAt, err := replayFile(s.active, seq, fn)
+	nextSeq, tornAt, err := replayFile(s.active, seq, d, fn)
 	if err != nil {
 		return err
 	}
@@ -302,17 +303,11 @@ func (s *Segmented) Buffer(e Entry) error {
 }
 
 func (s *Segmented) bufferLocked(e Entry) error {
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("storage: log marshal: %w", err)
-	}
-	if _, err := s.w.Write(buf); err != nil {
+	s.rec = append(appendRecord(s.rec[:0], e), '\n')
+	if _, err := s.w.Write(s.rec); err != nil {
 		return fmt.Errorf("storage: log write: %w", err)
 	}
-	if err := s.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("storage: log write: %w", err)
-	}
-	s.activeBytes += int64(len(buf)) + 1
+	s.activeBytes += int64(len(s.rec))
 	if e.Seq > s.lastSeq {
 		s.lastSeq = e.Seq
 	}

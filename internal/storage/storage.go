@@ -11,7 +11,7 @@
 //     segment dead weight; dropping a segment is one unlink, so the log
 //     never needs a rewrite pass), and stores checkpoints as chains: a
 //     periodic full base plus delta pieces that carry only state nodes
-//     unseen since the previous checkpoint (internal/state format v3).
+//     unseen since the previous checkpoint (internal/state format v4).
 //   - Memory is the crash-simulatable in-memory twin for internal/sim,
 //     so simulated chaos schedules exercise the same storage code paths
 //     (including delta chains and recovery) without a filesystem.
@@ -38,6 +38,15 @@ import (
 // Entry is one logged action: the global confirm sequence number plus
 // the concrete action's name and argument values. The JSON field names
 // match the seed-era log format, so pre-existing logs keep replaying.
+//
+// A file backend writes an entry as one line, its record:
+//
+//	record := '{"a":' string [ ',"v":[' string { ',' string } ']' ] [ ',"s":' uint ] '}'
+//
+// with "v" left out when there are no arguments and "s" when Seq is 0
+// (positional numbering on replay). Both FileLog and Segmented write it
+// byte for byte as json.Marshal does, escapes included, with the codec
+// of record.go; a line json.Unmarshal reads as an Entry replays.
 type Entry struct {
 	Name string   `json:"a"`
 	Args []string `json:"v,omitempty"`
