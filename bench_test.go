@@ -8,9 +8,7 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -425,104 +423,6 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-
-	// Wire variants (PR 7): thousands of remote subscriptions to one hot
-	// action, multiplexed onto a few connections. Per connection the
-	// server runs ONE coordinator subscription and ONE forwarder, and a
-	// status flip travels as one multi-id frame, so goroutine count stays
-	// a function of connections, not subscriptions — the CI gate bounds
-	// it at 10k subscribers. One subscription per connection is probed
-	// for the inform latency (the rest drain lazily, like slow real
-	// subscribers); p99 across all flips is reported.
-	for _, subs := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("wire/subs=%d", subs), func(b *testing.B) {
-			const conns = 16
-			m := manager.MustNew(ix.MustParse("(a - b)*"), manager.Options{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := manager.NewServer(m, ln)
-			defer func() { srv.Close(); m.Close() }()
-
-			a, bb := expr.ConcreteAct("a"), expr.ConcreteAct("b")
-			clients := make([]*manager.Client, conns)
-			probes := make([]*manager.ClientSubscription, conns)
-			var wg sync.WaitGroup
-			var subErr atomic.Value
-			for ci := range clients {
-				cl, err := manager.Dial(srv.Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				clients[ci] = cl
-				wg.Add(1)
-				go func(ci int) {
-					defer wg.Done()
-					n := subs / conns
-					for j := 0; j < n; j++ {
-						s, err := cl.Subscribe(bg, a)
-						if err != nil {
-							subErr.Store(err)
-							return
-						}
-						if j == 0 {
-							probes[ci] = s
-						}
-					}
-				}(ci)
-			}
-			wg.Wait()
-			if err := subErr.Load(); err != nil {
-				b.Fatal(err)
-			}
-			// Settle: every probe sees its initial status (a permissible).
-			for _, p := range probes {
-				if inf := <-p.C; !inf.Permissible {
-					b.Fatal("unexpected initial status")
-				}
-			}
-			lats := make([]time.Duration, 0, b.N*conns)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				action, want := a, false
-				if i%2 == 1 {
-					action, want = bb, true
-				}
-				t0 := time.Now()
-				if err := clients[0].Request(bg, action); err != nil {
-					b.Fatal(err)
-				}
-				timeout := time.NewTimer(10 * time.Second)
-				for _, p := range probes {
-				waiting:
-					for {
-						select {
-						case inf := <-p.C:
-							if inf.Permissible == want {
-								break waiting
-							}
-						case <-timeout.C:
-							b.Fatal("inform timed out")
-						}
-					}
-					lats = append(lats, time.Since(t0))
-				}
-				timeout.Stop()
-			}
-			b.StopTimer()
-			// Steady state under load: goroutine count must track the 16
-			// connections, not the thousands of subscriptions.
-			b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			idx := len(lats) * 99 / 100
-			if idx >= len(lats) {
-				idx = len(lats) - 1
-			}
-			b.ReportMetric(float64(lats[idx].Microseconds()), "p99-inform-us")
 		})
 	}
 }

@@ -49,26 +49,38 @@ func (a Action) MatchIn(c Action, en *Env) bool {
 
 // WriteIn writes the canonical form of the action with every parameter
 // en binds replaced by its value: the String of the substituted action.
-func (a Action) WriteIn(b *strings.Builder, en *Env) {
-	b.WriteString(a.Name)
+func (a Action) WriteIn(b *strings.Builder, en *Env) { a.writeIn(&sink{b: b}, en) }
+
+// HashIn is HashKey of what WriteIn writes, computed without writing it.
+func (a Action) HashIn(en *Env) uint64 {
+	if en == nil {
+		return a.Hash()
+	}
+	w := sink{h: fnvOffset64}
+	a.writeIn(&w, en)
+	return w.h
+}
+
+func (a Action) writeIn(b *sink, en *Env) {
+	b.put(a.Name)
 	if len(a.Args) == 0 {
 		return
 	}
-	b.WriteByte('(')
+	b.putc('(')
 	for i, arg := range a.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			b.putc(',')
 		}
 		if arg.Param {
 			if v, ok := en.Lookup(arg.Name); ok {
-				b.WriteString(v)
+				b.put(v)
 				continue
 			}
-			b.WriteByte('$')
+			b.putc('$')
 		}
-		b.WriteString(arg.Name)
+		b.put(arg.Name)
 	}
-	b.WriteByte(')')
+	b.putc(')')
 }
 
 // WriteIn writes the canonical form of e with every free parameter en
@@ -80,5 +92,40 @@ func (e *Expr) WriteIn(b *strings.Builder, en *Env) {
 		b.WriteString(e.str)
 		return
 	}
-	e.render(b, precQuant, en)
+	e.render(&sink{b: b}, precQuant, en)
+}
+
+// HashIn is HashKey of what WriteIn writes, computed without writing it:
+// Hash when no parameter occurs, so the binding changes nothing.
+func (e *Expr) HashIn(en *Env) uint64 {
+	if en == nil || strings.IndexByte(e.str, '$') < 0 {
+		return e.hash
+	}
+	w := sink{h: fnvOffset64}
+	e.render(&w, precQuant, en)
+	return w.h
+}
+
+// sink receives canonical text: it appends it to b, or with b nil folds
+// it into the FNV-1a hash h, so that text can be hashed without being
+// built.
+type sink struct {
+	b *strings.Builder
+	h uint64
+}
+
+func (w *sink) put(s string) {
+	if w.b != nil {
+		w.b.WriteString(s)
+		return
+	}
+	w.h = hashString(w.h, s)
+}
+
+func (w *sink) putc(c byte) {
+	if w.b != nil {
+		w.b.WriteByte(c)
+		return
+	}
+	w.h = hashByte(w.h, c)
 }

@@ -311,63 +311,63 @@ func (o Op) infix() string {
 // finish computes the canonical string once at construction time.
 func (e *Expr) finish() {
 	var b strings.Builder
-	e.render(&b, precQuant, nil)
+	e.render(&sink{b: &b}, precQuant, nil)
 	e.setStr(b.String())
 }
 
 // render writes the canonical form of e in a context of precedence
 // outer, with the parameters en binds read as their values (WriteIn).
-func (e *Expr) render(b *strings.Builder, outer int, en *Env) {
+func (e *Expr) render(b *sink, outer int, en *Env) {
 	p := e.Op.prec()
 	// Parenthesize when the context binds at least as tightly, except at
 	// the top level. Same-precedence nesting only arises after manual
 	// construction of e.g. seq-of-seq, which nary flattening removes.
 	need := p < outer
 	if need {
-		b.WriteByte('(')
+		b.putc('(')
 	}
 	if en != nil && strings.IndexByte(e.str, '$') < 0 {
 		// No parameter occurs, so the binding changes nothing: the
 		// canonical form is e.str, which never includes e's own parens.
-		b.WriteString(e.str)
+		b.put(e.str)
 		if need {
-			b.WriteByte(')')
+			b.putc(')')
 		}
 		return
 	}
 	switch e.Op {
 	case OpAtom:
-		e.Atom.WriteIn(b, en)
+		e.Atom.writeIn(b, en)
 	case OpEmpty:
-		b.WriteString("()")
+		b.put("()")
 	case OpOption:
 		e.Kids[0].render(b, precPostfix, en)
-		b.WriteByte('?')
+		b.putc('?')
 	case OpSeqIter:
 		e.Kids[0].render(b, precPostfix, en)
-		b.WriteByte('*')
+		b.putc('*')
 	case OpParIter:
 		e.Kids[0].render(b, precPostfix, en)
-		b.WriteByte('#')
+		b.putc('#')
 	case OpSeq, OpPar, OpOr, OpAnd, OpSync:
 		sep := e.Op.infix()
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteString(sep)
+				b.put(sep)
 			}
 			k.render(b, p+1, en)
 		}
 	case OpMult:
-		b.WriteString("mult(")
-		b.WriteString(strconv.Itoa(e.N))
-		b.WriteString(", ")
+		b.put("mult(")
+		b.put(strconv.Itoa(e.N))
+		b.put(", ")
 		e.Kids[0].render(b, precQuant, en)
-		b.WriteByte(')')
+		b.putc(')')
 	case OpAnyQ, OpAllQ, OpSyncQ, OpConQ:
-		b.WriteString(e.Op.String())
-		b.WriteByte(' ')
-		b.WriteString(e.Param)
-		b.WriteString(": ")
+		b.put(e.Op.String())
+		b.putc(' ')
+		b.put(e.Param)
+		b.put(": ")
 		if _, ok := en.Lookup(e.Param); ok {
 			en = &Env{P: e.Param, Up: en} // the quantifier hides the outer binding
 		}
@@ -376,7 +376,7 @@ func (e *Expr) render(b *strings.Builder, outer int, en *Env) {
 		panic(fmt.Sprintf("expr: unknown op %v", e.Op))
 	}
 	if need {
-		b.WriteByte(')')
+		b.putc(')')
 	}
 }
 

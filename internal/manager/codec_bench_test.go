@@ -22,7 +22,7 @@ func benchWireMix() []wireMsg {
 }
 
 // BenchmarkWireCodec measures the framed encoder and decoder on the
-// hot-path mix. The CI gate (BENCH_pr7) requires zero steady-state
+// hot-path mix; TestBinaryCodecZeroAlloc requires zero steady-state
 // allocations both ways. ns/op is per message.
 func BenchmarkWireCodec(b *testing.B) {
 	msgs := benchWireMix()

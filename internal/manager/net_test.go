@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/paper"
 	"repro/internal/parse"
 )
@@ -133,6 +135,69 @@ func TestSubscriptionTCP(t *testing.T) {
 
 	if err := c.Unsubscribe(bg, sub); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWireFanoutGoroutines: 10,000 wire subscriptions to one action,
+// over 16 connections, cost goroutines per connection, not per
+// subscription: the server runs one coordinator subscription and one
+// forwarder per connection, and a status flip reaches all of a
+// connection's subscriptions in one frame. One subscription per
+// connection is read; the others drain lazily, like slow subscribers.
+func TestWireFanoutGoroutines(t *testing.T) {
+	const conns, subs = 16, 10000
+	s, _ := startServer(t, "(a - b)*")
+	a, b := expr.ConcreteAct("a"), expr.ConcreteAct("b")
+	clients := make([]*Client, conns)
+	probes := make([]*ClientSubscription, conns)
+	errs := make(chan error, conns)
+	var wg sync.WaitGroup
+	for i := range clients {
+		clients[i] = dial(t, s)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < subs/conns; j++ {
+				sub, err := clients[i].Subscribe(bg, a)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if j == 0 {
+					probes[i] = sub
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	// Each request flips a's status: permissible at the start, not after
+	// a, again after b.
+	for round, act := range []expr.Action{{}, a, b, a} {
+		if act.Name != "" {
+			if err := clients[0].Request(bg, act); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := round%2 == 0
+		timeout := time.After(10 * time.Second)
+		for _, p := range probes {
+			for inf := (Inform{Permissible: !want}); inf.Permissible != want; {
+				select {
+				case inf = <-p.C:
+				case <-timeout:
+					t.Fatalf("round %d: inform timed out", round)
+				}
+			}
+		}
+	}
+	n := runtime.NumGoroutine()
+	t.Logf("%d subscriptions over %d connections: %d goroutines", subs, conns, n)
+	if n >= 2000 {
+		t.Fatalf("%d subscriptions over %d connections: %d goroutines, want < 2,000", subs, conns, n)
 	}
 }
 

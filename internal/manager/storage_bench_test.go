@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -185,6 +186,8 @@ func TestRecoveryAllocations(t *testing.T) {
 	key := m.StateKey()
 	m.crashForTest()
 
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(3, func() {
 		r, err := New(e, opts)
 		if err != nil {
@@ -195,8 +198,15 @@ func TestRecoveryAllocations(t *testing.T) {
 		}
 		r.crashForTest()
 	})
-	t.Logf("a restart allocates %.0f times", allocs)
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / 4 // AllocsPerRun makes one extra warm-up run
+	t.Logf("a restart allocates %.0f times, %.0f B", allocs, bytes)
 	if allocs > 1500 {
 		t.Fatalf("a restart allocates %.0f times, want at most 1,500", allocs)
+	}
+	// 75 KB when one of the four runs takes a new line-scanner buffer,
+	// 56 KB when all reuse one; 124 KB when every replay made its own.
+	if bytes > 94_000 {
+		t.Fatalf("a restart allocates %.0f B, want at most 94,000", bytes)
 	}
 }

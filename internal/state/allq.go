@@ -2,7 +2,6 @@ package state
 
 import (
 	"slices"
-	"strings"
 
 	"repro/internal/expr"
 )
@@ -57,8 +56,17 @@ type allQAlt struct {
 
 // sortDedupQAlts orders alternatives by id and removes duplicates.
 func sortDedupQAlts(alts []allQAlt, p string) []allQAlt {
-	key := func(a allQAlt) string { return a.keyIn(p, nil) }
-	return sortByID(alts, hashOf[allQAlt], key, sameShape[allQAlt], true)
+	id := func(a allQAlt) uint64 { return hashOf(qAlt{a, p}) }
+	key := func(a allQAlt) string { return a.key(p) }
+	same := func(x, y allQAlt) bool { return sameShape(qAlt{x, p}, qAlt{y, p}) }
+	return sortByID(alts, id, key, same, true)
+}
+
+// qAlt is an alternative with the parameter its named branches bind,
+// which its shape names.
+type qAlt struct {
+	allQAlt
+	p string
 }
 
 // anonBranch is one branch with p unbound, together with the values its
@@ -68,15 +76,12 @@ type anonBranch struct {
 	excl []string // sorted
 }
 
-func (ab anonBranch) key() string { return ab.keyIn(nil) }
+func (ab anonBranch) key() string { return keyOf(func(w *sink) { ab.write(w, "", nil) }) }
 
-// keyIn is the anonymous branch's key under env, in which p is unbound.
-func (ab anonBranch) keyIn(env *expr.Env) string {
-	k := keyIn(ab.st, env)
-	if len(ab.excl) == 0 {
-		return k
-	}
-	return k + "!" + strings.Join(ab.excl, ",")
+// write writes the anonymous branch's key under env, with p unbound.
+func (ab anonBranch) write(w *sink, p string, env *expr.Env) {
+	w.bound(ab.st, p, "", env)
+	w.excl(ab.excl)
 }
 
 // mergeExcl unions two exclusion sets into a new canonical (deduped,
@@ -110,22 +115,17 @@ func anonStates(abs []anonBranch) []State {
 	return out
 }
 
-// keyIn renders the alternative's key under env: named branches bind p
+func (a allQAlt) key(p string) string { return keyOf(func(w *sink) { a.write(w, p, nil) }) }
+
+// write writes the alternative's key under env: named branches bind p
 // to their values, anonymous ones leave it unbound and are written in
-// key order. With env nil it is the alternative's own key.
-func (a allQAlt) keyIn(p string, env *expr.Env) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	a.named.write(&b, p, env)
-	b.WriteByte('|')
-	free := sharing{env: env}.free(p).env
-	keys := make([]string, len(a.anon))
-	for i, ab := range a.anon {
-		keys[i] = ab.keyIn(free)
-	}
-	writeSorted(&b, keys, ',', false)
-	b.WriteByte('}')
-	return b.String()
+// key order.
+func (a allQAlt) write(w *sink, p string, env *expr.Env) {
+	w.putc('{')
+	a.named.write(w, p, env)
+	w.putc('|')
+	w.set(len(a.anon), ',', false, func(i int) { a.anon[i].write(w, p, env) })
+	w.putc('}')
 }
 
 func newAllQState(e *expr.Expr) State {
@@ -136,17 +136,13 @@ func newAllQState(e *expr.Expr) State {
 
 func (s *allQState) Key() string { return keyIn(s, nil) }
 
-func (s *allQState) render(b *strings.Builder, env *expr.Env) {
-	keys := make([]string, len(s.alts))
-	for i, a := range s.alts {
-		keys[i] = a.keyIn(s.e.Param, env)
-	}
-	b.WriteString("all<")
-	s.e.WriteIn(b, env)
-	b.WriteString(">{")
+func (s *allQState) render(w *sink, env *expr.Env) {
+	w.put("all<")
+	w.expr(s.e, env)
+	w.put(">{")
 	// ρ keeps alternatives distinct, but binding can make two equal.
-	writeSorted(b, keys, ';', true)
-	b.WriteByte('}')
+	w.set(len(s.alts), ';', true, func(i int) { s.alts[i].write(w, s.e.Param, env) })
+	w.putc('}')
 }
 
 // Final: some alternative must have every branch final, and the
@@ -229,7 +225,8 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 		// predecessor state's (immutable) branch set.
 		anon := make([]anonBranch, 0, len(a.anon))
 		for _, m := range a.anon {
-			if sameState(m.st, template) || un.env != nil && un.key(m.st) == un.key(template) {
+			if sameState(m.st, template) || un.env != nil && hashIn(m.st, un.env) == hashIn(template, un.env) &&
+				keyIn(m.st, un.env) == keyIn(template, un.env) {
 				continue
 			}
 			if m.st.Final() && m.st.inert() {
@@ -255,7 +252,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 			}
 			named := make(branchSet, len(alt.named))
 			copy(named, alt.named)
-			named[i] = branch{val: b.val, st: compress(nst), fresh: b.fresh}
+			named[i] = branch{val: b.val, st: compress(nst)}
 			add(allQAlt{named: named, anon: alt.anon}, i)
 		}
 
@@ -333,8 +330,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 // the walk sh with p bound to its value, equals a fresh branch for the
 // value, σ(y) under the same binding. Equal states agree on finality,
 // and equal template states are equal under any binding, so only the
-// rest compare rendered keys: at the top level the branch's key and its
-// fresh key, built once and carried.
+// rest compare hashes, and keys if those are equal.
 func (s *allQState) releases(b *branch, p string, sh sharing) bool {
 	template := s.initial()
 	if b.st.Final() != s.nullable {
@@ -343,14 +339,11 @@ func (s *allQState) releases(b *branch, p string, sh sharing) bool {
 	if sameState(b.st, template) {
 		return true
 	}
-	if sh.env != nil {
-		bs := sh.bind(p, b.val)
-		return bs.key(b.st) == bs.key(template)
+	if b.hash(p, sh.env) != hashBound(template, p, b.val, sh.env) {
+		return false
 	}
-	if b.fresh == "" {
-		b.fresh = sh.bind(p, b.val).key(template)
-	}
-	return b.keyIn(p, sh) == b.fresh
+	bs := sh.bind(p, b.val)
+	return keyIn(b.st, bs.env) == keyIn(template, bs.env)
 }
 
 func (s *allQState) inert() bool { return false }

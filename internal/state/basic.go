@@ -1,8 +1,6 @@
 package state
 
 import (
-	"strings"
-
 	"repro/internal/expr"
 )
 
@@ -28,13 +26,13 @@ func (s *atomState) trans(a expr.Action, sh sharing) State {
 	return newAtomState(s.atom, true)
 }
 
-func (s *atomState) render(b *strings.Builder, env *expr.Env) {
+func (s *atomState) render(w *sink, env *expr.Env) {
 	if s.done {
-		b.WriteByte('+')
+		w.putc('+')
 	} else {
-		b.WriteByte('-')
+		w.putc('-')
 	}
-	s.atom.WriteIn(b, env)
+	w.act(s.atom, env)
 }
 
 // inert: once traversed, an atom can never move again, regardless of
@@ -48,15 +46,15 @@ type emptyState struct{}
 
 var theEmptyState State = emptyState{}
 
-func (emptyState) Key() string                            { return "eps" }
-func (emptyState) Final() bool                            { return true }
-func (emptyState) Size() int                              { return 1 }
-func (emptyState) trans(expr.Action, sharing) State       { return nil }
-func (emptyState) render(b *strings.Builder, _ *expr.Env) { b.WriteString("eps") }
-func (emptyState) inert() bool                            { return true }
-func (emptyState) internParts(*Cache) State               { return theEmptyState }
-func (emptyState) sid() uint64                            { return emptyID }
-func (emptyState) setID(uint64)                           {}
+func (emptyState) Key() string                      { return "eps" }
+func (emptyState) Final() bool                      { return true }
+func (emptyState) Size() int                        { return 1 }
+func (emptyState) trans(expr.Action, sharing) State { return nil }
+func (emptyState) render(w *sink, _ *expr.Env)      { w.put("eps") }
+func (emptyState) inert() bool                      { return true }
+func (emptyState) internParts(*Cache) State         { return theEmptyState }
+func (emptyState) sid() uint64                      { return emptyID }
+func (emptyState) setID(uint64)                     {}
 
 // orState is the state of a disjunction: the walker is in exactly one
 // branch, but which one is not yet determined, so all still-valid branch
@@ -103,10 +101,10 @@ func (s *orState) trans(a expr.Action, sh sharing) State {
 	return newOrState(next)
 }
 
-func (s *orState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("or[")
-	writeSet(b, s.kids, env, true)
-	b.WriteByte(']')
+func (s *orState) render(w *sink, env *expr.Env) {
+	w.put("or[")
+	w.states(s.kids, env, true)
+	w.putc(']')
 }
 
 func (s *orState) inert() bool { return allInert(s.kids) }
@@ -149,10 +147,10 @@ func (s *andState) trans(a expr.Action, sh sharing) State {
 	return sealed(&andState{kids: next})
 }
 
-func (s *andState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("and[")
-	writeList(b, s.kids, env)
-	b.WriteByte(']')
+func (s *andState) render(w *sink, env *expr.Env) {
+	w.put("and[")
+	w.list(s.kids, env)
+	w.putc(']')
 }
 
 // inert: if any branch can never move again, no action can ever be

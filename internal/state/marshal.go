@@ -252,7 +252,7 @@ func (enc *encoder) state(s State) *snapNode {
 		return &snapNode{T: tagSyncQ, E: st.e.String(), Br: enc.branches(st.touched), Gen: enc.state(st.generic)}
 	case *allQState:
 		n := &snapNode{T: tagAllQ, E: st.e.String()}
-		for _, a := range inKeyOrder(st.alts, func(a allQAlt) string { return a.keyIn(st.e.Param, nil) }) {
+		for _, a := range inKeyOrder(st.alts, func(a allQAlt) string { return a.key(st.e.Param) }) {
 			qa := snapQAlt{Named: enc.branches(a.named)}
 			for _, ab := range inKeyOrder(a.anon, anonBranch.key) {
 				qa.Anon = append(qa.Anon, enc.state(ab.st))

@@ -1,8 +1,6 @@
 package state
 
 import (
-	"strings"
-
 	"repro/internal/expr"
 )
 
@@ -25,38 +23,25 @@ func newParState(e *expr.Expr) State {
 	return sealed(&parState{alts: [][]State{kids}})
 }
 
-// writeAlts writes alternatives' keys under env, separated by ';', in
-// sorted order and deduplicated: binding can make distinct alternatives
-// equal.
-func writeAlts(b *strings.Builder, alts [][]State, env *expr.Env, multiset bool) {
-	if len(alts) == 1 {
-		writeAlt(b, alts[0], env, multiset)
-		return
-	}
-	keys := make([]string, len(alts))
-	for i, alt := range alts {
-		var ab strings.Builder
-		writeAlt(&ab, alt, env, multiset)
-		keys[i] = ab.String()
-	}
-	writeSorted(b, keys, ';', true)
+// writeAlts writes alternatives' keys under env as a set, separated by
+// ';'.
+func writeAlts(w *sink, alts [][]State, env *expr.Env, multiset bool) {
+	w.set(len(alts), ';', true, func(i int) { writeAlt(w, alts[i], env, multiset) })
 }
 
 // altKey is an alternative's key.
 func altKey(alt []State, multiset bool) string {
-	var b strings.Builder
-	writeAlt(&b, alt, nil, multiset)
-	return b.String()
+	return keyOf(func(w *sink) { writeAlt(w, alt, nil, multiset) })
 }
 
 // writeAlt writes one alternative's states under env: in slot order, or
 // sorted again for a multiset.
-func writeAlt(b *strings.Builder, alt []State, env *expr.Env, multiset bool) {
+func writeAlt(w *sink, alt []State, env *expr.Env, multiset bool) {
 	if multiset {
-		writeSet(b, alt, env, false)
-		return
+		w.states(alt, env, false)
+	} else {
+		w.list(alt, env)
 	}
-	writeList(b, alt, env)
 }
 
 func (s *parState) Key() string { return keyIn(s, nil) }
@@ -98,10 +83,10 @@ func (s *parState) trans(a expr.Action, sh sharing) State {
 	return sealed(&parState{alts: sortDedupAlts(next, false)})
 }
 
-func (s *parState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("par{")
-	writeAlts(b, s.alts, env, false)
-	b.WriteByte('}')
+func (s *parState) render(w *sink, env *expr.Env) {
+	w.put("par{")
+	writeAlts(w, s.alts, env, false)
+	w.putc('}')
 }
 
 func (s *parState) inert() bool {
@@ -186,10 +171,10 @@ func (s *multState) trans(a expr.Action, sh sharing) State {
 	return sealed(&multState{alts: sortDedupAlts(next, true)})
 }
 
-func (s *multState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("mult{")
-	writeAlts(b, s.alts, env, true)
-	b.WriteByte('}')
+func (s *multState) render(w *sink, env *expr.Env) {
+	w.put("mult{")
+	writeAlts(w, s.alts, env, true)
+	w.putc('}')
 }
 
 func (s *multState) inert() bool {
@@ -284,12 +269,12 @@ func (s *parIterState) trans(a expr.Action, sh sharing) State {
 	return sealed(&parIterState{sigma: s.sigma, alts: sortDedupAlts(next, true)})
 }
 
-func (s *parIterState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("piter<")
-	s.y.WriteIn(b, env)
-	b.WriteString(">{")
-	writeAlts(b, s.alts, env, true)
-	b.WriteByte('}')
+func (s *parIterState) render(w *sink, env *expr.Env) {
+	w.put("piter<")
+	w.expr(s.y, env)
+	w.put(">{")
+	writeAlts(w, s.alts, env, true)
+	w.putc('}')
 }
 
 // inert: a fresh instance can always be started, so a parallel iteration

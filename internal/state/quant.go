@@ -15,32 +15,39 @@ import (
 type branch struct {
 	val string
 	st  State
-	// key is st's key rendered under p := val alone: the branch's part of
-	// the quantifier's Key and shape, and at the top level the key ρ
-	// compares. "" means not built yet; successors carry it, and its
-	// hash kh, while st is unchanged.
-	key string
-	kh  uint64
-	// fresh is σ(y)'s key rendered under p := val, the key that releases
-	// an allQ branch at the top level, built the first time ρ needs it
-	// and carried by successors. Other quantifiers release against their
-	// generic branch and leave it empty.
-	fresh string
+	// h is the hash of st's key under p := val alone (hashBound): the
+	// branch's part of the quantifier's shape, and at the top level the
+	// hash ρ compares. 0 means not computed yet; successors carry it while
+	// st is unchanged.
+	h uint64
 }
 
-// keyIn returns the branch state's key under the walk sh outside the
-// quantifier p belongs to, with p bound to the branch's value. At the
-// top level, where sh binds nothing, that is the branch's key, built
-// once.
-func (b *branch) keyIn(p string, sh sharing) string {
-	if sh.env != nil {
-		return sh.bind(p, b.val).key(b.st)
+// hash returns the hash of the branch state under env with p bound to
+// the branch's value. At the top level, where env binds nothing, that is
+// the branch's h, computed once.
+func (b *branch) hash(p string, env *expr.Env) uint64 {
+	if env != nil {
+		return hashBound(b.st, p, b.val, env)
 	}
-	if b.key == "" {
-		b.key = sh.bind(p, b.val).key(b.st)
-		b.kh = expr.HashKey(b.key)
+	if b.h == 0 {
+		b.h = hashBound(b.st, p, b.val, nil)
 	}
-	return b.key
+	return b.h
+}
+
+// caughtUp is ρ's release test of a quantifier with a generic branch:
+// the branch's state, under the walk sh with p bound to its value, has
+// the key of the generic state under gen, where p is unbound and its
+// hash is gh. One node is equal under both bindings exactly when it does
+// not name p; distinct nodes compare keys.
+func (b *branch) caughtUp(p string, sh, gen sharing, generic State, gh uint64) bool {
+	if b.hash(p, sh.env) != gh {
+		return false
+	}
+	if sameState(b.st, generic) {
+		return !mentions(generic, p)
+	}
+	return keyIn(b.st, sh.bind(p, b.val).env) == keyIn(generic, gen.env)
 }
 
 // branchCanAct reports whether the branch for value v can possibly
@@ -72,26 +79,26 @@ func (bs branchSet) has(v string) bool {
 
 func byVal(x, y branch) int { return strings.Compare(x.val, y.val) }
 
-// canonical orders the branches of a new node by value and builds their
-// keys, which its shape names.
+// canonical orders the branches of a new node by value and computes
+// their hashes, which its shape names.
 func (bs branchSet) canonical(p string) branchSet {
 	slices.SortFunc(bs, byVal)
 	for i := range bs {
-		bs[i].keyIn(p, sharing{})
+		bs[i].hash(p, nil)
 	}
 	return bs
 }
 
 // write writes the branches as val=key pairs, each state's key rendered
 // under env with p bound to the branch's value.
-func (bs branchSet) write(b *strings.Builder, p string, env *expr.Env) {
-	for i := range bs {
+func (bs branchSet) write(w *sink, p string, env *expr.Env) {
+	for i, b := range bs {
 		if i > 0 {
-			b.WriteByte(',')
+			w.putc(',')
 		}
-		b.WriteString(bs[i].val)
-		b.WriteByte('=')
-		b.WriteString(bs[i].keyIn(p, sharing{env: env}))
+		w.put(b.val)
+		w.putc('=')
+		w.bound(b.st, p, b.val, env)
 	}
 }
 
@@ -178,22 +185,19 @@ func newAnyQState(e *expr.Expr) State {
 
 func (s *anyQState) Key() string { return keyIn(s, nil) }
 
-func (s *anyQState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("any<")
-	s.e.WriteIn(b, env)
-	b.WriteString(">{")
-	s.touched.write(b, s.e.Param, env)
-	b.WriteByte('|')
+func (s *anyQState) render(w *sink, env *expr.Env) {
+	w.put("any<")
+	w.expr(s.e, env)
+	w.put(">{")
+	s.touched.write(w, s.e.Param, env)
+	w.putc('|')
 	if s.generic == nil {
-		b.WriteByte('!')
+		w.putc('!')
 	} else {
-		s.generic.render(b, sharing{env: env}.free(s.e.Param).env)
-		if len(s.excluded) > 0 {
-			b.WriteByte('!')
-			b.WriteString(strings.Join(s.excluded, ","))
-		}
+		w.bound(s.generic, s.e.Param, "", env)
+		w.excl(s.excluded)
 	}
-	b.WriteByte('}')
+	w.putc('}')
 }
 
 func (s *anyQState) Final() bool {
@@ -226,16 +230,16 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 			excluded = mergeExcl(excluded, taint)
 		}
 	}
-	var gk string // the generic state's key, which a branch that caught up with it has
+	var gh uint64 // the generic state's hash, which a branch that caught up with it has
 	if generic != nil {
-		gk = gen.key(generic)
+		gh = hashIn(generic, gen.env)
 	}
 	// ρ: a branch whose state caught up with the generic branch again is
 	// indistinguishable from an untouched one and is released — unless
 	// its value is excluded from the generic branch, in which case the
 	// generic cannot stand in for it later.
 	released := func(b *branch) bool {
-		return generic != nil && !containsStr(excluded, b.val) && b.keyIn(p, sh) == gk
+		return generic != nil && !containsStr(excluded, b.val) && b.caughtUp(p, sh, gen, generic, gh)
 	}
 	var touched branchSet
 	for _, b := range s.touched {
@@ -320,20 +324,20 @@ func newConQState(e *expr.Expr) State {
 
 func (s *conQState) Key() string { return keyIn(s, nil) }
 
-func (s *conQState) render(b *strings.Builder, env *expr.Env) {
-	renderGeneric(b, "conq<", s.e, s.touched, s.generic, env)
+func (s *conQState) render(w *sink, env *expr.Env) {
+	renderGeneric(w, "conq<", s.e, s.touched, s.generic, env)
 }
 
 // renderGeneric writes the key of a quantifier state made of touched
 // branches and an always-live generic branch under env.
-func renderGeneric(b *strings.Builder, open string, e *expr.Expr, touched branchSet, generic State, env *expr.Env) {
-	b.WriteString(open)
-	e.WriteIn(b, env)
-	b.WriteString(">{")
-	touched.write(b, e.Param, env)
-	b.WriteByte('|')
-	generic.render(b, sharing{env: env}.free(e.Param).env)
-	b.WriteByte('}')
+func renderGeneric(w *sink, open string, e *expr.Expr, touched branchSet, generic State, env *expr.Env) {
+	w.put(open)
+	w.expr(e, env)
+	w.put(">{")
+	touched.write(w, e.Param, env)
+	w.putc('|')
+	w.bound(generic, e.Param, "", env)
+	w.putc('}')
 }
 
 func (s *conQState) Final() bool {
@@ -350,7 +354,7 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 		return nil
 	}
 	generic = compress(generic)
-	gk := gen.key(generic)
+	gh := hashIn(generic, gen.env)
 	var touched branchSet
 	for _, b := range s.touched {
 		// Every branch must accept every action; a branch that cannot
@@ -364,7 +368,7 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 			return nil
 		}
 		// ρ: release branches indistinguishable from the generic one.
-		if nb := (branch{val: b.val, st: compress(nst)}); nb.keyIn(p, sh) != gk {
+		if nb := (branch{val: b.val, st: compress(nst)}); !nb.caughtUp(p, sh, gen, generic, gh) {
 			touched = append(touched, nb)
 		}
 	}
@@ -380,7 +384,7 @@ func (s *conQState) trans(a expr.Action, sh sharing) State {
 		}
 		// If binding v made no observable difference, the branch can keep
 		// riding with the generic one.
-		if nb := (branch{val: v, st: compress(nst)}); nb.keyIn(p, sh) != gk {
+		if nb := (branch{val: v, st: compress(nst)}); !nb.caughtUp(p, sh, gen, generic, gh) {
 			touched = append(touched, nb)
 		}
 	}
@@ -426,8 +430,8 @@ func newSyncQState(e *expr.Expr) State {
 
 func (s *syncQState) Key() string { return keyIn(s, nil) }
 
-func (s *syncQState) render(b *strings.Builder, env *expr.Env) {
-	renderGeneric(b, "syncq<", s.e, s.touched, s.generic, env)
+func (s *syncQState) render(w *sink, env *expr.Env) {
+	renderGeneric(w, "syncq<", s.e, s.touched, s.generic, env)
 }
 
 func (s *syncQState) Final() bool {
@@ -450,7 +454,7 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 		}
 		generic = compress(generic)
 	}
-	gk := gen.key(generic)
+	gh := hashIn(generic, gen.env)
 	var touched branchSet
 	for _, b := range s.touched {
 		bs := sh.bind(p, b.val)
@@ -463,7 +467,7 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 		}
 		// ρ: release touched branches that caught up with the generic
 		// one; they are indistinguishable from untouched branches again.
-		if b.keyIn(p, sh) != gk {
+		if !b.caughtUp(p, sh, gen, generic, gh) {
 			touched = append(touched, b)
 		}
 	}
@@ -482,7 +486,7 @@ func (s *syncQState) trans(a expr.Action, sh sharing) State {
 		}
 		// Binding made no difference: branch v keeps riding with the
 		// generic branch.
-		if nb := (branch{val: v, st: compress(nst)}); nb.keyIn(p, sh) != gk {
+		if nb := (branch{val: v, st: compress(nst)}); !nb.caughtUp(p, sh, gen, generic, gh) {
 			touched = append(touched, nb)
 		}
 	}

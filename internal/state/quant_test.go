@@ -77,8 +77,8 @@ func TestFig7StepAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(runs, step)
 	t.Logf("Fig 7 step: %.0f allocations", allocs)
-	if allocs > 300 {
-		t.Fatalf("Fig 7 step: %.0f allocations, want ≤ 300", allocs)
+	if allocs > 60 {
+		t.Fatalf("Fig 7 step: %.0f allocations, want ≤ 60", allocs)
 	}
 }
 
@@ -111,8 +111,164 @@ func TestFig6StepAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(runs, step)
 	t.Logf("Fig 6 step: %.0f allocations", allocs)
-	if allocs > 150 {
-		t.Fatalf("Fig 6 step: %.0f allocations, want ≤ 150", allocs)
+	if allocs > 40 {
+		t.Fatalf("Fig 6 step: %.0f allocations, want ≤ 40", allocs)
+	}
+}
+
+// TestStepsRenderNoKey: τ̂ identifies quantifier branches by their
+// binding-aware hashes, so a steady-state step of Fig 6 or Fig 7 renders
+// no key at all: not for a new branch's identity, not for ρ's release
+// test and not for the any generic.
+func TestStepsRenderNoKey(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		e    *expr.Expr
+		skip string // an action the expression never sees
+	}{
+		{"fig7", paper.Fig7Coupled(), ""},
+		{"fig6", paper.Fig6CapacityRestriction(), paper.ActPrepare},
+	} {
+		en := MustEngine(c.e)
+		i := 0
+		step := func() {
+			a := fig7Step(i)
+			for i++; a.Name == c.skip; i++ {
+				a = fig7Step(i)
+			}
+			if err := en.Step(a); err != nil {
+				t.Fatalf("%s step %d: %v", c.name, i, err)
+			}
+		}
+		for en.Steps() < 2000 {
+			step()
+		}
+		before := keysRendered.Load()
+		for n := en.Steps() + 200; en.Steps() < n; {
+			step()
+		}
+		if n := keysRendered.Load() - before; n != 0 {
+			t.Errorf("%s: 200 steps rendered %d keys, want 0", c.name, n)
+		}
+	}
+}
+
+// TestBindingCollisionsStayExact: a body that names the value v1
+// literally, as all p: (x($p) | x(v1))*, has distinct template states
+// with one key under p := v1, whose branch hashes therefore match (in
+// conq p: (x($p) - y) | (x(v1) - y), a branch for v1 holds both seqs,
+// the generic branch only the second, and both keys are
+// or[seq<x(v1) - y>[…]]). Identity must then fall back to keys: every
+// canonical node is the one its key names, ρ's release test answers as
+// comparing keys would, and every state has the size the engine reaches
+// when it compares every branch by key (every hash 1).
+func TestBindingCollisionsStayExact(t *testing.T) {
+	t.Cleanup(func() { sameIDs = false })
+	sigma := acts("x(v1)", "x(v2)", "y", "a", "z(v1)")
+	rnd := rand.New(rand.NewSource(40))
+	for _, c := range []struct {
+		src     string
+		collide bool // distinct states have one key and one hash
+	}{
+		{"all p: (x($p) | x(v1))*", false},
+		{"all p: ((x($p) - y) | (x(v1) - y))*", false},
+		{"any p: (x($p) - y) | (x(v1) - y)", false},
+		{"conq p: (x($p) - y) | (x(v1) - y)", true},
+		{"conq p: (x($p) - y)# | (x(v1) - y)#", true},
+		{"syncq p: ((x($p) - y) | (x(v1) - y) | (a - x(v1) - y))?", true},
+		// A branch that is not final like σ(y), and one whose state is
+		// the generic one's, with p in its key (z(v1) forks v1 unchanged).
+		{"all p: x($p) - y", false},
+		{"conq p: (x($p) | z(v1))*", false},
+	} {
+		src := c.src
+		e := parse.MustParse(src)
+		words := [][]expr.Action{acts("x(v1)", "x(v2)", "y", "x(v1)", "x(v1)", "y", "x(v3)", "x(v1)", "y", "y")}
+		for len(words) < 40 {
+			w := make([]expr.Action, 8)
+			for i := range w {
+				w[i] = sigma[rnd.Intn(len(sigma))]
+			}
+			words = append(words, w)
+		}
+		var sizes [2][]int
+		confirmed := int64(0)
+		for i, collide := range []bool{false, true} {
+			sameIDs = collide
+			for _, word := range words {
+				c := NewCache()
+				s, plain := c.Canon(Initial(e)), Initial(e)
+				for _, a := range word {
+					before := keysRendered.Load()
+					next := c.Transition(s, a)
+					if !collide {
+						confirmed += keysRendered.Load() - before
+					}
+					if p := Trans(plain, a); next == nil || p == nil {
+						if next != p {
+							t.Fatalf("%s: %s permitted by one engine only", src, a)
+						}
+						continue
+					} else if s, plain = next, p; plain.Key() != s.Key() || c.Canon(plain) != s {
+						t.Fatalf("%s after %s: canonical %s, plain %s", src, a, s.Key(), plain.Key())
+					}
+					sizes[i] = append(sizes[i], s.Size())
+					checkReleases(t, s)
+				}
+				byKey := make(map[string]State)
+				for _, n := range c.table.states() {
+					if o, ok := byKey[n.Key()]; ok && o != n {
+						t.Fatalf("%s: two canonical nodes have the key %s", src, n.Key())
+					}
+					byKey[n.Key()] = n
+				}
+			}
+		}
+		if !slices.Equal(sizes[0], sizes[1]) {
+			t.Errorf("%s: state sizes %v, with every branch compared by key %v", src, sizes[0], sizes[1])
+		}
+		if c.collide && confirmed == 0 {
+			t.Errorf("%s: no match of branch hashes was confirmed by keys", src)
+		}
+	}
+}
+
+// checkReleases checks ρ's release test at the top quantifier of s
+// against comparing keys: an allQ branch is released as it equals a
+// fresh branch for its value, and a branch of the other quantifiers is
+// kept only as it differs from the generic one (or, for any, the
+// generic no longer stands for its value).
+func checkReleases(t *testing.T, s State) {
+	t.Helper()
+	var e *expr.Expr
+	var touched branchSet
+	var generic State
+	var excluded []string
+	switch q := s.(type) {
+	case *allQState:
+		for _, alt := range q.alts {
+			for _, b := range alt.named {
+				env := &expr.Env{P: q.e.Param, V: b.val}
+				want := b.st.Final() == q.nullable && keyIn(b.st, env) == keyIn(q.initial(), env)
+				if got := q.releases(&b, q.e.Param, sharing{}); got != want {
+					t.Fatalf("%s: branch %s releases %t, keys say %t", q.Key(), b.val, got, want)
+				}
+			}
+		}
+		return
+	case *anyQState:
+		e, touched, generic, excluded = q.e, q.touched, q.generic, q.excluded
+	case *conQState:
+		e, touched, generic = q.e, q.touched, q.generic
+	case *syncQState:
+		e, touched, generic = q.e, q.touched, q.generic
+	default:
+		return
+	}
+	for _, b := range touched {
+		if generic != nil && !slices.Contains(excluded, b.val) && keyIn(b.st, &expr.Env{P: e.Param, V: b.val}) == generic.Key() {
+			t.Fatalf("%s: branch %s has the generic branch's key and was kept", s.Key(), b.val)
+		}
 	}
 }
 
@@ -313,8 +469,9 @@ var reboundSrcs = []string{
 // under the binding. The rendering must be the key of the substituted
 // state — what the branch held before binding walked the template —
 // including where binding makes distinct states equal or reorders
-// them, and under shadowing; and a snapshot, which stores branches as
-// they are, must restore to the same keys and go on identically.
+// them, and under shadowing, and so must its hash; and a snapshot,
+// which stores branches as they are, must restore to the same keys and
+// go on identically.
 func TestBranchKeysRenderSubstitution(t *testing.T) {
 	srcs := reboundSrcs
 	sigma := []expr.Action{
@@ -334,9 +491,18 @@ func TestBranchKeysRenderSubstitution(t *testing.T) {
 				}
 				forBranches(en.cur, func(p string, b branch) {
 					checked++
-					want := substRef(b.st, p, b.val).Key()
-					if got := keyIn(b.st, &expr.Env{P: p, V: b.val}); got != want {
+					ref := substRef(b.st, p, b.val)
+					got, want := keyIn(b.st, &expr.Env{P: p, V: b.val}), ref.Key()
+					if got != want {
 						t.Fatalf("%s: branch %s=%s renders %s, substituted key %s", src, p, b.val, got, want)
+					}
+					// The branch's hash, which it carries, is the substituted
+					// state's, and binding p changes the key where p is named.
+					if h := hashBound(b.st, p, b.val, nil); h != hashIn(ref, nil) || b.h != 0 && b.h != h {
+						t.Fatalf("%s: branch %s=%s hashes to %x and carries %x, substituted state %x", src, p, b.val, h, b.h, hashIn(ref, nil))
+					}
+					if m := mentions(b.st, p); m != (got != b.st.Key()) {
+						t.Fatalf("%s: branch %s=%s: mentions %t, but its key under the binding is %s, unbound %s", src, p, b.val, m, got, b.st.Key())
 					}
 				})
 				data, err := en.MarshalState()

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/expr"
 )
@@ -100,37 +99,35 @@ func (s *seqState) trans(act expr.Action, sh sharing) State {
 	return sealed(&seqState{e: s.e, alts: next, inits: s.inits})
 }
 
-func (s *seqState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("seq<")
-	s.e.WriteIn(b, env)
-	b.WriteString(">[")
-	// The alternatives are stored in id order and written in
-	// (index, key) order; binding can also make two equal.
-	alts := make([]seqAltKey, len(s.alts))
-	for i, a := range s.alts {
-		alts[i] = seqAltKey{a.idx, keyIn(a.st, env)}
+func (s *seqState) render(w *sink, env *expr.Env) {
+	w.put("seq<")
+	w.expr(s.e, env)
+	w.put(">[")
+	// The alternatives are stored in id order and written in (index, key)
+	// order, as a set per index: binding can make two equal. Hashing, they
+	// are one set of (index, state) pairs.
+	alts := s.alts
+	if w.b != nil {
+		alts = slices.Clone(alts)
+		slices.SortStableFunc(alts, func(x, y seqAlt) int { return cmp.Compare(x.idx, y.idx) })
 	}
-	slices.SortFunc(alts, func(x, y seqAltKey) int {
-		if c := cmp.Compare(x.idx, y.idx); c != 0 {
-			return c
+	for i := 0; i < len(alts); {
+		j := i + 1
+		for j < len(alts) && (w.b == nil || alts[j].idx == alts[i].idx) {
+			j++
 		}
-		return strings.Compare(x.key, y.key)
-	})
-	for i, a := range slices.Compact(alts) {
 		if i > 0 {
-			b.WriteByte(',')
+			w.putc(',')
 		}
-		b.WriteString(strconv.Itoa(a.idx))
-		b.WriteByte(':')
-		b.WriteString(a.key)
+		run := alts[i:j]
+		w.set(len(run), ',', true, func(k int) {
+			w.put(strconv.Itoa(run[k].idx))
+			w.putc(':')
+			run[k].st.render(w, env)
+		})
+		i = j
 	}
-	b.WriteByte(']')
-}
-
-// seqAltKey is a seq alternative rendered under a binding.
-type seqAltKey struct {
-	idx int
-	key string
+	w.putc(']')
 }
 
 func (s *seqState) inert() bool {
@@ -209,18 +206,18 @@ func (s *seqIterState) trans(a expr.Action, sh sharing) State {
 	return sealed(&seqIterState{sigma: s.sigma, insts: sortDedupStates(next), boundary: boundary})
 }
 
-func (s *seqIterState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("iter<")
-	s.y.WriteIn(b, env)
-	b.WriteByte('>')
+func (s *seqIterState) render(w *sink, env *expr.Env) {
+	w.put("iter<")
+	w.expr(s.y, env)
+	w.putc('>')
 	if s.boundary {
-		b.WriteByte('+')
+		w.putc('+')
 	} else {
-		b.WriteByte('-')
+		w.putc('-')
 	}
-	b.WriteByte('[')
-	writeSet(b, s.insts, env, true)
-	b.WriteByte(']')
+	w.putc('[')
+	w.states(s.insts, env, true)
+	w.putc(']')
 }
 
 func (s *seqIterState) inert() bool {

@@ -13,8 +13,10 @@ import (
 // when the node is made (sealed), in O(arity): the hash of its shape. A
 // shape is the one description of a node's identity: its kind, then
 // everything its key renders, in stored order — expressions (by their
-// cached hashes), flags, values, branch keys and child states (by their
-// ids). sameShape compares two shapes part by part, so an id and its
+// cached hashes), flags, values, child states (by their ids) and branches
+// (by their states' binding-aware hashes, hashBound, confirmed by the
+// states or, when two templates are equal under the binding, by keys).
+// sameShape compares two shapes part by part, so an id and its
 // confirmation cannot disagree. Sets, multisets and alternative lists
 // are stored in id order, so two nodes have equal shapes exactly when
 // their keys are equal, and the key, as long as the state's tree
@@ -39,23 +41,26 @@ func sealed(s State) State {
 
 var emptyID = hashOf(theEmptyState)
 
-// sameIDs makes every id 1, so tests can run every comparison through
-// the confirmation and tie-break paths.
+// sameIDs makes every id and every binding-aware hash 1, so tests can
+// run every comparison through the confirmation and tie-break paths.
 var sameIDs bool
 
-// part is one element of a shape: a word, a string with its hash, or a
-// child state.
+// part is one element of a shape: a word, a string with its hash, a
+// child state, or a branch: its state k, its value s and the hash w of
+// its state under the binding of the parameter to s.
 type part struct {
 	w uint64
 	s string
 	k State
 }
 
-func (p part) same(q part) bool {
-	if p.k != nil || q.k != nil {
-		return p.k != nil && q.k != nil && sameState(p.k, q.k)
+// same compares two parts; branches bind the parameter param.
+func (p part) same(q part, param string) bool {
+	if p.k == nil || q.k == nil {
+		return p.k == q.k && p.w == q.w && p.s == q.s
 	}
-	return p.w == q.w && p.s == q.s
+	return p.s == q.s && (sameState(p.k, q.k) || p.s != "" && p.w == q.w &&
+		keyIn(p.k, &expr.Env{P: param, V: p.s}) == keyIn(q.k, &expr.Env{P: param, V: q.s}))
 }
 
 // desc receives a shape: it hashes the parts into h, or with rec set
@@ -70,9 +75,10 @@ type desc struct {
 
 // recording holds a shape's parts, most shapes in buf.
 type recording struct {
-	buf  [16]part
-	more []part
-	n    int
+	buf   [16]part
+	more  []part
+	n     int
+	param string // the parameter the recorded branches bind
 }
 
 func (r *recording) at(i int) part {
@@ -90,13 +96,13 @@ func (d *desc) add(p part) {
 	case r != nil:
 		r.more, r.n = append(r.more, p), r.n+1
 	case d.chk != nil:
-		d.diff = d.diff || d.i >= d.chk.n || !p.same(d.chk.at(d.i))
+		d.diff = d.diff || d.i >= d.chk.n || !p.same(d.chk.at(d.i), d.chk.param)
 		d.i++
 	default:
-		if p.k != nil {
+		if p.k != nil && p.s == "" { // a child; a branch keeps its hash
 			p.w = p.k.sid()
 		}
-		d.h = (d.h ^ p.w) * fnvPrime
+		d.h = mix(d.h, p.w)
 	}
 }
 
@@ -114,11 +120,14 @@ func (d *desc) kids(ss []State) {
 	}
 }
 
-func (d *desc) branches(bs branchSet) {
+func (d *desc) branches(bs branchSet, p string) {
 	d.word(uint64(len(bs)))
+	if d.rec != nil {
+		d.rec.param = p
+	}
 	for _, b := range bs {
 		d.str(b.val)
-		d.add(part{w: b.kh, s: b.key})
+		d.add(part{w: b.h, s: b.val, k: b.st})
 	}
 }
 
@@ -175,7 +184,7 @@ func shapeOf(x any, d *desc) {
 	case *anyQState:
 		d.str(tagAnyQ)
 		d.expr(x.e)
-		d.branches(x.touched)
+		d.branches(x.touched, x.e.Param)
 		// The exclusions count only beside a live generic branch, as in
 		// the key.
 		if d.flag(x.generic != nil); x.generic != nil {
@@ -185,28 +194,35 @@ func shapeOf(x any, d *desc) {
 	case *conQState:
 		d.str(tagConQ)
 		d.expr(x.e)
-		d.branches(x.touched)
+		d.branches(x.touched, x.e.Param)
 		d.kid(x.generic)
 	case *syncQState:
 		d.str(tagSyncQ)
 		d.expr(x.e)
-		d.branches(x.touched)
+		d.branches(x.touched, x.e.Param)
 		d.kid(x.generic)
 	case *allQState:
 		d.str(tagAllQ)
 		d.expr(x.e)
-		each(x.alts, d)
+		d.word(uint64(len(x.alts)))
+		for _, a := range x.alts {
+			qAlt{a, x.e.Param}.shape(d)
+		}
 	case []State:
 		d.kids(x)
-	case allQAlt:
-		d.branches(x.named)
-		each(x.anon, d)
+	case qAlt:
+		x.shape(d)
 	case anonBranch:
 		d.kid(x.st)
 		d.str(strings.Join(x.excl, ","))
 	default:
 		panic("state: shape of an unknown node")
 	}
+}
+
+func (a qAlt) shape(d *desc) {
+	d.branches(a.named, a.p)
+	each(a.anon, d)
 }
 
 // each writes the shapes of xs to d, after their count.
@@ -305,6 +321,8 @@ func sortDedupAlts(alts [][]State, multiset bool) [][]State {
 	same := func(x, y []State) bool { return slices.EqualFunc(x, y, sameState) }
 	return sortByID(alts, hashOf[[]State], key, same, true)
 }
+
+func mix(h, w uint64) uint64 { return (h ^ w) * fnvPrime }
 
 // idTable finds states by structural identity: an id picks a bucket,
 // and sameState confirms the match.

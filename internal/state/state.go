@@ -26,9 +26,11 @@
 // over the quantifier's body y with p still free, never a state of the
 // substituted body y_v. τ̂ binds p := v while it walks the branch (see
 // sharing), and a branch's key is its state's key rendered under that
-// binding (keyIn), which is the key the substituted state would have. So
-// the branches of different values in the same phase are one state, and
-// binding a value costs a walk, not a copy of the body. Snapshots write
+// binding (keyIn), which is the key the substituted state would have;
+// the branch is identified by that key's hash (hashBound), which needs no
+// rendering. So the branches of different values in the same phase are
+// one state, and binding a value costs a walk, not a copy of the body.
+// Snapshots write
 // branches the same way (marshal.go), so a restored engine holds the
 // nodes the live one held; no code in the package substitutes a state.
 //
@@ -41,6 +43,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/expr"
 )
@@ -51,8 +55,8 @@ type State interface {
 	// Key returns the canonical rendering of the state: equal keys mean
 	// semantically identical states, and equal shapes (sameState). It is
 	// as long as the state's tree unfolding and rendered on each call,
-	// for StateKey, snapshots and tests; nothing on the transition path
-	// calls it.
+	// for StateKey, snapshots and tests; the transition path renders keys
+	// only where binding makes distinct states collide.
 	Key() string
 	// Final reports ϕ(s): whether the walkers may have reached the end of
 	// the graph, i.e. the word consumed so far is a complete word.
@@ -73,10 +77,10 @@ type State interface {
 	// child is transitioned once per binding.
 	trans(a expr.Action, sh sharing) State
 	// render writes keyIn(s, env), the state's key under the binding
-	// env: Key with every parameter env binds replaced by its value,
-	// which is the Key of the substituted state. With env nil it writes
-	// Key.
-	render(b *strings.Builder, env *expr.Env)
+	// env, to w, which builds or hashes it: Key with every parameter env
+	// binds replaced by its value, which is the Key of the substituted
+	// state. With env nil it writes Key.
+	render(w *sink, env *expr.Env)
 	// inert reports that no transition can ever succeed from this state,
 	// under any future parameter substitution. Used by ρ to drop
 	// completed instances of parallel iterations. Must be conservative:
@@ -182,64 +186,209 @@ func (sh sharing) free(p string) sharing {
 	return sh.bind(p, "")
 }
 
-// key is s's key under the walk's environment (keyIn).
-func (sh sharing) key(s State) string { return keyIn(s, sh.env) }
-
 // keyIn returns the key s has under env: its Key with every parameter
 // env binds replaced by its value, which is the Key of the state the
 // substitutions would build. It is rendered into one builder, and
 // without building any state or expression. With env nil it is Key.
-func keyIn(s State, env *expr.Env) string {
+func keyIn(s State, env *expr.Env) string { return keyOf(func(w *sink) { s.render(w, env) }) }
+
+// keyOf returns the key write writes.
+func keyOf(write func(w *sink)) string {
+	keysRendered.Add(1)
 	var b strings.Builder
-	s.render(&b, env)
+	withSink(&b, write)
 	return b.String()
 }
 
-// writeList writes the keys of states under env, comma-separated in
-// order.
-func writeList(b *strings.Builder, ss []State, env *expr.Env) {
-	for i, s := range ss {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		s.render(b, env)
+// keysRendered counts the keys rendered, for tests: τ̂ renders none
+// unless binding makes two distinct states collide.
+var keysRendered atomic.Int64
+
+func hashIn(s State, env *expr.Env) uint64 { return hashBound(s, "", "", env) }
+
+// hashBound returns H, the binding-aware hash of s's key under env with p
+// bound to v (if p is not ""): render hashing what it writes, with
+// expressions and atoms hashed as the bytes WriteIn writes and a set as
+// its elements' hashes in sorted order, deduplicated where its key
+// deduplicates keys. So equal keys give equal hashes, and no string is
+// built or anything allocated. A hash is never identity: a match is
+// confirmed by sameState or by keys.
+func hashBound(s State, p, v string, env *expr.Env) uint64 {
+	if sameIDs {
+		return 1
+	}
+	return withSink(nil, func(w *sink) { w.bound(s, p, v, env) })
+}
+
+// mentions reports that s's key names the parameter p free, so that
+// binding p changes it: s is scanned with p bound to a value no key holds.
+func mentions(s State, p string) (found bool) {
+	withSink(nil, func(w *sink) {
+		w.scan = p
+		w.bound(s, p, scanned, nil)
+		found = w.found
+	})
+	return found
+}
+
+// scanned is the value mentions binds the scanned parameter to, which no
+// key holds.
+const scanned = "\x00"
+
+// sink receives what render writes. It builds a key in b, or with b nil
+// folds it into the hash h, and with scan set also looks for the free
+// occurrences of the parameter scan (mentions). Its frames hold the
+// bindings of the quantifier branches being written, innermost last, so
+// that hashing and scanning allocate nothing; sinks are pooled.
+type sink struct {
+	b      *strings.Builder
+	h      uint64
+	scan   string
+	found  bool
+	frames [16]expr.Env
+	n      int
+}
+
+var sinks = sync.Pool{New: func() any { return new(sink) }}
+
+// withSink runs write with a sink that builds in b, or hashes if b is
+// nil, and returns the hash.
+func withSink(b *strings.Builder, write func(w *sink)) uint64 {
+	w := sinks.Get().(*sink)
+	w.b, w.h = b, fnvOffset
+	write(w)
+	h := w.h
+	w.b, w.scan, w.found = nil, "", false
+	sinks.Put(w)
+	return h
+}
+
+func (w *sink) put(s string) {
+	if w.b != nil {
+		w.b.WriteString(s)
+	} else {
+		w.h = mix(w.h, expr.HashKey(s))
 	}
 }
 
-// writeSet writes the keys of a state set (dedup) or multiset under env,
-// comma-separated in key order. The states are stored in id order, so
-// their keys are sorted here; binding can also make distinct states
-// equal, so a set's keys are deduplicated again, as the substituted
-// states' keys would be.
-func writeSet(b *strings.Builder, ss []State, env *expr.Env, dedup bool) {
-	if len(ss) < 2 {
-		writeList(b, ss, env)
+func (w *sink) putc(c byte) {
+	if w.b != nil {
+		w.b.WriteByte(c)
+	} else {
+		w.h = mix(w.h, uint64(c))
+	}
+}
+
+// expr writes e under env.
+func (w *sink) expr(e *expr.Expr, env *expr.Env) {
+	if w.b != nil {
+		e.WriteIn(w.b, env)
 		return
 	}
-	keys := make([]string, len(ss))
-	for i, s := range ss {
-		keys[i] = keyIn(s, env)
-	}
-	writeSorted(b, keys, ',', dedup)
+	w.h = mix(w.h, e.HashIn(env))
+	w.found = w.found || w.scanning(env) && e.HasFreeParam(w.scan)
 }
 
-// writeSorted writes keys in sorted order, separated by sep.
-func writeSorted(b *strings.Builder, keys []string, sep byte, dedup bool) {
-	slices.Sort(keys)
-	if dedup {
+// act writes the action a under env.
+func (w *sink) act(a expr.Action, env *expr.Env) {
+	if w.b != nil {
+		a.WriteIn(w.b, env)
+		return
+	}
+	w.h = mix(w.h, a.HashIn(env))
+	w.found = w.found || w.scanning(env) &&
+		slices.ContainsFunc(a.Args, func(arg expr.Arg) bool { return arg.Param && arg.Name == w.scan })
+}
+
+// scanning reports that the scanned parameter is free where env binds.
+func (w *sink) scanning(env *expr.Env) bool {
+	v, _ := env.Lookup(w.scan)
+	return w.scan != "" && v == scanned
+}
+
+// bound writes the key of s under env with p bound to v, or unbound if v
+// is "", in a frame it pops after.
+func (w *sink) bound(s State, p, v string, env *expr.Env) {
+	n := w.n
+	if _, ok := env.Lookup(p); ok || v != "" {
+		if n == len(w.frames) {
+			env = &expr.Env{P: p, V: v, Up: env}
+		} else {
+			w.frames[n], w.n = expr.Env{P: p, V: v, Up: env}, n+1
+			env = &w.frames[n]
+		}
+	}
+	s.render(w, env)
+	w.n = n
+}
+
+// excl writes '!' and the excluded values, if there are any.
+func (w *sink) excl(vals []string) {
+	if len(vals) > 0 {
+		w.putc('!')
+		w.put(strings.Join(vals, ","))
+	}
+}
+
+// list writes the keys of states under env, comma-separated in order.
+func (w *sink) list(ss []State, env *expr.Env) {
+	for i, s := range ss {
+		if i > 0 {
+			w.putc(',')
+		}
+		s.render(w, env)
+	}
+}
+
+// set writes n elements, elem(i) writing the i-th, as a set (dedup) or a
+// multiset: separated by sep in key order, since elements are stored in
+// id order, and with repeats dropped, since binding can make distinct
+// elements equal. Hashing, their hashes fold in sorted order instead.
+func (w *sink) set(n int, sep byte, dedup bool, elem func(i int)) {
+	if w.b == nil {
+		var buf [16]uint64
+		hs, h := buf[:0], w.h
+		for i := range n {
+			w.h = fnvOffset
+			elem(i)
+			hs = append(hs, w.h)
+		}
+		if slices.Sort(hs); dedup {
+			hs = slices.Compact(hs)
+		}
+		for w.h = h; len(hs) > 0; hs = hs[1:] {
+			w.h = mix(w.h, hs[0])
+		}
+		return
+	}
+	if n < 2 {
+		for i := range n {
+			elem(i)
+		}
+		return
+	}
+	b, keys := w.b, make([]string, n)
+	for i := range keys {
+		var kb strings.Builder
+		w.b = &kb
+		elem(i)
+		keys[i] = kb.String()
+	}
+	w.b = b
+	if slices.Sort(keys); dedup {
 		keys = slices.Compact(keys)
 	}
-	n := len(keys)
-	for _, k := range keys {
-		n += len(k)
-	}
-	b.Grow(n)
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(sep)
 		}
 		b.WriteString(k)
 	}
+}
+
+// states writes a state set (dedup) or multiset under env.
+func (w *sink) states(ss []State, env *expr.Env, dedup bool) {
+	w.set(len(ss), ',', dedup, func(i int) { ss[i].render(w, env) })
 }
 
 // Initial computes σ(e), the initial state of a (not necessarily closed)

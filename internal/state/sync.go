@@ -2,7 +2,6 @@ package state
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/expr"
 )
@@ -40,12 +39,12 @@ func newSyncState(e *expr.Expr) State {
 
 func (s *syncState) Key() string { return keyIn(s, nil) }
 
-func (s *syncState) render(b *strings.Builder, env *expr.Env) {
-	b.WriteString("sync")
-	s.writeTag(b, env)
-	b.WriteByte('[')
-	writeList(b, s.kids, env)
-	b.WriteByte(']')
+func (s *syncState) render(w *sink, env *expr.Env) {
+	w.put("sync")
+	s.writeTag(w, env)
+	w.putc('[')
+	w.list(s.kids, env)
+	w.putc(']')
 }
 
 // writeTag writes the operand tag under env. The tag names the
@@ -56,23 +55,23 @@ func (s *syncState) render(b *strings.Builder, env *expr.Env) {
 // table merge them. A quantifier operand needs no entry, because its
 // state key already starts with its expression, so a coupling of
 // quantifiers alone (Fig 7) has no tag.
-func (s *syncState) writeTag(b *strings.Builder, env *expr.Env) {
+func (s *syncState) writeTag(w *sink, env *expr.Env) {
 	open := false
 	for i, k := range s.kids {
 		if namesOwnExpr(k) {
 			continue
 		}
 		if !open {
-			b.WriteByte('<')
+			w.putc('<')
 			open = true
 		}
-		b.WriteString(strconv.Itoa(i))
-		b.WriteByte('=')
-		s.kidExprs[i].WriteIn(b, env)
-		b.WriteByte(';')
+		w.put(strconv.Itoa(i))
+		w.putc('=')
+		w.expr(s.kidExprs[i], env)
+		w.putc(';')
 	}
 	if open {
-		b.WriteByte('>')
+		w.putc('>')
 	}
 }
 

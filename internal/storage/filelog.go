@@ -48,7 +48,7 @@ func replayFile(f *os.File, seq uint64, d *recordDecoder, fn func(Entry) error) 
 		return seq, -1, fmt.Errorf("storage: log seek: %w", err)
 	}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(*d.buf, 16*1024*1024)
 	var good int64 // byte offset just past the last well-formed line
 	for sc.Scan() {
 		raw := sc.Bytes()
@@ -89,7 +89,9 @@ func replayFile(f *os.File, seq uint64, d *recordDecoder, fn func(Entry) error) 
 func (l *FileLog) Replay(fn func(Entry) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, tornAt, err := replayFile(l.f, 0, newRecordDecoder(), fn)
+	d := newRecordDecoder()
+	defer d.close()
+	_, tornAt, err := replayFile(l.f, 0, d, fn)
 	if err != nil {
 		return err
 	}

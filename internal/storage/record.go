@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/json"
 	"strconv"
+	"sync"
 )
 
 // The record codec shared by the file backends. A record is one Entry
@@ -74,11 +75,20 @@ func plainString(s string) bool {
 type recordDecoder struct {
 	names map[string]string
 	vals  [][]byte // scratch: the argument values of the line being parsed
+	buf   *[]byte  // the line scanner's buffer, for every file of the replay
 }
 
+// lineBufs keeps the line scanners' buffers between replays: a log
+// shorter than a segment replays one file, so without them every
+// restart would allocate one.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
+
 func newRecordDecoder() *recordDecoder {
-	return &recordDecoder{names: make(map[string]string)}
+	return &recordDecoder{names: make(map[string]string), buf: lineBufs.Get().(*[]byte)}
 }
+
+// close hands the scanner buffer on to the next replay.
+func (d *recordDecoder) close() { lineBufs.Put(d.buf) }
 
 // decode returns the entry of one line, or json.Unmarshal's error.
 func (d *recordDecoder) decode(line []byte) (Entry, error) {

@@ -247,6 +247,7 @@ func (s *Segmented) Replay(fn func(Entry) error) error {
 	defer s.mu.Unlock()
 	var seq uint64
 	d := newRecordDecoder() // one for every segment, so each name is interned once
+	defer d.close()
 	for _, seg := range s.sealed {
 		f, err := os.Open(seg.path)
 		if err != nil {
