@@ -111,16 +111,11 @@ func main() {
 		}
 	}
 
-	// The gateway serves from a shared, versioned route table (the admin
+	// The gateway serves from its versioned route table (the admin
 	// "routes" op dumps it); the autopilot repoints it through live
 	// migrations.
-	table, err := ix.NewRouteTable(replicas)
-	if err != nil {
-		fatal(err)
-	}
 	reg := ix.NewMetricsRegistry()
-	gw, err := ix.NewReplicatedGateway(e, nil, ix.GatewayOptions{
-		RouteTable:        table,
+	gw, err := ix.NewReplicatedGateway(e, replicas, ix.GatewayOptions{
 		ReadFromFollowers: *readRepls,
 		Metrics:           reg,
 		TraceCapacity:     *traceCap,
@@ -319,13 +314,9 @@ func serveAdmin(ln net.Listener, gw *ix.Gateway, ctrl *ix.Autopilot) {
 					resp.Traces = gw.Traces()
 					resp.OK = true
 				case "routes":
-					if table := gw.RouteTable(); table != nil {
-						snap := table.Snapshot()
-						resp.Routes = &snap
-						resp.OK = true
-					} else {
-						resp.Err = "no route table attached"
-					}
+					snap := gw.RouteTable().Snapshot()
+					resp.Routes = &snap
+					resp.OK = true
 				case "autopilot":
 					resp.Autopilot, resp.Plan, resp.Err = adminAutopilot(ctrl, req.Cmd)
 					resp.OK = resp.Err == ""

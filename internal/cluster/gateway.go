@@ -45,10 +45,10 @@ type Gateway struct {
 	traces  *traceRing // nil: grant tracing disabled
 	traceID atomic.Uint64
 
-	// table, when non-nil, is the shared control-plane route table this
-	// gateway follows; unfollow detaches it on Close. Route mutations
-	// (migration add/retire) then go through the table so every gateway
-	// of the fleet converges, not just this one.
+	// table is the route table this gateway follows — shared with the
+	// fleet when GatewayOptions.RouteTable named one, else private;
+	// unfollow detaches it on Close. Route mutations (migration
+	// add/retire) go through the table so every follower converges.
 	table    *placement.RouteTable
 	unfollow func()
 }
@@ -135,12 +135,13 @@ type GatewayOptions struct {
 	// means the wall clock.
 	Clock clock.Clock
 	// RouteTable attaches the gateway to a shared control-plane route
-	// table (internal/placement): the gateway's initial shard addresses
-	// come from the table (the replicas argument may be nil), every later
-	// table change is applied to this gateway before the mutating call
-	// returns, and the gateway's own route mutations (migration
-	// add/retire) go through the table so the whole fleet converges. The
-	// table must route exactly the expression's shard count.
+	// table (internal/placement): the gateway's shard addresses come from
+	// the table (the replicas argument must be nil), every later table
+	// change is applied to this gateway before the mutating call returns,
+	// and the gateway's own route mutations (migration add/retire) go
+	// through the table so the whole fleet converges. The table must
+	// route exactly the expression's shard count. Nil means a private
+	// table built from the replicas argument.
 	RouteTable *placement.RouteTable
 }
 
@@ -166,23 +167,19 @@ func NewGateway(e *expr.Expr, addrs []string) (*Gateway, error) {
 // ticket after a failover re-reserves and commits on the new primary.
 func NewReplicatedGateway(e *expr.Expr, replicas [][]string, opts GatewayOptions) (*Gateway, error) {
 	parts := Partition(e)
-	if opts.RouteTable != nil {
-		if got := opts.RouteTable.Shards(); got != len(parts) {
-			return nil, fmt.Errorf("cluster: expression has %d shards, route table has %d", len(parts), got)
+	if opts.RouteTable == nil {
+		t, err := placement.NewRouteTable(replicas)
+		if err != nil {
+			return nil, err
 		}
+		opts.RouteTable = t
+	} else if replicas != nil {
 		// The table is authoritative; a replicas argument is redundant at
 		// best and stale at worst, so the attached form takes nil.
-		if replicas != nil {
-			return nil, fmt.Errorf("cluster: pass nil replicas with RouteTable (the table owns the addresses)")
-		}
-		snap := opts.RouteTable.Snapshot()
-		replicas = make([][]string, len(snap.Shards))
-		for i, row := range snap.Shards {
-			replicas[i] = row.Addrs
-		}
+		return nil, fmt.Errorf("cluster: pass nil replicas with RouteTable (the table owns the addresses)")
 	}
-	if len(parts) != len(replicas) {
-		return nil, fmt.Errorf("cluster: expression has %d shards, got %d replica sets", len(parts), len(replicas))
+	if got := opts.RouteTable.Shards(); got != len(parts) {
+		return nil, fmt.Errorf("cluster: expression has %d shards, route table has %d", len(parts), got)
 	}
 	g := &Gateway{parts: parts, grants: make(map[manager.Ticket]grantEntry)}
 	g.reg = opts.Metrics
@@ -194,11 +191,8 @@ func NewReplicatedGateway(e *expr.Expr, replicas [][]string, opts GatewayOptions
 	}
 	g.traces = newTraceRing(tcap) // nil when tcap < 0
 	for i, part := range parts {
-		if len(replicas[i]) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no endpoints", i)
-		}
 		g.alphas = append(g.alphas, expr.AlphabetOf(part))
-		g.shards = append(g.shards, NewShardClientSet(replicas[i], ShardOptions{
+		g.shards = append(g.shards, NewShardClientSet(nil, ShardOptions{
 			ReadFromFollowers: opts.ReadFromFollowers,
 			DrainRetryDelay:   opts.DrainRetryDelay,
 			Metrics:           opts.Metrics,
@@ -208,56 +202,22 @@ func NewReplicatedGateway(e *expr.Expr, replicas [][]string, opts GatewayOptions
 		}))
 	}
 	g.idx = manager.NewNameIndex(g.alphas)
-	if opts.RouteTable != nil {
-		// Register as a follower: the initial full apply resynchronizes the
-		// gateway against any table change that landed since the snapshot
-		// above, and every later change reaches it before the mutating call
-		// returns.
-		unfollow, err := opts.RouteTable.Follow(g)
-		if err != nil {
-			g.Close()
-			return nil, err
-		}
-		g.table, g.unfollow = opts.RouteTable, unfollow
+	// Following the table gives every shard client its endpoint list: the
+	// initial full apply lands before Follow returns, and every later
+	// change reaches the gateway before the mutating call returns.
+	unfollow, err := opts.RouteTable.Follow(g)
+	if err != nil {
+		g.Close()
+		return nil, err
 	}
+	g.table, g.unfollow = opts.RouteTable, unfollow
 	return g, nil
 }
 
-// RouteTable returns the shared route table the gateway follows (nil
-// when it owns its addresses privately).
+// RouteTable returns the route table the gateway follows: the shared one
+// from GatewayOptions.RouteTable, or its private one. Route changes go
+// through it; SetShardAddrs is only the table's apply seam.
 func (g *Gateway) RouteTable() *placement.RouteTable { return g.table }
-
-// routeAdd adds an endpoint to a shard's route — through the shared
-// table (converging the whole fleet) when attached, else privately.
-func (g *Gateway) routeAdd(shard int, addr string) error {
-	if g.table != nil {
-		return g.table.Add(shard, addr)
-	}
-	g.shards[shard].AddAddr(addr)
-	return nil
-}
-
-// routeRemove drops an endpoint from a shard's route (see routeAdd).
-func (g *Gateway) routeRemove(shard int, addr string) error {
-	if g.table != nil {
-		return g.table.Remove(shard, addr)
-	}
-	g.shards[shard].RemoveAddr(addr)
-	return nil
-}
-
-// migrateLock takes the shard's migration exclusion: fleet-wide via the
-// shared table when attached (two gateways promoting the same shard
-// concurrently would mint two primaries of the same epoch — split
-// brain), else this gateway's private per-shard lock.
-func (g *Gateway) migrateLock(shard int) func() {
-	if g.table != nil {
-		return g.table.MigrateLock(shard)
-	}
-	sc := g.shards[shard]
-	sc.migrateMu.Lock()
-	return sc.migrateMu.Unlock
-}
 
 // MetricsRegistry exposes the gateway's obs registry (nil when metrics
 // are disabled); the wire server discovers it via manager.MetricsSource.
@@ -306,8 +266,9 @@ func (g *Gateway) Traces() []GrantTrace {
 // Shards returns the shard clients (diagnostics and tests).
 func (g *Gateway) Shards() []*ShardClient { return g.shards }
 
-// SetShardAddrs replaces shard i's endpoint list — the gateway-side
-// route-table update of a live migration. Requests in flight are not
+// SetShardAddrs replaces shard i's endpoint list — the apply seam through
+// which the followed route table reaches this gateway (placement.Applier);
+// change routes through RouteTable, not here. Requests in flight are not
 // dropped: the serving connection survives when its endpoint stays
 // listed, and otherwise the shard client's generation bump routes
 // outstanding two-phase grants through the resume path (see
@@ -655,7 +616,7 @@ func (g *Gateway) Subscribe(a expr.Action) (<-chan manager.Inform, func(), error
 	return manager.Conjoin(a, parts), cancelAll, nil
 }
 
-// Close releases all shard connections (detaching from the shared route
+// Close releases all shard connections (detaching from the route
 // table first, so no further fan-out reaches a closed gateway).
 // Outstanding gateway tickets become unknown; their shard reservations
 // fall to the managers' reservation timeouts.

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/manager"
 	"repro/internal/obs"
+	"repro/internal/paper"
 	"repro/internal/parse"
 )
 
@@ -195,5 +198,66 @@ func TestGatewayTracingDisabled(t *testing.T) {
 	}
 	if h := snap.Hists["ix_gateway_grant_ns"]; h.Count < 1 {
 		t.Errorf("grant latency histogram empty without tracing: %+v", h)
+	}
+}
+
+// TestGrantExchanges counts the wire requests each kind of Fig 7
+// operation costs the shard servers: a single-shard Request is one
+// exchange with its shard, a cross-shard grant a reserve and a confirm at
+// each of the two shards, and a burst of single-shard actions one frame
+// to their shard.
+func TestGrantExchanges(t *testing.T) {
+	e := paper.Fig7Coupled()
+	parts := Partition(e)
+	regs := make([]*obs.Registry, len(parts))
+	addrs := make([]string, len(parts))
+	for i, part := range parts {
+		regs[i] = obs.NewRegistry()
+		sh := &shard{t: t, e: part, opts: manager.Options{Metrics: regs[i]}}
+		sh.start()
+		t.Cleanup(sh.stop)
+		addrs[i] = sh.addr
+	}
+	gw, err := NewGateway(e, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	framesIn := func() []uint64 {
+		return []uint64{regs[0].Counter("ix_wire_frames_in_total").Load(), regs[1].Counter("ix_wire_frames_in_total").Load()}
+	}
+	exchanges := func(burst ...expr.Action) []uint64 {
+		t.Helper()
+		before := framesIn()
+		errs := []error{nil}
+		if len(burst) == 1 {
+			errs[0] = gw.Request(bg, burst[0])
+		} else {
+			errs = gw.RequestMany(bg, burst)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", burst[i], err)
+			}
+		}
+		after := framesIn()
+		return []uint64{after[0] - before[0], after[1] - before[1]}
+	}
+	p := paper.Patient
+	exchanges(paper.CallAct(p(0), paper.ExamSono)) // warm-up: dials both shards
+
+	for _, tc := range []struct {
+		burst []expr.Action
+		want  []uint64
+	}{
+		{[]expr.Action{paper.PrepareAct(p(1), paper.ExamSono)}, []uint64{1, 0}},
+		{[]expr.Action{paper.CallAct(p(2), paper.ExamSono)}, []uint64{2, 2}},
+		{[]expr.Action{paper.PerformAct(p(2), paper.ExamSono)}, []uint64{2, 2}},
+		{[]expr.Action{paper.PrepareAct(p(3), paper.ExamSono), paper.PrepareAct(p(4), paper.ExamEndo),
+			paper.InformAct(p(5), paper.ExamSono), paper.PrepareAct(p(6), paper.ExamSono)}, []uint64{1, 0}},
+	} {
+		if got := exchanges(tc.burst...); !slices.Equal(got, tc.want) {
+			t.Errorf("%v: wire requests per shard %v, want %v", tc.burst, got, tc.want)
+		}
 	}
 }

@@ -41,8 +41,7 @@ func TestGatewayRequestMany(t *testing.T) {
 }
 
 // TestGatewayRequestManyBurstThroughput pushes a large disjoint burst and
-// verifies exactly-once application across shards (the pipelined path the
-// benchmarks measure).
+// verifies exactly-once application across shards on the pipelined path.
 func TestGatewayRequestManyBurstThroughput(t *testing.T) {
 	gw, shards := startCluster(t, "(a1 | b1)* @ (a2 | b2)* @ (a3 | b3)*", false, 0)
 	const rounds, perShard = 4, 32

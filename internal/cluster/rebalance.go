@@ -204,19 +204,18 @@ func (r *Rebalancer) MigrateShard(ctx context.Context, shard int, target string,
 	}
 	sc := r.gw.shards[shard]
 	// One migration per shard at a time — across every Rebalancer over
-	// this gateway, and across the whole gateway fleet when a shared
-	// route table is attached: two concurrent promotions from the same
-	// epoch would mint two primaries of epoch E+1 — a split brain whose
-	// loser's acked writes die with its timeline.
-	unlock := r.gw.migrateLock(shard)
+	// every gateway following this route table: two concurrent promotions
+	// from the same epoch would mint two primaries of epoch E+1 — a split
+	// brain whose loser's acked writes die with its timeline.
+	unlock := r.gw.table.MigrateLock(shard)
 	defer unlock()
 
 	// Step 0: the target joins the route table up front. Safe mid-flight:
 	// a follower never wins the election while the live primary holds the
 	// highest epoch, and after the promotion this very entry is what the
-	// failover election repoints clients to. Through the shared table the
-	// entry reaches every gateway of the fleet.
-	if err := r.gw.routeAdd(shard, target); err != nil {
+	// failover election repoints clients to. Through the table the entry
+	// reaches every gateway following it.
+	if err := r.gw.table.Add(shard, target); err != nil {
 		return fmt.Errorf("cluster: migrate shard %d: route %s: %w", shard, target, err)
 	}
 	// The source connection is held in flight for the whole migration, so
@@ -333,7 +332,7 @@ func (r *Rebalancer) MigrateShard(ctx context.Context, shard int, target string,
 	// two-phase grants through the gateway's resume path.
 	if opts.Retire {
 		phaseStart = r.gw.clk.Now()
-		if err := r.gw.routeRemove(shard, source); err != nil {
+		if err := r.gw.table.Remove(shard, source); err != nil {
 			return fmt.Errorf("cluster: migrate shard %d: unroute %s: %w", shard, source, err)
 		}
 		if err := tcl.Retire(ctx, source); err != nil && !errors.Is(err, manager.ErrClosed) {

@@ -244,43 +244,56 @@ func TestMigrateUnreachableTargetFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestShardClientRouteTableUpdate: SetAddrs keeps the serving connection
-// when its endpoint survives the update (no generation bump, no dropped
-// requests) and invalidates + bumps the generation when it does not.
+// TestShardClientRouteTableUpdate: a route-table change keeps the
+// serving connection when its endpoint survives the update (no generation
+// bump, no dropped requests) and invalidates + bumps the generation when
+// it does not. The table refuses to retire a shard's last endpoint.
 func TestShardClientRouteTableUpdate(t *testing.T) {
 	rs := newReplSet(t, parse.MustParse("(a | b)*"), 2, nil)
-	sc := NewShardClientSet(rs.addrs, ShardOptions{})
-	defer sc.Close()
+	gw, err := NewReplicatedGateway(parse.MustParse("(a | b)*"), [][]string{rs.addrs}, GatewayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	table, sc := gw.RouteTable(), gw.Shards()[0]
 
-	if err := sc.Request(bg, act("a")); err != nil {
+	if err := gw.Request(bg, act("a")); err != nil {
 		t.Fatal(err)
 	}
 	gen := sc.Generation()
 	// Adding an endpoint keeps the connection and the generation.
-	sc.AddAddr("127.0.0.1:1") // never dialed: the primary conn is live
+	if err := table.Add(0, "127.0.0.1:1"); err != nil { // never dialed: the primary conn is live
+		t.Fatal(err)
+	}
 	if got := sc.Generation(); got != gen {
 		t.Fatalf("generation bumped by a pure add: %d -> %d", gen, got)
 	}
-	if err := sc.Request(bg, act("b")); err != nil {
+	if err := gw.Request(bg, act("b")); err != nil {
 		t.Fatalf("request after add: %v", err)
 	}
 	// Removing the serving endpoint invalidates and bumps.
-	sc.RemoveAddr(rs.addrs[0])
+	if err := table.Remove(0, rs.addrs[0]); err != nil {
+		t.Fatal(err)
+	}
 	if got := sc.Generation(); got != gen+1 {
 		t.Fatalf("generation after removing the serving endpoint: got %d want %d", got, gen+1)
 	}
 	// The next op re-elects among the survivors (the replica, promoted).
-	if err := sc.Request(bg, act("a")); err != nil {
+	if err := gw.Request(bg, act("a")); err != nil {
 		t.Fatalf("request after remove: %v", err)
 	}
 	if st := rs.ms[1].Status(); st.Role != manager.RolePrimary {
 		t.Fatalf("surviving endpoint not elected: %+v", st)
 	}
 	// The last endpoint cannot be removed.
-	sc.RemoveAddr(rs.addrs[1])
-	sc.RemoveAddr("127.0.0.1:1")
-	if got := len(sc.Addrs()); got != 1 {
-		t.Fatalf("route table emptied: %d endpoints", got)
+	if err := table.Remove(0, rs.addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := table.Remove(0, "127.0.0.1:1"); err == nil {
+		t.Fatal("removing the last endpoint should fail")
+	}
+	if got := sc.Addrs(); len(got) != 1 || got[0] != "127.0.0.1:1" {
+		t.Fatalf("route after refused removal: %v", got)
 	}
 }
 

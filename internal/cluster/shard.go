@@ -122,10 +122,6 @@ type ShardClient struct {
 	// subscription per distinct action, shared by every local subscriber.
 	smu  sync.Mutex
 	smux map[string]*subMux
-
-	// migrateMu serializes live migrations of this shard (Rebalancer):
-	// concurrent promotions from one epoch would split the brain.
-	migrateMu sync.Mutex
 }
 
 // NewShardClient creates a client for the single shard server at addr.
@@ -241,37 +237,6 @@ func (s *ShardClient) SetAddrs(addrs []string) {
 	if rcl != nil {
 		rcl.Close()
 	}
-}
-
-// AddAddr appends an endpoint to the route table (no-op when already
-// listed). Adding is always safe mid-flight: a fresh follower never wins
-// an election while a live higher-epoch primary exists.
-func (s *ShardClient) AddAddr(addr string) {
-	s.mu.Lock()
-	for _, a := range s.addrs {
-		if a == addr {
-			s.mu.Unlock()
-			return
-		}
-	}
-	addrs := append(append([]string(nil), s.addrs...), addr)
-	s.mu.Unlock()
-	s.SetAddrs(addrs)
-}
-
-// RemoveAddr drops an endpoint from the route table (the retire step of
-// a migration). Removing the serving endpoint invalidates the connection
-// and bumps the generation; the last endpoint cannot be removed.
-func (s *ShardClient) RemoveAddr(addr string) {
-	s.mu.Lock()
-	var addrs []string
-	for _, a := range s.addrs {
-		if a != addr {
-			addrs = append(addrs, a)
-		}
-	}
-	s.mu.Unlock()
-	s.SetAddrs(addrs)
 }
 
 // electTimeout bounds each role probe and promotion during an election.

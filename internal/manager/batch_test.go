@@ -7,11 +7,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/parse"
+	"repro/internal/storage"
 )
 
 // TestBatchedRequestConcurrent hammers the group-commit path with many
@@ -330,4 +333,93 @@ func TestBatchedRecoveryEquivalence(t *testing.T) {
 	if got := m2.en.StateKey(); got != key {
 		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, key)
 	}
+}
+
+// countingStore counts the durability calls a manager makes on its
+// storage backend.
+type countingStore struct {
+	storage.Backend
+	syncs, commits, buffers atomic.Int64
+}
+
+func (s *countingStore) Sync() error {
+	s.syncs.Add(1)
+	return s.Backend.Sync()
+}
+
+func (s *countingStore) Commit(sync bool) error {
+	if sync {
+		s.commits.Add(1)
+	}
+	return s.Backend.Commit(sync)
+}
+
+func (s *countingStore) Buffer(e storage.Entry) error {
+	s.buffers.Add(1)
+	return s.Backend.Buffer(e)
+}
+
+// TestOneDurabilityPointPerGroupCommit counts fsyncs under SyncWrites:
+// one Sync per unbatched Request, one Commit(true) for a whole unbatched
+// RequestMany, and under group commit one Commit(true) per batch the
+// manager reports — however the concurrent requests fall into batches.
+func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
+	const n, clients = 64, 8
+	a := expr.ConcreteAct("a")
+	newManager := func(opts Options) (*Manager, *countingStore) {
+		store := &countingStore{Backend: storage.NewMemory()}
+		opts.Storage, opts.SyncWrites = store, true
+		m := MustNew(parse.MustParse("(a | b)*"), opts)
+		t.Cleanup(func() { m.Close() })
+		return m, store
+	}
+	type counts struct{ syncs, commits, buffers int64 }
+	check := func(what string, s *countingStore, want counts) {
+		t.Helper()
+		if got := (counts{s.syncs.Load(), s.commits.Load(), s.buffers.Load()}); got != want {
+			t.Errorf("%s: Sync, Commit(true), Buffer calls %+v, want %+v", what, got, want)
+		}
+	}
+
+	m, store := newManager(Options{})
+	for i := 0; i < n; i++ {
+		if err := m.Request(bg, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("sequential requests", store, counts{syncs: n})
+
+	m, store = newManager(Options{})
+	acts := make([]expr.Action, n)
+	for i := range acts {
+		acts[i] = a
+	}
+	for i, err := range m.RequestMany(bg, acts) {
+		if err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+	}
+	check("one RequestMany", store, counts{commits: 1, buffers: n})
+
+	reg := obs.NewRegistry()
+	m, store = newManager(Options{Metrics: reg, BatchMaxSize: 16, BatchMaxDelay: 100 * time.Microsecond})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n/clients; i++ {
+				if err := m.Request(bg, a); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	h := reg.Histogram(mBatchSize).Snapshot()
+	if h.Sum != n {
+		t.Fatalf("group commits applied %d actions, want %d", h.Sum, n)
+	}
+	check("group commit", store, counts{commits: int64(h.Count), buffers: n})
 }

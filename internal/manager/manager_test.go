@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/paper"
 	"repro/internal/parse"
 	"repro/internal/state"
@@ -101,29 +102,34 @@ func TestOneTransitionPerAdmission(t *testing.T) {
 
 // TestRecurringRequestDoesNotAllocate: on an unreplicated, unlogged manager
 // whose states recur, a granted Request allocates nothing and a denied one
-// only its error value. The heap such a manager feeds is what made
-// admit_uniform's runs differ from one another: at 2.4 M requests a second
-// 60 B per request is 140 MB/s of fresh pages, and the cost of faulting
-// those in is the host's, not the program's.
+// only its error value — with and without a metrics registry attached, so
+// instrumentation costs the hot path no allocation either. The heap such a
+// manager feeds is what made admit_uniform's runs differ from one another:
+// at 2.4 M requests a second 60 B per request is 140 MB/s of fresh pages,
+// and the cost of faulting those in is the host's, not the program's.
 func TestRecurringRequestDoesNotAllocate(t *testing.T) {
-	m := MustNew(parse.MustParse("(a - b)*"), Options{})
-	defer m.Close()
-	a, b := act("a"), act("b")
-	round := func() {
-		if m.Request(bg, a) != nil || m.Request(bg, b) != nil {
-			t.Fatal("a, b refused")
-		}
-	}
-	round() // the two memo misses
-	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Errorf("two granted requests allocate %v times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if !errors.Is(m.Request(bg, b), ErrDenied) {
-			t.Fatal("b granted out of turn")
-		}
-	}); n > 1 {
-		t.Errorf("a denied request allocates %v times, want at most 1", n)
+	for name, opts := range map[string]Options{"plain": {}, "metrics": {Metrics: obs.NewRegistry()}} {
+		t.Run(name, func(t *testing.T) {
+			m := MustNew(parse.MustParse("(a - b)*"), opts)
+			defer m.Close()
+			a, b := act("a"), act("b")
+			round := func() {
+				if m.Request(bg, a) != nil || m.Request(bg, b) != nil {
+					t.Fatal("a, b refused")
+				}
+			}
+			round() // the two memo misses
+			if n := testing.AllocsPerRun(100, round); n != 0 {
+				t.Errorf("two granted requests allocate %v times, want 0", n)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if !errors.Is(m.Request(bg, b), ErrDenied) {
+					t.Fatal("b granted out of turn")
+				}
+			}); n > 1 {
+				t.Errorf("a denied request allocates %v times, want at most 1", n)
+			}
+		})
 	}
 }
 

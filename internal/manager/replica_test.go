@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/parse"
 	"repro/internal/storage"
 )
@@ -100,32 +101,46 @@ func TestReplicationStreamsCommits(t *testing.T) {
 	}
 }
 
-// TestReplicationBatchedCommits: a group-committed burst arrives as one
-// frame and the follower matches the primary state and step count.
+// TestReplicationBatchedCommits: one commit is one replication frame. An
+// unbatched RequestMany reaches the follower as exactly one frame, a
+// group-committed burst as one frame per batch the primary reports, and
+// every sequential Request as one more; the follower matches the
+// primary's step count.
 func TestReplicationBatchedCommits(t *testing.T) {
 	e := parse.MustParse("(a | b)*")
-	f := startReplNode(t, e, Options{Follower: true})
-	var addrs = []string{f.srv.Addr()}
-	p, err := New(e, Options{Replicas: addrs, SyncReplicas: true, BatchMaxSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	acts := make([]expr.Action, 24)
-	for i := range acts {
-		acts[i] = act("a")
-	}
-	for i, err := range p.RequestMany(bg, acts) {
+	for _, batch := range []int{0, 16} {
+		f := startReplNode(t, e, Options{Follower: true})
+		reg := obs.NewRegistry()
+		p, err := New(e, Options{Replicas: []string{f.srv.Addr()}, SyncReplicas: true, BatchMaxSize: batch, Metrics: reg})
 		if err != nil {
-			t.Fatalf("burst slot %d: %v", i, err)
+			t.Fatal(err)
 		}
-	}
-	if got := f.m.Steps(); got != len(acts) {
-		t.Fatalf("follower steps: got %d want %d", got, len(acts))
-	}
-	if fs := f.m.Stats(); fs.ReplFrames >= len(acts) {
-		t.Fatalf("burst was not frame-coalesced: %d frames for %d actions", fs.ReplFrames, len(acts))
+		defer p.Close()
+
+		acts := make([]expr.Action, 24)
+		for i := range acts {
+			acts[i] = act("a")
+		}
+		for i, err := range p.RequestMany(bg, acts) {
+			if err != nil {
+				t.Fatalf("batch %d: burst slot %d: %v", batch, i, err)
+			}
+		}
+		frames, commits := f.m.Stats().ReplFrames, int(reg.Histogram(mBatchSize).Snapshot().Count)
+		if frames != commits || batch == 0 && commits != 1 {
+			t.Fatalf("batch %d: burst of %d made %d commits, reached the follower as %d frames", batch, len(acts), commits, frames)
+		}
+		for i := 0; i < 8; i++ {
+			if err := p.Request(bg, act("b")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := f.m.Stats().ReplFrames - frames; got != 8 {
+			t.Fatalf("batch %d: 8 requests reached the follower as %d frames", batch, got)
+		}
+		if got, want := f.m.Steps(), len(acts)+8; got != want {
+			t.Fatalf("batch %d: follower steps: got %d want %d", batch, got, want)
+		}
 	}
 }
 
