@@ -205,7 +205,7 @@ func NewReplicatedGateway(e *expr.Expr, replicas [][]string, opts GatewayOptions
 	// Following the table gives every shard client its endpoint list: the
 	// initial full apply lands before Follow returns, and every later
 	// change reaches the gateway before the mutating call returns.
-	unfollow, err := opts.RouteTable.Follow(g)
+	unfollow, err := opts.RouteTable.Follow((*routeApplier)(g))
 	if err != nil {
 		g.Close()
 		return nil, err
@@ -216,7 +216,7 @@ func NewReplicatedGateway(e *expr.Expr, replicas [][]string, opts GatewayOptions
 
 // RouteTable returns the route table the gateway follows: the shared one
 // from GatewayOptions.RouteTable, or its private one. Route changes go
-// through it; SetShardAddrs is only the table's apply seam.
+// through it; the gateway has no other route mutator.
 func (g *Gateway) RouteTable() *placement.RouteTable { return g.table }
 
 // MetricsRegistry exposes the gateway's obs registry (nil when metrics
@@ -266,19 +266,22 @@ func (g *Gateway) Traces() []GrantTrace {
 // Shards returns the shard clients (diagnostics and tests).
 func (g *Gateway) Shards() []*ShardClient { return g.shards }
 
-// SetShardAddrs replaces shard i's endpoint list — the apply seam through
-// which the followed route table reaches this gateway (placement.Applier);
-// change routes through RouteTable, not here. Requests in flight are not
-// dropped: the serving connection survives when its endpoint stays
-// listed, and otherwise the shard client's generation bump routes
-// outstanding two-phase grants through the resume path (see
-// ShardClient.SetAddrs).
-func (g *Gateway) SetShardAddrs(shard int, addrs []string) error {
+// routeApplier is the gateway as its route table's follower
+// (placement.Applier). It is unexported so that the table stays the only
+// way to change a gateway's routes: a direct update would leave the
+// table's row stale, and its next Add or Remove would republish that row.
+type routeApplier Gateway
+
+// SetShardAddrs hands shard i's new endpoint list to its shard client.
+// Requests in flight are not dropped: the serving connection survives
+// when its endpoint stays listed, and otherwise the shard client's
+// generation bump routes outstanding two-phase grants through the resume
+// path (see ShardClient.SetAddrs). The table never sends an empty row; a
+// shard out of range means a table built for a different shard count.
+func (a *routeApplier) SetShardAddrs(shard int, addrs []string) error {
+	g := (*Gateway)(a)
 	if shard < 0 || shard >= len(g.shards) {
 		return fmt.Errorf("cluster: shard %d out of range (%d shards)", shard, len(g.shards))
-	}
-	if len(addrs) == 0 {
-		return fmt.Errorf("cluster: shard %d needs at least one endpoint", shard)
 	}
 	g.shards[shard].SetAddrs(addrs)
 	return nil

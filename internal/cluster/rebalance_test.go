@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -356,22 +357,28 @@ func TestRebalancerTopology(t *testing.T) {
 	}
 }
 
-// TestGatewaySetShardAddrs: the operator-facing route-table update,
-// including its bounds checks.
+// TestGatewaySetShardAddrs: a route update made through the gateway's
+// table (its only route mutator) reaches the shard client, after the
+// table's bounds checks, and survives the table's next Add.
 func TestGatewaySetShardAddrs(t *testing.T) {
 	gw, shards := startCluster(t, "(a - b)* @ (b - c)*", false, 0)
-	if err := gw.SetShardAddrs(7, []string{"x"}); err == nil {
+	tb := gw.RouteTable()
+	if err := tb.Set(7, []string{"x"}); err == nil {
 		t.Fatal("out-of-range shard should be rejected")
 	}
-	if err := gw.SetShardAddrs(0, nil); err == nil {
+	if err := tb.Set(0, nil); err == nil {
 		t.Fatal("empty endpoint list should be rejected")
 	}
 	// A superset update keeps the shard serving (same endpoint listed).
-	if err := gw.SetShardAddrs(0, []string{shards[0].addr, "127.0.0.1:1"}); err != nil {
+	if err := tb.Set(0, []string{shards[0].addr, "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := gw.Shards()[0].Addr(); got != shards[0].addr {
-		t.Fatalf("first endpoint: got %s want %s", got, shards[0].addr)
+	if err := tb.Add(0, "127.0.0.1:2"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{shards[0].addr, "127.0.0.1:1", "127.0.0.1:2"}
+	if got := gw.Shards()[0].Addrs(); !slices.Equal(got, want) {
+		t.Fatalf("shard 0 endpoints: got %v want %v", got, want)
 	}
 	if err := gw.Request(bg, act("a")); err != nil {
 		t.Fatalf("request after route update: %v", err)

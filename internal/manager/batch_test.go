@@ -362,7 +362,8 @@ func (s *countingStore) Buffer(e storage.Entry) error {
 // TestOneDurabilityPointPerGroupCommit counts fsyncs under SyncWrites:
 // one Sync per unbatched Request, one Commit(true) for a whole unbatched
 // RequestMany, and under group commit one Commit(true) per batch the
-// manager reports — however the concurrent requests fall into batches.
+// manager reports — however the concurrent requests fall into batches —
+// with a full batch when the queue is full.
 func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
 	const n, clients = 64, 8
 	a := expr.ConcreteAct("a")
@@ -422,4 +423,34 @@ func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
 		t.Fatalf("group commits applied %d actions, want %d", h.Sum, n)
 	}
 	check("group commit", store, counts{commits: int64(h.Count), buffers: n})
+
+	// Group commit coalesces: a burst queued behind an ask/confirm
+	// reservation fills the queue, and once the reservation goes the next
+	// batch takes BatchMaxSize actions at once.
+	const size = 16
+	reg = obs.NewRegistry()
+	m, store = newManager(Options{Metrics: reg, BatchMaxSize: size})
+	tk, err := m.Ask(bg, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []error, 1)
+	go func() { done <- m.RequestMany(bg, acts[:2*size]) }()
+	// The committer holds at most one batch of the burst, so at least
+	// size actions are left to fill the queue.
+	for len(m.batch.ch) < cap(m.batch.ch) {
+		runtime.Gosched()
+	}
+	if err := m.Abort(tk); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range <-done {
+		if err != nil {
+			t.Fatalf("held burst slot %d: %v", i, err)
+		}
+	}
+	if h = reg.Histogram(mBatchSize).Snapshot(); h.Max != size {
+		t.Errorf("held burst: largest group commit %d actions, want %d", h.Max, size)
+	}
+	check("held burst", store, counts{commits: int64(h.Count), buffers: 2 * size})
 }

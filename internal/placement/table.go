@@ -26,10 +26,11 @@ import (
 )
 
 // Applier consumes route-table rows: one call per changed shard, with
-// the shard's full ordered endpoint list. cluster.Gateway satisfies it
-// with SetShardAddrs (the serving connection survives when its endpoint
-// stays listed; otherwise the shard client's generation bump routes
-// in-flight two-phase grants through the resume path).
+// the shard's full ordered endpoint list. A cluster gateway follows its
+// table through an unexported applier that hands each row to the shard
+// client (the serving connection survives when its endpoint stays
+// listed; otherwise the shard client's generation bump routes in-flight
+// two-phase grants through the resume path).
 type Applier interface {
 	SetShardAddrs(shard int, addrs []string) error
 }
