@@ -42,9 +42,8 @@ func main() {
 		deltaK   = flag.Int("delta-every", 8, "with -storage-dir, write a full checkpoint every K checkpoints and deltas in between (1 = always full)")
 		timeout  = flag.Duration("reservation-timeout", 10*time.Second,
 			"auto-abort asks not confirmed within this duration")
-		batchMax   = flag.Int("batch", 0, "group commit: coalesce up to N concurrent requests per commit (0/1 = off)")
-		batchDelay = flag.Duration("batch-delay", 0, "upper bound on the straggler wait of an open batch (default 200µs with -batch)")
-		syncWrites = flag.Bool("sync", false, "fsync the action log at every durability point (once per batch with -batch)")
+		batchMax   = flag.Int("batch", 0, "group commit: up to N queued actions per commit (0/1 = off)")
+		syncWrites = flag.Bool("sync", false, "fsync the action log at every durability point (once per group commit)")
 		replicaCSV = flag.String("replicas", "", "comma-separated follower server addresses to stream commits to")
 		syncRepl   = flag.Bool("sync-replicas", false, "acknowledge commits only after every follower acked (no-loss failover)")
 		follower   = flag.Bool("follower", false, "start as a read-only follower (writes fail until promoted)")
@@ -86,7 +85,6 @@ func main() {
 		FullCheckpointEvery: *deltaK,
 		ReservationTimeout:  *timeout,
 		BatchMaxSize:        *batchMax,
-		BatchMaxDelay:       *batchDelay,
 		SyncWrites:          *syncWrites,
 		Replicas:            replicas,
 		SyncReplicas:        *syncRepl,

@@ -19,7 +19,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/manager"
@@ -84,11 +83,10 @@ func main() {
 			LogPath:       filepath.Join(dir, fmt.Sprintf("shard%d.log", i)),
 			SnapshotPath:  filepath.Join(dir, fmt.Sprintf("shard%d.snap", i)),
 			SnapshotEvery: 2,
-			// Group commit: concurrent requests coalesce into one engine
-			// advance + one log flush/fsync per batch on each shard.
-			BatchMaxSize:  32,
-			BatchMaxDelay: 200 * time.Microsecond,
-			SyncWrites:    true,
+			// Group commit: concurrent requests coalesce into one
+			// admission + one log flush/fsync per group on each shard.
+			BatchMaxSize: 32,
+			SyncWrites:   true,
 		}}
 		if err := shards[i].start(); err != nil {
 			log.Fatal(err)

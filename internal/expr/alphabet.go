@@ -113,24 +113,20 @@ func (al *Alphabet) ContainsIn(c Action, en *Env) bool {
 	return false
 }
 
-// BindingMatches returns the distinct values v occurring in c for which
-// binding the free parameter p to v makes some pattern match c that does
-// not match it unbound. These are exactly the bindings under which a
-// state that consumed c with p free would have behaved differently had p
-// been bound first — the quantifier states use this to mark such values
-// as no longer bindable for branches that consumed c unbound.
-func (al *Alphabet) BindingMatches(p string, c Action) []string {
-	return al.BindingMatchesIn(p, c, nil)
-}
-
-// BindingMatchesIn is BindingMatches with the free parameters other than
-// p read under en; p's own positions stay the bindable ones whatever en
-// binds to p.
-func (al *Alphabet) BindingMatchesIn(p string, c Action, en *Env) []string {
+// AppendBindingMatches appends to dst, sorted, the distinct values v
+// occurring in c for which binding the free parameter p to v makes some
+// pattern match c that does not match it unbound. These are exactly the
+// bindings under which a state that consumed c with p free would have
+// behaved differently had p been bound first — the quantifier states use
+// this to mark such values as no longer bindable for branches that
+// consumed c unbound. The free parameters other than p are read under
+// en; p's own positions stay the bindable ones whatever en binds to p.
+// Appending lets a caller keep one scratch slice across calls.
+func (al *Alphabet) AppendBindingMatches(dst []string, p string, c Action, en *Env) []string {
 	if al == nil {
-		return nil
+		return dst
 	}
-	var out []string
+	n := len(dst)
 pattern:
 	for _, pat := range al.pats {
 		if pat.Name != c.Name || len(pat.Args) != len(c.Args) {
@@ -169,12 +165,12 @@ pattern:
 		}
 		// v == "" means the pattern has no $p position: it either matched
 		// already or never will, independent of the binding.
-		if v != "" && !contains(out, v) {
-			out = append(out, v)
+		if v != "" && !contains(dst[n:], v) {
+			dst = append(dst, v)
 		}
 	}
-	sort.Strings(out) // callers store the result as a canonical set
-	return out
+	sort.Strings(dst[n:]) // callers store the result as a canonical set
+	return dst
 }
 
 // Patterns returns the patterns of the alphabet in insertion order. The

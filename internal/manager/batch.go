@@ -2,361 +2,436 @@ package manager
 
 import (
 	"context"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/state"
 	"repro/internal/storage"
 )
 
-// Group commit. The atomic request path (Request/RequestMany) is the
-// manager's hot path: under the one-at-a-time discipline every request
-// takes the critical region alone, appends one log line and flushes (and,
-// with SyncWrites, fsyncs) it before the next request may proceed, so
-// throughput is bounded by per-action lock and syscall latency — not by
-// the state engine, which the paper's benignity results make cheap
-// (Sec 6). A commit queue fixes that the classic way: concurrent requests
-// are coalesced into one batch that is admitted past the critical region
-// once, validated and applied action by action through the operational
-// semantics, staged into the log buffer, and settled with a single flush
-// and at most a single fsync. Recovery is unchanged — the log contains
-// the same entries in the same confirm order a one-at-a-time execution
-// would have produced, so replay is provably equivalent (the
-// crash-torture test exercises exactly this claim).
-
-// defaultBatchDelay is the window an open batch waits for stragglers when
-// Options.BatchMaxDelay is zero but batching is enabled.
-const defaultBatchDelay = 200 * time.Microsecond
-
-// commitReq is one atomic request waiting in the commit queue.
-type commitReq struct {
-	ctx  context.Context
-	a    expr.Action
-	done chan error // buffered(1); exactly one reply per request
-}
-
-// commitQueue coalesces concurrent atomic requests into group commits.
-type commitQueue struct {
-	ch      chan commitReq
-	stop    chan struct{} // closed by Manager.Close: switch to drain mode
-	drained chan struct{} // closed when no enqueuer is in flight anymore
-	stopped chan struct{} // closed when the committer goroutine exited
-	wg      sync.WaitGroup
-	pending atomic.Int64 // admitted requests not yet answered (Drain waits on 0)
-	maxSize int
-	delay   time.Duration
-}
-
-func newCommitQueue(maxSize int, delay time.Duration) *commitQueue {
-	if delay <= 0 {
-		delay = defaultBatchDelay
-	}
-	return &commitQueue{
-		ch:      make(chan commitReq, maxSize),
-		stop:    make(chan struct{}),
-		drained: make(chan struct{}),
-		stopped: make(chan struct{}),
-		maxSize: maxSize,
-		delay:   delay,
-	}
-}
-
-// enqueue submits one request and waits for its group commit to settle.
-// The manager mutex guards admission, so no request can enter the queue
-// after Close marked the manager closed — the committer therefore owes a
-// reply to every request it can ever receive.
-func (m *Manager) enqueue(ctx context.Context, a expr.Action) error {
-	q := m.batch
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrClosed
-	}
-	if m.role != rolePrimary {
-		m.mu.Unlock()
-		return ErrNotPrimary
-	}
-	if m.draining {
-		m.metrics.drainRefusals.Inc()
-		m.mu.Unlock()
-		return ErrDraining
-	}
-	q.wg.Add(1)
-	q.pending.Add(1)
-	m.mu.Unlock()
-	defer m.pendingDone(1)
-	req := commitReq{ctx: ctx, a: a, done: make(chan error, 1)}
-	select {
-	case q.ch <- req:
-	case <-ctx.Done():
-		// The queue is backed up (e.g. the committer is parked behind an
-		// ask/confirm reservation) and the caller gave up waiting for a
-		// slot — nothing was submitted.
-		return ctx.Err()
-	}
-	return <-req.done
-}
-
-// pendingDone retires n admitted requests. The queue-drained broadcast
-// a Drain may be waiting on is taken under m.mu: an unlocked broadcast
-// could fire between Drain's pending check and its cond registration —
-// a lost wakeup that would park the drain until its context expired.
-func (m *Manager) pendingDone(n int64) {
-	q := m.batch
-	q.wg.Done()
-	if q.pending.Add(-n) == 0 {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-}
-
-// committer is the queue's single consumer: it collects a batch (up to
-// maxSize requests), commits it, and repeats. After Close it fails the
-// remaining queued requests with ErrClosed and exits once every enqueuer
-// is gone.
+// Group commit. Request and RequestMany commit through
+// groupCommitLocked: the group passes the critical-region admission
+// once, its actions are validated and applied in order through the
+// operational semantics and staged in the log's write buffer, and one
+// store.Commit (at most one fsync), one replication frame and one
+// subscription sweep settle the whole group. The log holds the entries
+// in the confirm order a one-at-a-time execution would have produced,
+// so recovery replays it unchanged (the crash-torture tests exercise
+// exactly this claim).
 //
-// Collection is self-clocking rather than timer-paced: everything queued
-// is drained, enqueuers already past admission get one scheduling chance
-// to make the batch, and the commit starts the moment the queue runs dry
-// (or delay elapsed, whichever is first). Requests that arrive during the
-// commit — its flush and fsync are the cycle's dominant cost — accumulate
-// in the channel and form the next batch, so coalescing scales with load
-// by backpressure alone. A fixed straggler timer would instead put a
-// timer wakeup on every cycle's critical path, which on a small machine
-// quantizes to ~1ms and caps throughput at batchSize/1ms no matter how
-// cheap the fsync is.
-func (m *Manager) committer() {
-	q := m.batch
-	defer close(q.stopped)
-	for {
-		var first commitReq
-		select {
-		case first = <-q.ch:
-		case <-q.stop:
-			m.drainQueue()
-			return
-		}
-		batch := append(make([]commitReq, 0, q.maxSize), first)
-		deadline := m.clk.Now().Add(q.delay)
-	collect:
-		for len(batch) < q.maxSize {
-			select {
-			case r := <-q.ch:
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			if m.clk.Now().After(deadline) {
-				break
-			}
-			// The queue is dry, but an admitted enqueuer may sit between
-			// its admission check and its channel send; yield once so it
-			// can make this batch instead of waiting out the next commit.
-			runtime.Gosched()
-			select {
-			case r := <-q.ch:
-				batch = append(batch, r)
-			default:
-				break collect
-			}
-		}
-		// Queued requests passed the enqueue-time admission (incl. the
-		// drain check), so a drain that started later still lets them
-		// settle — they are in flight by definition.
-		m.commitBatch(batch, true)
-	}
+// Without batching (BatchMaxSize ≤ 1) every call is a group of its own,
+// committed inline by its caller. A Confirm commits the one action its
+// Ask admitted under m.mu and shares the group's publishLocked; it logs
+// before it moves the engine, so a failed write leaves its reservation
+// for a retry. It never queues, so it cannot wait behind a leader parked
+// on the reservation it settles.
+//
+// With batching, Request and RequestMany callers are writers in a queue
+// with a lock of its own, the write path of LevelDB's DBImpl::Write.
+// The writer at the head leads: it takes up to BatchMaxSize queued
+// actions as one group and commits it under m.mu. Writers join while
+// the leader holds m.mu through its flush, so the next group forms
+// behind it with no timer and no wait for stragglers. The leader then
+// hands the lead to the next head before it waits for its group's
+// sync-replication acks, so the next group commits behind that wait,
+// and last wakes the writers its group settled. A lone writer leads its
+// own group inline, with no hop to another goroutine. A waiting writer
+// whose context ends leaves the queue with what no leader took.
+
+// member is one action of a group and its outcome.
+type member struct {
+	a   expr.Action
+	err error
+	w   *writer // the queued writer it came from; nil outside the queue
+	i   int     // its index in w
 }
 
-// drainQueue fails every remaining queued request after Close. The
-// drained channel (closed once q.wg hits zero, i.e. no enqueuer is in or
-// before its channel send) bounds the loop.
-func (m *Manager) drainQueue() {
+// callerCtx is the context of mb's caller: its writer's, or inline, the
+// one context of a group committed outside the queue.
+func (mb *member) callerCtx(inline context.Context) context.Context {
+	if mb.w != nil {
+		return mb.w.ctx
+	}
+	return inline
+}
+
+// writer is one caller's run of actions in the writer queue. A writer
+// larger than the room left in a group is split, in order, across
+// consecutive groups.
+type writer struct {
+	ctx   context.Context
+	acts  []expr.Action
+	errs  []error   // one per action, filled as groups settle
+	taken int       // actions a leader has taken into a group (under q.mu)
+	done  int       // actions settled (under q.mu)
+	leads bool      // handed the lead (under q.mu)
+	cond  sync.Cond // on q.mu: signalled when the writer leads or is settled
+	// A Request's one action and its error live in the writer itself,
+	// so that a Request allocates the writer and nothing else.
+	act1 [1]expr.Action
+	err1 [1]error
+}
+
+// writerQueue is the group-commit queue. Its lock is its own, never
+// held while taking m.mu, so writers join while a leader holds m.mu.
+type writerQueue struct {
+	mu      sync.Mutex
+	writers []*writer // joined and not yet taken whole, in arrival order
+	leading bool      // some writer leads
+	refuse  bool      // m.closed || m.draining, mirrored for a join without m.mu
+	maxSize int
+	// free holds group slices for reuse. A leader waiting for its acks
+	// keeps its group, so the next leader takes another.
+	free [][]member
+	// pending counts the actions joined and not yet committed or
+	// refused. It rises under q.mu and falls under m.mu, where Drain and
+	// Close wait for it to reach zero.
+	pending atomic.Int64
+}
+
+// join queues w and returns once every action of w is settled. A dead
+// context fails w at once, and a context that ends while w waits fails
+// the actions no leader has taken yet. A closed or draining manager
+// turns w away to commitInline, whose admission refuses it as an
+// unbatched call is refused.
+func (m *Manager) join(w *writer) {
+	if err := w.ctx.Err(); err != nil {
+		for i := range w.errs {
+			w.errs[i] = err
+		}
+		return
+	}
 	q := m.batch
-	go func() {
-		q.wg.Wait()
-		close(q.drained)
-	}()
-	for {
-		select {
-		case r := <-q.ch:
-			r.done <- ErrClosed
-		case <-q.drained:
+	w.cond.L = &q.mu
+	q.mu.Lock()
+	if q.refuse {
+		q.mu.Unlock()
+		m.commitInline(w.ctx, w.acts, w.errs)
+		return
+	}
+	q.pending.Add(int64(len(w.acts)))
+	q.writers = append(q.writers, w)
+	if q.leading {
+		var stop func() bool
+		if w.ctx.Done() != nil {
+			stop = context.AfterFunc(w.ctx, func() {
+				q.mu.Lock()
+				w.cond.Signal()
+				q.mu.Unlock()
+			})
+		}
+		withdrawn := 0
+		for !w.leads && w.done < len(w.acts) {
+			if w.taken < len(w.acts) && w.ctx.Err() != nil {
+				withdrawn = q.withdraw(w)
+				continue // a leader settles what it took of w
+			}
+			w.cond.Wait()
+		}
+		if stop != nil {
+			stop()
+		}
+		if !w.leads {
+			q.mu.Unlock()
+			if withdrawn > 0 {
+				m.mu.Lock()
+				if q.pending.Add(-int64(withdrawn)) == 0 {
+					m.cond.Broadcast() // Drain and Close wait for the queue to empty
+				}
+				m.mu.Unlock()
+			}
 			return
 		}
 	}
+	q.leading = true
+	m.lead(w)
 }
 
-// commitBatch runs one group commit: it takes the manager lock once,
-// waits for the critical region to be free (one admission check per
-// batch, not per action), then validates and applies each request in
-// arrival order, staging log entries in the write buffer. A single
-// flush — and at most a single fsync — makes the whole batch durable.
-// admitted marks batches whose requests already passed the enqueue-time
-// admission (the committer path); fresh batches are still subject to the
-// drain check.
-func (m *Manager) commitBatch(batch []commitReq, admitted bool) {
-	errs := make([]error, len(batch))
-	m.mu.Lock()
-	for {
-		if m.closed {
-			m.mu.Unlock()
-			for _, r := range batch {
-				r.done <- ErrClosed
-			}
-			return
+// withdraw fails the actions of w that no leader has taken with the
+// context's error, takes w off the queue and returns how many it failed.
+func (q *writerQueue) withdraw(w *writer) int {
+	n := len(w.acts) - w.taken
+	for i := w.taken; i < len(w.acts); i++ {
+		w.errs[i] = w.ctx.Err()
+	}
+	w.taken, w.done = len(w.acts), w.done+n
+	i := slices.Index(q.writers, w)
+	q.writers = slices.Delete(q.writers, i, i+1)
+	return n
+}
+
+// lead commits groups from the head of the queue, w the first writer,
+// until every action of w is in a group, hands the lead on, and returns
+// once every action of w is settled. It is called with q.mu held and
+// returns with it released.
+func (m *Manager) lead(w *writer) {
+	q := m.batch
+	for w.taken < len(w.acts) {
+		g := q.take()
+		q.mu.Unlock()
+
+		m.mu.Lock()
+		wait := m.groupCommitLocked(g, nil)
+		if q.pending.Add(-int64(len(g))) == 0 {
+			m.cond.Broadcast() // Drain and Close wait for the queue to empty
 		}
-		if m.role != rolePrimary {
-			// Deposed (or started as a follower): writes are refused. A
-			// batch caught by a mid-wait demotion fails the same way its
-			// requests would have individually. Checked before the drain —
-			// ErrNotPrimary makes the client fail over, ErrDraining makes
-			// it wait, and a deposed node is one to leave, not wait for.
-			m.mu.Unlock()
-			for _, r := range batch {
-				r.done <- ErrNotPrimary
-			}
-			return
+		m.mu.Unlock()
+
+		q.mu.Lock()
+		if w.taken == len(w.acts) {
+			q.handOff()
 		}
-		if !admitted && m.draining {
-			m.metrics.drainRefusals.Add(uint64(len(batch)))
-			m.mu.Unlock()
-			for _, r := range batch {
-				r.done <- ErrDraining
-			}
-			return
+		if wait != nil {
+			q.mu.Unlock()
+			settle(g, wait)
+			q.mu.Lock()
 		}
-		m.expireLocked()
-		if !m.reserved {
+		q.record(g, w)
+	}
+	// A leader that went before may still wait for the acks of a group
+	// that holds the first actions of w.
+	for w.done < len(w.acts) {
+		w.cond.Wait()
+	}
+	q.mu.Unlock()
+}
+
+// take pops the next group off the head of the queue: up to maxSize
+// actions in arrival order, the last writer split if it does not fit.
+func (q *writerQueue) take() []member {
+	var g []member
+	if n := len(q.free); n > 0 {
+		g, q.free = q.free[n-1], q.free[:n-1]
+	}
+	popped := 0
+	for _, h := range q.writers {
+		n := min(q.maxSize-len(g), len(h.acts)-h.taken)
+		for i := h.taken; i < h.taken+n; i++ {
+			g = append(g, member{a: h.acts[i], w: h, i: i})
+		}
+		if h.taken += n; h.taken < len(h.acts) {
+			break // the group is full
+		}
+		popped++
+		if len(g) == q.maxSize {
 			break
 		}
-		// An outstanding ask/confirm reservation excludes the batch, just
-		// as it would exclude each request individually. Requests whose
-		// context expires while waiting fail in place; the wait wakes on
-		// Confirm/Abort/expiry/Close broadcasts and on cancellation of
-		// the first still-live request.
-		var waitCtx context.Context
-		for i, r := range batch {
-			if errs[i] != nil {
-				continue
-			}
-			if err := r.ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			if waitCtx == nil {
-				waitCtx = r.ctx
-			}
-		}
-		if waitCtx == nil {
-			// Every request gave up waiting.
-			m.mu.Unlock()
-			for i, r := range batch {
-				r.done <- errs[i]
-			}
-			return
-		}
-		waitCond(m.cond, waitCtx, m.clk, m.timeout)
 	}
+	n := copy(q.writers, q.writers[popped:])
+	clear(q.writers[n:])
+	q.writers = q.writers[:n]
+	return g
+}
+
+// handOff gives the lead to the writer at the head of the queue.
+func (q *writerQueue) handOff() {
+	if len(q.writers) == 0 {
+		q.leading = false
+		return
+	}
+	h := q.writers[0]
+	h.leads = true
+	h.cond.Signal()
+}
+
+// record hands the group's outcomes to its writers, wakes each writer it
+// completes other than w, the caller's own, and keeps the group's slice
+// for the next group.
+func (q *writerQueue) record(g []member, w *writer) {
+	for i := range g {
+		h := g[i].w
+		h.errs[g[i].i] = g[i].err
+		if h.done++; h.done == len(h.acts) && h != w {
+			h.cond.Signal()
+		}
+	}
+	clear(g)
+	q.free = append(q.free, g[:0])
+}
+
+// settle waits for the group's sync-replication acks; if they fail,
+// every member the group committed is uncertain, like a connection lost
+// between execute and confirm.
+func settle(g []member, wait func() error) {
+	if err := wait(); err != nil {
+		for i := range g {
+			if g[i].err == nil {
+				g[i].err = err
+			}
+		}
+	}
+}
+
+// groupCommitLocked is the commit path of Request and RequestMany. It
+// commits the group g with one admission wait, one store.Commit and one
+// publishLocked, filling each member's err; the caller releases m.mu and
+// then settles the returned sync-replication wait (nil when there is
+// none). ctx is the context of a group committed inline, outside the
+// queue; the members of a queued group carry their writers' contexts.
+func (m *Manager) groupCommitLocked(g []member, ctx context.Context) func() error {
+	// Open, primary and with the region free, a group enters at once.
+	if (m.closed || m.role != rolePrimary || m.draining || m.reserved) && !m.admitLocked(g, ctx) {
+		return nil
+	}
+	base := uint64(m.en.Steps())
 	applied := 0
-	batchBase := uint64(m.en.Steps())
-	var appliedActs []expr.Action
-	for i, r := range batch {
-		if errs[i] != nil {
-			continue
+	for i := range g {
+		mb := &g[i]
+		if mb.err != nil {
+			continue // its context ended during the admission wait
 		}
 		m.stats.Asks++
 		m.metrics.asks.Inc()
-		if err := r.ctx.Err(); err != nil {
-			errs[i] = err
-			continue
+		if mb.w != nil {
+			// A queued member whose caller gave up while it waited is not
+			// applied. A call that waited for the region had its context
+			// checked by the wait.
+			if mb.err = mb.w.ctx.Err(); mb.err != nil {
+				continue
+			}
 		}
-		next := m.en.Advance(r.a)
+		next := m.en.Advance(mb.a)
 		if !next.Permissible() {
 			m.stats.Denies++
 			m.metrics.denies.Inc()
-			errs[i] = &deniedError{r.a}
+			mb.err = &deniedError{mb.a}
 			continue
 		}
-		if errs[i] = m.stageLocked(r.a, next); errs[i] != nil {
+		if mb.err = m.stageLocked(mb.a, next); mb.err != nil {
 			continue
 		}
-		m.stats.Grants++
-		m.stats.Confirms++
-		m.stats.Transits++
+		if m.repl != nil {
+			m.applied = append(m.applied, mb.a)
+		}
 		applied++
-		appliedActs = append(appliedActs, r.a)
 	}
-	m.metrics.askMeter.Mark(uint64(len(batch)))
+	m.metrics.askMeter.Mark(uint64(len(g)))
+	m.stats.Grants += applied
 	m.metrics.grants.Add(uint64(applied))
+	if applied == 0 {
+		return nil
+	}
+	if m.store != nil {
+		if err := m.flushLocked(); err != nil {
+			// The flush failed after the engine advanced: the in-memory state
+			// may be ahead of the durable log, the exposure any group commit
+			// has at its single durability point. The outcome of every
+			// applied member is unknown to its client, like a connection lost
+			// between execute and confirm. The followers and subscribers
+			// still follow the engine, so a failover keeps the state the
+			// primary serves.
+			for i := range g {
+				if g[i].err == nil {
+					g[i].err = err
+				}
+			}
+		}
+	}
+	return m.publishLocked(base, applied, 0)
+}
+
+// publishLocked ends a commit of applied actions on top of step base
+// (when replicating, the actions are staged in m.applied): one
+// replication frame, carrying t when the commit confirms that ticket,
+// one subscription sweep and at most one checkpoint.
+func (m *Manager) publishLocked(base uint64, applied int, t Ticket) func() error {
+	m.stats.Confirms += applied
+	m.stats.Transits += applied
 	m.metrics.confirms.Add(uint64(applied))
-	var wait func() error
-	if applied > 0 {
-		m.metrics.batchSize.Observe(uint64(applied))
-		if m.store != nil {
-			flushStart := m.clk.Now()
-			if err := m.store.Commit(m.syncWrites); err != nil {
-				// The flush failed after the engine advanced: the in-memory
-				// state may be ahead of the durable log, exactly the exposure
-				// any group commit has at its single durability point. Report
-				// the failure to the whole batch — the outcome of each
-				// member is unknown to its client, like a connection lost
-				// between execute and confirm.
-				m.mu.Unlock()
-				for _, r := range batch {
-					r.done <- err
-				}
-				return
-			}
-			m.metrics.flushNs.ObserveDuration(m.clk.Since(flushStart))
+	m.metrics.batchSize.Observe(uint64(applied))
+	wait := m.replicateLocked(base, t)
+	// Subscribers observe the group's net effect (they are documented to
+	// only ever need the latest status), and the snapshot interval counts
+	// confirms, not groups.
+	m.notifyLocked()
+	m.sinceSnap += applied - 1 // maybeSnapshotLocked adds the last one
+	m.maybeSnapshotLocked()
+	return wait
+}
+
+// admitLocked waits until the group may enter the critical region: the
+// manager is open, this node is the primary, it is not draining (unless
+// the group's writers passed the queue's drain check when they joined)
+// and no ask/confirm reservation holds the region. A refusal fails every
+// member; a member whose context ends during the wait fails alone. ctx
+// is the context of a group committed inline. It reports whether any
+// member is left to commit.
+func (m *Manager) admitLocked(g []member, ctx context.Context) bool {
+	for {
+		var refused error
+		switch {
+		case m.closed:
+			refused = ErrClosed
+		case m.role != rolePrimary:
+			// Deposed (or started as a follower). Checked before the drain:
+			// ErrNotPrimary makes the client fail over, ErrDraining makes it
+			// wait, and a deposed node is one to leave, not wait for.
+			refused = ErrNotPrimary
+		case g[0].w == nil && m.draining:
+			m.metrics.drainRefusals.Add(uint64(len(g)))
+			refused = ErrDraining
 		}
-		// One replication frame per batch: the followers pay one apply pass
-		// and one durability point for the whole group commit, exactly
-		// like the primary.
-		wait = m.replicateLocked(batchBase, appliedActs, nil)
-		// One subscription sweep and at most one checkpoint per batch:
-		// subscribers observe the net effect (they are documented to only
-		// ever need the latest status), and the snapshot interval counts
-		// confirms, not batches.
-		m.notifyLocked()
-		m.sinceSnap += applied - 1 // maybeSnapshotLocked adds the last one
-		m.maybeSnapshotLocked()
-	}
-	m.mu.Unlock()
-	if wait != nil {
-		// Sync replication: the batch is acknowledged only after every
-		// follower applied it. A failed ack makes every applied member
-		// uncertain — like a connection lost between execute and confirm.
-		if werr := wait(); werr != nil {
-			for i := range batch {
-				if errs[i] == nil {
-					errs[i] = werr
-				}
+		if refused != nil {
+			for i := range g {
+				g[i].err = refused
+			}
+			return false
+		}
+		m.expireLocked()
+		if !m.reserved {
+			return true
+		}
+		// The wait wakes on Confirm/Abort/expiry/Close broadcasts and on
+		// the cancellation of the first still-live member.
+		var waitCtx context.Context
+		for i := range g {
+			mb := &g[i]
+			if mb.err == nil {
+				mb.err = mb.callerCtx(ctx).Err()
+			}
+			if mb.err == nil && waitCtx == nil {
+				waitCtx = mb.callerCtx(ctx)
 			}
 		}
+		if waitCtx == nil {
+			return false // every member gave up waiting
+		}
+		waitCond(m.cond, waitCtx, m.clk, m.timeout)
 	}
-	for i, r := range batch {
-		r.done <- errs[i]
+}
+
+// flushLocked is a commit's durability point: one flush of the staged
+// entries, and an fsync under SyncWrites.
+func (m *Manager) flushLocked() error {
+	if m.metrics.flushNs == nil {
+		return m.store.Commit(m.syncWrites)
 	}
+	start := m.clk.Now()
+	err := m.store.Commit(m.syncWrites)
+	m.metrics.flushNs.ObserveDuration(m.clk.Since(start))
+	return err
 }
 
 // stageLocked stages one admitted action in the log's write buffer and
 // installs the successor its admission computed. The caller owes the
-// batch one store.Commit.
+// group one store.Commit.
 func (m *Manager) stageLocked(a expr.Action, next state.Successor) error {
 	if err := m.en.Check(next); err != nil {
 		return err // refused before the log sees it
 	}
 	if m.store != nil {
-		le := storage.Entry{Name: a.Name, Args: a.Values(), Seq: uint64(m.en.Steps()) + 1}
-		if err := m.store.Buffer(le); err != nil {
+		if err := m.store.Buffer(logEntry(a, m.en.Steps())); err != nil {
 			return err
 		}
 	}
 	return m.en.Commit(next)
+}
+
+// logEntry is the log entry of a, committed on top of steps.
+func logEntry(a expr.Action, steps int) storage.Entry {
+	return storage.Entry{Name: a.Name, Args: a.Values(), Seq: uint64(steps) + 1}
 }
 
 // deniedError keeps the refused action while remaining errors.Is-equal to
@@ -366,81 +441,65 @@ type deniedError struct{ a expr.Action }
 func (e *deniedError) Error() string { return ErrDenied.Error() + ": " + e.a.String() }
 func (e *deniedError) Unwrap() error { return ErrDenied }
 
+// Request is the atomic ask+execute+confirm used by integration points
+// that execute reliably under the manager's protection (the adapted
+// workflow engine of Fig 11): the action is checked and committed in one
+// critical section. With BatchMaxSize > 1 concurrent requests are group
+// committed: coalesced into one critical-section pass with a single log
+// flush/fsync for the whole group.
+func (m *Manager) Request(ctx context.Context, a expr.Action) error {
+	if m.batch != nil {
+		w := &writer{ctx: ctx, act1: [1]expr.Action{a}}
+		w.acts, w.errs = w.act1[:], w.err1[:]
+		m.join(w)
+		return w.errs[0]
+	}
+	m.mu.Lock()
+	// Copied after the lock, whose atomic drains the stores that spilled
+	// a: a copy right behind them stalls on store forwarding.
+	g := [1]member{{a: a}}
+	wait := m.groupCommitLocked(g[:], ctx)
+	m.mu.Unlock()
+	if wait != nil {
+		settle(g[:], wait)
+	}
+	return g[0].err
+}
+
 // RequestMany submits a batch of atomic requests in one call and reports
-// one error per action (nil = confirmed), in order. With batching enabled
-// the actions join the commit queue together; otherwise they are applied
-// back to back in one critical section with a single log flush — either
-// way the actions commit with one admission check and one durability
-// point instead of n. Actions are validated in order against the state
-// the previous ones produced, exactly as if n clients had raced their
-// individual Requests and arrived in this order.
+// one error per action (nil = confirmed), in order. The actions commit
+// with one admission check and one durability point instead of n: as
+// one writer with batching enabled (split across consecutive groups when
+// the burst exceeds BatchMaxSize), as one group of their own otherwise.
+// Actions are validated in order against the state the previous ones
+// produced, exactly as if n clients had raced their individual Requests
+// and arrived in this order.
 func (m *Manager) RequestMany(ctx context.Context, actions []expr.Action) []error {
 	errs := make([]error, len(actions))
-	if len(actions) == 0 {
-		return errs
-	}
-	if q := m.batch; q != nil {
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			for i := range errs {
-				errs[i] = ErrClosed
-			}
-			return errs
-		}
-		if m.role != rolePrimary {
-			m.mu.Unlock()
-			for i := range errs {
-				errs[i] = ErrNotPrimary
-			}
-			return errs
-		}
-		if m.draining {
-			m.metrics.drainRefusals.Add(uint64(len(actions)))
-			m.mu.Unlock()
-			for i := range errs {
-				errs[i] = ErrDraining
-			}
-			return errs
-		}
-		q.wg.Add(1)
-		q.pending.Add(int64(len(actions)))
-		m.mu.Unlock()
-		defer m.pendingDone(int64(len(actions)))
-		// A single sender keeps the actions in order; the committer drains
-		// the channel in that order, so they are validated and applied in
-		// sequence (possibly interleaved with other clients' requests, and
-		// possibly across adjacent batches when the burst exceeds the
-		// batch size). If the context dies while the queue is backed up,
-		// the unsent tail fails with the context error; already-submitted
-		// actions are still awaited (the committer owes them a reply).
-		reqs := make([]commitReq, len(actions))
-		sent := len(actions)
-		for i, a := range actions {
-			reqs[i] = commitReq{ctx: ctx, a: a, done: make(chan error, 1)}
-			select {
-			case q.ch <- reqs[i]:
-				continue
-			case <-ctx.Done():
-			}
-			sent = i
-			break
-		}
-		for i := 0; i < sent; i++ {
-			errs[i] = <-reqs[i].done
-		}
-		for i := sent; i < len(actions); i++ {
-			errs[i] = ctx.Err()
-		}
-		return errs
-	}
-	reqs := make([]commitReq, len(actions))
-	for i, a := range actions {
-		reqs[i] = commitReq{ctx: ctx, a: a, done: make(chan error, 1)}
-	}
-	m.commitBatch(reqs, false)
-	for i := range reqs {
-		errs[i] = <-reqs[i].done
+	switch {
+	case len(actions) == 0:
+	case m.batch != nil:
+		m.join(&writer{ctx: ctx, acts: actions, errs: errs})
+	default:
+		m.commitInline(ctx, actions, errs)
 	}
 	return errs
+}
+
+// commitInline commits actions as one group of their own under m.mu,
+// with no queue, and reports their outcomes in errs.
+func (m *Manager) commitInline(ctx context.Context, actions []expr.Action, errs []error) {
+	g := make([]member, len(actions))
+	for i, a := range actions {
+		g[i] = member{a: a}
+	}
+	m.mu.Lock()
+	wait := m.groupCommitLocked(g, ctx)
+	m.mu.Unlock()
+	if wait != nil {
+		settle(g, wait)
+	}
+	for i := range g {
+		errs[i] = g[i].err
+	}
 }

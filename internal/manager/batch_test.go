@@ -238,9 +238,8 @@ func TestBatchedContextCancelQueueFull(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until every request is admitted into the batch queue (the
-	// committer is parked on the reservation) — a condition, not a
-	// timing guess.
+	// Wait until every request has joined the writer queue (its leader is
+	// parked on the reservation) — a condition, not a timing guess.
 	for m.batch.pending.Load() < backlog {
 		runtime.Gosched()
 	}
@@ -262,6 +261,54 @@ func TestBatchedContextCancelQueueFull(t *testing.T) {
 	wg.Wait()
 	if got, want := m.Steps(), backlog+1; got != want {
 		t.Fatalf("Steps = %d, want %d", got, want)
+	}
+}
+
+// TestBatchedContextEndsWhileQueued: a writer queued behind a leader
+// parked on an ask/confirm reservation returns as soon as its context
+// ends, with the context's error for each of its actions, and leaves the
+// queue, instead of waiting for the reservation to resolve.
+func TestBatchedContextEndsWhileQueued(t *testing.T) {
+	e := parse.MustParse("(a | b)*")
+	m := MustNew(e, Options{BatchMaxSize: 2})
+	defer m.Close()
+	tk, err := m.Ask(bg, act("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan error, 1)
+	go func() { leader <- m.Request(bg, act("b")) }()
+	for m.batch.pending.Load() < 1 {
+		runtime.Gosched() // the leader has joined; it parks on the reservation
+	}
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan []error, 1)
+	go func() { done <- m.RequestMany(ctx, []expr.Action{act("b"), act("b"), act("b")}) }()
+	for m.batch.pending.Load() < 4 {
+		runtime.Gosched() // the writer is queued behind the leader
+	}
+	cancel()
+	select {
+	case errs := <-done:
+		for i, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("slot %d: err = %v, want context.Canceled", i, err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a queued writer whose context ended waited for the reservation")
+	}
+	if got := m.batch.pending.Load(); got != 1 {
+		t.Fatalf("pending = %d after the writer left, want 1 (the leader's)", got)
+	}
+	if err := m.Confirm(tk); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if m.Steps() != 2 {
+		t.Fatalf("Steps = %d, want 2", m.Steps())
 	}
 }
 
@@ -360,7 +407,7 @@ func (s *countingStore) Buffer(e storage.Entry) error {
 }
 
 // TestOneDurabilityPointPerGroupCommit counts fsyncs under SyncWrites:
-// one Sync per unbatched Request, one Commit(true) for a whole unbatched
+// one Commit(true) per unbatched Request, one for a whole unbatched
 // RequestMany, and under group commit one Commit(true) per batch the
 // manager reports — however the concurrent requests fall into batches —
 // with a full batch when the queue is full.
@@ -388,7 +435,7 @@ func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("sequential requests", store, counts{syncs: n})
+	check("sequential requests", store, counts{commits: n, buffers: n})
 
 	m, store = newManager(Options{})
 	acts := make([]expr.Action, n)
@@ -426,7 +473,7 @@ func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
 
 	// Group commit coalesces: a burst queued behind an ask/confirm
 	// reservation fills the queue, and once the reservation goes the next
-	// batch takes BatchMaxSize actions at once.
+	// group takes BatchMaxSize actions at once.
 	const size = 16
 	reg = obs.NewRegistry()
 	m, store = newManager(Options{Metrics: reg, BatchMaxSize: size})
@@ -436,9 +483,9 @@ func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
 	}
 	done := make(chan []error, 1)
 	go func() { done <- m.RequestMany(bg, acts[:2*size]) }()
-	// The committer holds at most one batch of the burst, so at least
-	// size actions are left to fill the queue.
-	for len(m.batch.ch) < cap(m.batch.ch) {
+	// The burst's leader takes one group of it and parks on the
+	// reservation; the rest of the burst waits in the queue.
+	for m.batch.pending.Load() < 2*size {
 		runtime.Gosched()
 	}
 	if err := m.Abort(tk); err != nil {
@@ -453,4 +500,163 @@ func TestOneDurabilityPointPerGroupCommit(t *testing.T) {
 		t.Errorf("held burst: largest group commit %d actions, want %d", h.Max, size)
 	}
 	check("held burst", store, counts{commits: int64(h.Count), buffers: 2 * size})
+}
+
+// gatedStore holds the first Commit(true) in gate, and counts them.
+type gatedStore struct {
+	storage.Backend
+	commits atomic.Int64
+	gate    func()
+}
+
+func (s *gatedStore) Commit(sync bool) error {
+	if sync && s.commits.Add(1) == 1 {
+		s.gate()
+	}
+	return s.Backend.Commit(sync)
+}
+
+// eventually polls cond for up to ten seconds and reports whether it
+// came true.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if cond() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGroupCommitFormsBehindAFlush: writers join the queue while a
+// leader holds the manager lock through its fsync. Eight concurrent
+// Requests, the first of them held in its Commit(true) until the other
+// seven are queued, commit as exactly two groups — two fsyncs and two
+// replication frames — whatever the schedule.
+func TestGroupCommitFormsBehindAFlush(t *testing.T) {
+	const writers = 8
+	e := parse.MustParse("(a | b)*")
+	f := startReplNode(t, e, Options{Follower: true})
+	var m *Manager
+	var queued int64
+	store := &gatedStore{Backend: storage.NewMemory(), gate: func() {
+		eventually(func() bool { queued = m.batch.pending.Load(); return queued == writers })
+	}}
+	m = MustNew(e, Options{Storage: store, SyncWrites: true, BatchMaxSize: writers,
+		Replicas: []string{f.srv.Addr()}, SyncReplicas: true})
+	defer m.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.Request(bg, act("a")); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if queued != writers {
+		t.Errorf("%d of %d actions queued while the first fsync was held", queued, writers)
+	}
+	if got := store.commits.Load(); got != 2 {
+		t.Errorf("%d Commit(true) calls, want 2", got)
+	}
+	if got := f.m.Stats().ReplFrames; got != 2 {
+		t.Errorf("%d replication frames, want 2", got)
+	}
+	if m.Steps() != writers || f.m.Steps() != writers {
+		t.Errorf("steps: primary %d, follower %d, want %d", m.Steps(), f.m.Steps(), writers)
+	}
+}
+
+// TestGroupCommitBehindAnAckWait: a leader hands the lead on before it
+// waits for its group's sync-replication acks. The follower holds its
+// ack of the first group until the primary has committed a second one,
+// which a leader that waited for the first ack could not commit.
+func TestGroupCommitBehindAnAckWait(t *testing.T) {
+	e := parse.MustParse("(a | b)*")
+	pstore := &gatedStore{Backend: storage.NewMemory(), gate: func() {}}
+	var behind atomic.Bool
+	fstore := &gatedStore{Backend: storage.NewMemory(), gate: func() {
+		behind.Store(eventually(func() bool { return pstore.commits.Load() == 2 }))
+	}}
+	f := startReplNode(t, e, Options{Follower: true, Storage: fstore, SyncWrites: true})
+	m := MustNew(e, Options{Storage: pstore, SyncWrites: true, BatchMaxSize: 8,
+		Replicas: []string{f.srv.Addr()}, SyncReplicas: true})
+	defer m.Close()
+	first := make(chan error, 1)
+	go func() { first <- m.Request(bg, act("a")) }()
+	if !eventually(func() bool { return pstore.commits.Load() == 1 }) {
+		t.Fatal("the first group never committed")
+	}
+	if err := m.Request(bg, act("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if !behind.Load() {
+		t.Error("the second group committed only after the first group's ack")
+	}
+	if got := f.m.Stats().ReplFrames; got != 2 {
+		t.Errorf("%d replication frames, want 2", got)
+	}
+}
+
+var errFlush = errors.New("injected flush failure")
+
+// failingStore fails every Commit while fail is set.
+type failingStore struct {
+	storage.Backend
+	fail atomic.Bool
+}
+
+func (s *failingStore) Commit(sync bool) error {
+	if s.fail.Load() {
+		return errFlush
+	}
+	return s.Backend.Commit(sync)
+}
+
+// TestFailedFlushKeepsFollowerInStep: a Confirm whose log write fails
+// leaves the state and the reservation as they were, so its retry is
+// not answered from the dedup window and the follower holds what the
+// primary holds. A Request whose flush fails after the engine moved
+// reports the failure and still reaches the follower.
+func TestFailedFlushKeepsFollowerInStep(t *testing.T) {
+	e := parse.MustParse("(a | b)*")
+	for _, batch := range []int{0, 8} {
+		f := startReplNode(t, e, Options{Follower: true})
+		store := &failingStore{Backend: storage.NewMemory()}
+		m := MustNew(e, Options{Storage: store, SyncWrites: true, BatchMaxSize: batch,
+			Replicas: []string{f.srv.Addr()}, SyncReplicas: true})
+		defer m.Close()
+		steps := func(want int) {
+			t.Helper()
+			if m.Steps() != want || f.m.Steps() != want {
+				t.Fatalf("batch %d: steps: primary %d, follower %d, want %d", batch, m.Steps(), f.m.Steps(), want)
+			}
+		}
+		tk, err := m.Ask(bg, act("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.fail.Store(true)
+		for try := 0; try < 2; try++ {
+			if err := m.Confirm(tk); !errors.Is(err, errFlush) {
+				t.Fatalf("batch %d: confirm %d with a failing flush: err = %v, want the flush error", batch, try, err)
+			}
+		}
+		steps(0)
+		store.fail.Store(false)
+		if err := m.Confirm(tk); err != nil {
+			t.Fatalf("batch %d: retried confirm: %v", batch, err)
+		}
+		steps(1)
+		store.fail.Store(true)
+		if err := m.Request(bg, act("b")); !errors.Is(err, errFlush) {
+			t.Fatalf("batch %d: request with a failing flush: err = %v, want the flush error", batch, err)
+		}
+		steps(2)
+	}
 }

@@ -53,7 +53,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.draining = true
+	m.setDrainingLocked(true)
 	// Wake Ask/Request waiters parked on the critical region so they
 	// observe the drain and fail fast instead of waiting out a region
 	// they can never enter.
@@ -71,6 +71,17 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
+// setDrainingLocked sets the drain flag and the writer queue's mirror of
+// it and of m.closed, which a joining writer reads without m.mu.
+func (m *Manager) setDrainingLocked(on bool) {
+	m.draining = on
+	if q := m.batch; q != nil {
+		q.mu.Lock()
+		q.refuse = m.closed || on
+		q.mu.Unlock()
+	}
+}
+
 // Resume leaves drain mode: the manager accepts new asks again (a
 // migration that failed mid-way calls this so the shard is not wedged).
 func (m *Manager) Resume() error {
@@ -79,7 +90,7 @@ func (m *Manager) Resume() error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.draining = false
+	m.setDrainingLocked(false)
 	m.cond.Broadcast()
 	return nil
 }

@@ -72,7 +72,7 @@ func TestDrainWaitsForQueuedGroupCommits(t *testing.T) {
 	m := MustNew(parse.MustParse("(a | b)*"), Options{BatchMaxSize: 8, BatchMaxDelay: time.Millisecond})
 	defer m.Close()
 
-	// Park the committer behind a reservation so enqueued requests pile up.
+	// Park a group leader behind a reservation so queued requests pile up.
 	tk, err := m.Ask(bg, act("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -147,22 +147,25 @@ func TestDemotionClearsDrain(t *testing.T) {
 // follower and draining, every admission path answers ErrNotPrimary —
 // the error that makes clients elect elsewhere, not wait here.
 func TestFollowerAnswersNotPrimaryOverDraining(t *testing.T) {
-	m := MustNew(parse.MustParse("(a | b)*"), Options{Follower: true})
-	defer m.Close()
-	if err := m.Drain(bg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Ask(bg, act("a")); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("ask: want ErrNotPrimary, got %v", err)
-	}
-	if err := m.Request(bg, act("a")); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("request: want ErrNotPrimary, got %v", err)
-	}
-	// The direct (unbatched) RequestMany path runs commitBatch: the role
-	// refusal must win there too.
-	for i, err := range m.RequestMany(bg, []expr.Action{act("a")}) {
-		if !errors.Is(err, ErrNotPrimary) {
-			t.Fatalf("request_many slot %d: want ErrNotPrimary, got %v", i, err)
+	// Batched, Request and RequestMany are refused at the writer queue;
+	// unbatched, each call is a group of its own: the role refusal must
+	// win on both paths.
+	for _, batch := range []int{0, 8} {
+		m := MustNew(parse.MustParse("(a | b)*"), Options{Follower: true, BatchMaxSize: batch})
+		defer m.Close()
+		if err := m.Drain(bg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Ask(bg, act("a")); !errors.Is(err, ErrNotPrimary) {
+			t.Fatalf("batch %d: ask: want ErrNotPrimary, got %v", batch, err)
+		}
+		if err := m.Request(bg, act("a")); !errors.Is(err, ErrNotPrimary) {
+			t.Fatalf("batch %d: request: want ErrNotPrimary, got %v", batch, err)
+		}
+		for i, err := range m.RequestMany(bg, []expr.Action{act("a")}) {
+			if !errors.Is(err, ErrNotPrimary) {
+				t.Fatalf("batch %d: request_many slot %d: want ErrNotPrimary, got %v", batch, i, err)
+			}
 		}
 	}
 }

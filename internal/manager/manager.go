@@ -103,19 +103,20 @@ type Options struct {
 	// storage code paths without a filesystem.
 	Storage storage.Backend
 	// BatchMaxSize enables group commit for the atomic request path when
-	// > 1: up to BatchMaxSize concurrent Requests are coalesced into one
-	// batch that passes the critical-region admission check once and is
+	// > 1: concurrent Requests and RequestManys queue as writers, and the
+	// writer at the head commits up to BatchMaxSize queued actions as one
+	// group that passes the critical-region admission check once and is
 	// made durable with one log flush (and at most one fsync). 0 or 1
-	// keeps the one-at-a-time path. Recovery is unaffected: the log holds
-	// the same entries in confirm order either way.
+	// makes every call a group of its own. Recovery is unaffected: the log
+	// holds the same entries in confirm order either way.
 	BatchMaxSize int
-	// BatchMaxDelay bounds how long an open batch waits for stragglers
-	// after its first request before committing — the latency the manager
-	// trades for throughput. Zero defaults to 200µs when batching is on.
+	// Deprecated: BatchMaxDelay has no effect. A group's leader never
+	// waits for stragglers: the writers that arrive during its flush form
+	// the next group.
 	BatchMaxDelay time.Duration
 	// SyncWrites fsyncs the action log at every durability point: once
-	// per confirm on the one-at-a-time path, once per batch under group
-	// commit. Off, the log is flushed to the OS but survives only process
+	// per group commit, which is once per confirm when groups are of one.
+	// Off, the log is flushed to the OS but survives only process
 	// crashes, not machine crashes (the seed behavior).
 	SyncWrites bool
 	// Replicas lists the wire addresses of follower servers. Every
@@ -141,11 +142,10 @@ type Options struct {
 	// meters and latency histograms into the given registry (package
 	// obs). Nil leaves every instrumentation point a no-op.
 	Metrics *obs.Registry
-	// Clock injects the time source for reservation timeouts, batch
-	// collection deadlines and replication ack waits. Nil means the wall
-	// clock (clock.Real). The deterministic simulator (internal/sim)
-	// injects a logical clock here so no commit- or failover-path wait
-	// depends on real time.
+	// Clock injects the time source for reservation timeouts and
+	// replication ack waits. Nil means the wall clock (clock.Real). The
+	// deterministic simulator (internal/sim) injects a logical clock here
+	// so no commit- or failover-path wait depends on real time.
 	Clock clock.Clock
 	// Dialer injects the transport the replication streams dial their
 	// followers with. Nil means TCP (net.Dial); the simulator injects
@@ -190,8 +190,9 @@ type Manager struct {
 	deltaM    *state.DeltaMarshaller // non-nil iff a delta chain is live
 
 	syncWrites bool
-	batch      *commitQueue // non-nil iff group commit is enabled
-	repl       *replicator  // non-nil iff replication is enabled
+	batch      *writerQueue  // non-nil iff group commit is enabled
+	repl       *replicator   // non-nil iff replication is enabled
+	applied    []expr.Action // the group's actions for its replication frame (scratch)
 
 	reg        *obs.Registry  // nil: metrics disabled
 	metrics    managerMetrics // cached handles; nil members no-op
@@ -301,8 +302,7 @@ func New(e *expr.Expr, opts Options) (*Manager, error) {
 		}
 	}
 	if opts.BatchMaxSize > 1 {
-		m.batch = newCommitQueue(opts.BatchMaxSize, opts.BatchMaxDelay)
-		go m.committer()
+		m.batch = &writerQueue{maxSize: opts.BatchMaxSize}
 	}
 	// The replicator exists even on a follower: the streams idle until a
 	// promotion makes this node publish commits of its own.
@@ -421,33 +421,25 @@ func timerC(clk clock.Clock, d time.Duration) <-chan time.Time {
 // Confirm implements steps 4+5: the client executed the action; the
 // manager performs the state transition, leaves the critical region and
 // notifies subscribers whose action status flipped. Under SyncReplicas
-// the reply additionally waits for every follower's ack.
+// the reply additionally waits for every follower's ack. A confirm never
+// queues behind a group: the group's leader may be parked on the
+// reservation it settles.
 func (m *Manager) Confirm(t Ticket) error {
-	wait, err := m.confirmSettle(t)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
-}
-
-func (m *Manager) confirmSettle(t Ticket) (func() error, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		m.mu.Unlock()
+		return ErrClosed
 	}
 	m.expireLocked()
 	if !m.reserved || m.ticket != t || m.role != rolePrimary {
+		defer m.mu.Unlock()
 		// Idempotent retry: a client whose connection died after the
 		// confirm was applied but before the reply arrived may retry; the
 		// commit must not be reported as unknown (or applied twice). The
 		// dedup window is replicated, so the retry may even land on the
 		// follower promoted after the confirming primary died.
 		if t != 0 && m.confirmed.has(t) {
-			return nil, nil
+			return nil
 		}
 		// A non-primary answers ErrNotPrimary, not ErrUnknownTicket: a
 		// deposed primary dropped its reservations on demotion, and only
@@ -455,9 +447,9 @@ func (m *Manager) confirmSettle(t Ticket) (func() error, error) {
 		// that fenced it (where the ticket is either in the window or
 		// genuinely resumable).
 		if m.role != rolePrimary {
-			return nil, ErrNotPrimary
+			return ErrNotPrimary
 		}
-		return nil, ErrUnknownTicket
+		return ErrUnknownTicket
 	}
 	a, next := m.reservedAct, m.reservedNxt
 	if m.en.Check(next) != nil {
@@ -465,22 +457,37 @@ func (m *Manager) confirmSettle(t Ticket) (func() error, error) {
 		// the current state: compute it, or free the region if it has none.
 		if next = m.en.Advance(a); !next.Permissible() {
 			m.releaseLocked()
-			return nil, &deniedError{a}
+			m.mu.Unlock()
+			return &deniedError{a}
 		}
 	}
-	base, err := m.commitLocked(a, next)
-	if err != nil {
-		return nil, err // a failed log write: the reservation stays for a retry or Abort
+	// The log before the engine: a failed write leaves the state, the
+	// followers and the reservation as they were, for a retry or Abort.
+	base := uint64(m.en.Steps())
+	var err error
+	if m.store != nil {
+		if err = m.store.Buffer(logEntry(a, m.en.Steps())); err == nil {
+			err = m.flushLocked()
+		}
 	}
-	m.stats.Confirms++
-	m.stats.Transits++
-	m.metrics.confirms.Inc()
+	if err == nil {
+		err = m.en.Commit(next)
+	}
+	if err != nil {
+		m.mu.Unlock()
+		return err
+	}
 	m.releaseLocked() // before the checkpoint below, which records an open reservation
 	m.confirmed.add(t)
-	wait := m.replicateOneLocked(base, a, t)
-	m.notifyLocked()
-	m.maybeSnapshotLocked()
-	return wait, nil
+	if m.repl != nil {
+		m.applied = append(m.applied, a)
+	}
+	wait := m.publishLocked(base, 1, t)
+	m.mu.Unlock()
+	if wait != nil {
+		return wait()
+	}
+	return nil
 }
 
 // Abort implements the negative outcome of step 3: the client could not
@@ -501,98 +508,29 @@ func (m *Manager) Abort(t Ticket) error {
 	return nil
 }
 
-// Request is the atomic ask+execute+confirm used by integration points
-// that execute reliably under the manager's protection (the adapted
-// workflow engine of Fig 11): the action is checked and committed in one
-// critical section. With BatchMaxSize > 1 concurrent requests are group
-// committed: coalesced into one critical-section pass with a single log
-// flush/fsync for the whole batch.
-func (m *Manager) Request(ctx context.Context, a expr.Action) error {
-	if m.batch != nil {
-		return m.enqueue(ctx, a)
-	}
-	wait, err := m.requestSettle(ctx, a)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
-}
-
-func (m *Manager) requestSettle(ctx context.Context, a expr.Action) (func() error, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.Asks++
-	m.metrics.asks.Inc()
-	m.metrics.askMeter.Mark(1)
-	for {
-		if m.closed {
-			return nil, ErrClosed
+// shutLocked marks the manager closed, closes every subscription and
+// waits until each action queued for a group commit is committed or
+// refused, so that no group touches the store after it returns.
+func (m *Manager) shutLocked() {
+	m.closed = true
+	for id, g := range m.subs {
+		delete(m.subs, id)
+		if ch, ok := g.members[id]; ok {
+			delete(g.members, id)
+			close(ch)
 		}
-		if m.role != rolePrimary {
-			return nil, ErrNotPrimary
-		}
-		if m.draining {
-			m.metrics.drainRefusals.Inc()
-			return nil, ErrDraining
-		}
-		m.expireLocked()
-		if !m.reserved {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		waitCond(m.cond, ctx, m.clk, m.timeout)
-	}
-	next := m.en.Advance(a)
-	if !next.Permissible() {
-		m.stats.Denies++
-		m.metrics.denies.Inc()
-		return nil, &deniedError{a}
-	}
-	base, err := m.commitLocked(a, next)
-	if err != nil {
-		return nil, err
-	}
-	m.stats.Grants++
-	m.stats.Confirms++
-	m.stats.Transits++
-	m.metrics.grants.Inc()
-	m.metrics.confirms.Inc()
-	wait := m.replicateOneLocked(base, a, 0)
-	m.notifyLocked()
-	m.maybeSnapshotLocked()
-	return wait, nil
-}
-
-// commitLocked makes one admitted action durable and installs the
-// successor its admission computed; it returns the step count the action
-// was applied on. The log write goes through the per-action durability
-// point (flush, plus fsync under SyncWrites); the group-commit path uses
-// Buffer/Commit instead, paying these once per batch.
-func (m *Manager) commitLocked(a expr.Action, next state.Successor) (uint64, error) {
-	base := uint64(m.en.Steps())
-	if err := m.en.Check(next); err != nil {
-		return base, err // refused before the log sees it
-	}
-	if m.store != nil {
-		e := storage.Entry{Name: a.Name, Args: a.Values(), Seq: base + 1}
-		if err := m.store.Append(e); err != nil {
-			return base, err
-		}
-		if m.syncWrites {
-			start := m.clk.Now()
-			err := m.store.Sync()
-			m.metrics.flushNs.ObserveDuration(m.clk.Since(start))
-			if err != nil {
-				return base, err
-			}
+		if len(g.members) == 0 {
+			delete(m.subsByAct, g.action.Key())
 		}
 	}
-	return base, m.en.Commit(next)
+	// Wake a leader or an Ask parked on the critical region.
+	m.cond.Broadcast()
+	if q := m.batch; q != nil {
+		m.setDrainingLocked(m.draining) // the queue's mirror takes m.closed
+		for q.pending.Load() > 0 {
+			m.cond.Wait()
+		}
+	}
 }
 
 // Try reports whether the action is currently permissible, without
@@ -727,33 +665,15 @@ func (m *Manager) notifyLocked() {
 
 // Close shuts the manager down, closes all subscription channels and the
 // action log. With group commit enabled, queued requests still unserved
-// fail with ErrClosed; the in-flight batch settles first.
+// fail with ErrClosed; the group in flight settles first.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil
 	}
-	m.closed = true
-	for id, g := range m.subs {
-		delete(m.subs, id)
-		if ch, ok := g.members[id]; ok {
-			delete(g.members, id)
-			close(ch)
-		}
-		if len(g.members) == 0 {
-			delete(m.subsByAct, g.action.Key())
-		}
-	}
-	m.cond.Broadcast()
+	m.shutLocked()
 	m.mu.Unlock()
-	if m.batch != nil {
-		// The committer needs the lock (and, when parked on the critical
-		// region, the broadcast above) to observe the shutdown, so it is
-		// stopped between the unlock and the relock.
-		close(m.batch.stop)
-		<-m.batch.stopped
-	}
 	if m.repl != nil {
 		// Streams settle or fail their queued frames; un-shipped frames are
 		// lost like any async-replication backlog (followers resync from the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -488,35 +489,23 @@ func connErrLocal(err error) bool {
 
 // --- manager hooks -------------------------------------------------------
 
-// replicateLocked publishes one committed frame to the followers and
-// advances the commit epoch. Callers hold m.mu and call the returned wait
-// function (which may be nil) after releasing it.
-func (m *Manager) replicateLocked(base uint64, acts []expr.Action, tks []Ticket) func() error {
+// replicateLocked publishes the group's applied actions (collected in
+// m.applied) as one frame and advances the commit epoch. The frame gets
+// its own copy of the actions, because the stream keeps them after the
+// group's scratch is reused.
+func (m *Manager) replicateLocked(base uint64, t Ticket) func() error {
 	prev := m.commitEpoch
 	m.commitEpoch = m.epoch
-	if m.repl == nil || len(acts) == 0 {
+	if m.repl == nil || len(m.applied) == 0 {
 		return nil
 	}
-	return m.repl.publish(ReplFrame{
-		Epoch:     m.epoch,
-		PrevEpoch: prev,
-		Base:      base,
-		Actions:   acts,
-		Tickets:   tks,
-	})
-}
-
-// replicateOneLocked is replicateLocked for one action and its ticket
-// (0 = none). It builds the frame's slices only when a follower will get
-// them, so an unreplicated manager's admission does not allocate.
-func (m *Manager) replicateOneLocked(base uint64, a expr.Action, t Ticket) func() error {
-	if m.repl == nil {
-		return m.replicateLocked(base, nil, nil)
+	f := ReplFrame{Epoch: m.epoch, PrevEpoch: prev, Base: base, Actions: slices.Clone(m.applied)}
+	if t != 0 {
+		f.Tickets = []Ticket{t}
 	}
-	if t == 0 {
-		return m.replicateLocked(base, []expr.Action{a}, nil)
-	}
-	return m.replicateLocked(base, []expr.Action{a}, []Ticket{t})
+	clear(m.applied)
+	m.applied = m.applied[:0]
+	return m.repl.publish(f)
 }
 
 // replSnapshot captures the full replication state under the lock.
@@ -556,7 +545,7 @@ func (m *Manager) demoteTo(epoch uint64) {
 		// The role is now what refuses writes; a drain left over from the
 		// migration that fenced this node is meaningless on a follower
 		// and must not outlive a later re-promotion by surprise.
-		m.draining = false
+		m.setDrainingLocked(false)
 		m.releaseLocked()
 	}
 }
@@ -581,7 +570,7 @@ func (m *Manager) Promote() (uint64, error) {
 	// Promotion is an explicit order to serve: a drain left over from an
 	// earlier migration attempt (the node was fenced as the source, then
 	// re-promoted later) must not keep refusing asks forever.
-	m.draining = false
+	m.setDrainingLocked(false)
 	m.cond.Broadcast()
 	return m.epoch, nil
 }
@@ -726,7 +715,7 @@ func (m *Manager) adoptEpochLocked(epoch uint64) (ReplStatus, error) {
 	if m.role != roleFollower {
 		m.role = roleFollower
 		// See demoteTo: a fenced migration source must not stay draining.
-		m.draining = false
+		m.setDrainingLocked(false)
 		m.releaseLocked()
 	}
 	return ReplStatus{}, nil

@@ -22,20 +22,8 @@ import (
 // the on-disk state is whatever previous commits made durable.
 func (m *Manager) crashForTest() {
 	m.mu.Lock()
-	m.closed = true
-	for id, g := range m.subs {
-		delete(m.subs, id)
-		if ch, ok := g.members[id]; ok {
-			delete(g.members, id)
-			close(ch)
-		}
-	}
-	m.cond.Broadcast()
+	m.shutLocked()
 	m.mu.Unlock()
-	if m.batch != nil {
-		close(m.batch.stop)
-		<-m.batch.stopped
-	}
 	if c, ok := m.store.(storage.Crasher); ok {
 		c.Crash() // no flush, no sync: in-buffer data dies
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/clock"
@@ -136,24 +138,51 @@ type opTracker interface {
 // the wall clock.
 type TCPTransport struct{}
 
+// leases holds the ports Listen("") handed out until Release: a node
+// restarts on its old port, which no other schedule may take meanwhile.
+var leases = struct {
+	sync.Mutex
+	ports map[string]bool
+}{ports: make(map[string]bool)}
+
 // Listen binds a fresh address below the kernel's ephemeral port range
-// (32768 and up on Linux). A node restarts on its old port, and a port
-// from that range can meanwhile become the source port of any outgoing
-// connection in the process — the chaos suites run hundreds of
-// schedules at once — which fails the restart with EADDRINUSE.
+// (32768 and up on Linux), because a port from that range can become
+// the source port of any outgoing connection in the process — the chaos
+// suites run hundreds of schedules at once. A fresh address is leased
+// until Release. Rebinding a node's address retries EADDRINUSE for up
+// to a second, for a process outside this one that took the port.
 func (TCPTransport) Listen(addr string) (net.Listener, error) {
 	if addr != "" {
-		return net.Listen("tcp", addr)
+		ln, err := net.Listen("tcp", addr)
+		for try := 0; errors.Is(err, syscall.EADDRINUSE) && try < 50; try++ {
+			time.Sleep(20 * time.Millisecond) // wallclock-ok: the TCP transport runs on the wall clock
+			ln, err = net.Listen("tcp", addr)
+		}
+		return ln, err
 	}
+	leases.Lock()
+	defer leases.Unlock()
 	var err error
 	for try := 0; try < 100; try++ {
 		var ln net.Listener
-		if ln, err = net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", 20000+rand.IntN(12000))); err == nil {
-			return ln, nil
+		a := fmt.Sprintf("127.0.0.1:%d", 20000+rand.IntN(12000))
+		if !leases.ports[a] {
+			if ln, err = net.Listen("tcp", a); err == nil {
+				leases.ports[a] = true
+				return ln, nil
+			}
 		}
 	}
 	return nil, err
 }
+
+// Release ends the lease Listen("") took on addr.
+func (TCPTransport) Release(addr string) {
+	leases.Lock()
+	delete(leases.ports, addr)
+	leases.Unlock()
+}
+
 func (TCPTransport) Dialer() func(string) (net.Conn, error) { return nil }
 func (TCPTransport) Clock() clock.Clock                     { return clock.Real }
 func (TCPTransport) Name() string                           { return "tcp" }
@@ -177,10 +206,20 @@ type ReplSet struct {
 // holds each node's action log and snapshot (persistence is what makes
 // a restarted node rejoin with its acked history, the precondition for
 // the zero-loss invariant under out-of-band promotions).
-func NewReplSet(e *expr.Expr, n int, tr Transport, dir string, custom func(i int, o *manager.Options)) (*ReplSet, error) {
+func NewReplSet(e *expr.Expr, n int, tr Transport, dir string, custom func(i int, o *manager.Options)) (_ *ReplSet, err error) {
 	rs := &ReplSet{e: e, tr: tr,
 		ms: make([]*manager.Manager, n), srvs: make([]*manager.Server, n), base: make([]manager.Options, n)}
-	lns := make([]net.Listener, n)
+	lns := make([]net.Listener, n) // bound and not yet owned by a node's server
+	defer func() {
+		if err != nil {
+			for _, ln := range lns {
+				if ln != nil {
+					ln.Close()
+				}
+			}
+			rs.Close() // stops the nodes started and gives up the leases
+		}
+	}()
 	for i := 0; i < n; i++ {
 		ln, err := tr.Listen("")
 		if err != nil {
@@ -218,9 +257,9 @@ func NewReplSet(e *expr.Expr, n int, tr Transport, dir string, custom func(i int
 		}
 		rs.base[i] = opts
 		if err := rs.startNode(i, lns[i]); err != nil {
-			rs.Close()
 			return nil, err
 		}
+		lns[i] = nil
 	}
 	return rs, nil
 }
@@ -263,9 +302,14 @@ func (rs *ReplSet) RestartNode(i int) error {
 // the system under test is not.
 func (rs *ReplSet) Managers() []*manager.Manager { return rs.ms }
 
-// Close stops every node.
+// Close stops every node and gives up the nodes' addresses.
 func (rs *ReplSet) Close() {
 	for i := range rs.ms {
 		rs.StopNode(i)
+	}
+	if l, ok := rs.tr.(interface{ Release(addr string) }); ok {
+		for _, a := range rs.Addrs {
+			l.Release(a)
+		}
 	}
 }

@@ -181,7 +181,7 @@ func (s *allQState) trans(act expr.Action, sh sharing) State {
 	// for any other value v the branch bound to v sees act exactly as the
 	// unbound one does, and fails wherever the unbound one fails: the
 	// fork rule that (2b) and (3b) apply.
-	taint := s.strictA.BindingMatchesIn(p, act, sh.env)
+	taint := sh.bindingMatches(s.strictA, p, act)
 	var next []allQAlt
 	// add applies ρ to a candidate alternative, in which named[changed]
 	// (if changed ≥ 0) is the one branch this step changed, and keeps it;

@@ -221,7 +221,7 @@ func (s *anyQState) trans(a expr.Action, sh sharing) State {
 	var taint []string
 	excluded := s.excluded
 	if s.generic != nil {
-		taint = s.strictA.BindingMatchesIn(p, a, sh.env)
+		taint = sh.bindingMatches(s.strictA, p, a)
 		generic = compress(gen.trans(s.generic, a))
 		if generic != nil {
 			// The generic branch consumed a with p free; it can no longer

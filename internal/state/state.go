@@ -129,6 +129,9 @@ type walkTable struct {
 	c    *Cache // interns every successor the walk derives
 	next map[walkKey]State
 	envs map[expr.Env]*expr.Env // interned frames: one per (parameter, value, outer frame); made on first bind
+	// taint backs the bindingMatches results of the walk's quantifier
+	// steps, one after another; reset reclaims it.
+	taint []string
 }
 
 type walkKey struct {
@@ -139,6 +142,21 @@ type walkKey struct {
 func (t *walkTable) reset() {
 	clear(t.next)
 	clear(t.envs)
+	clear(t.taint)
+	t.taint = t.taint[:0]
+}
+
+// bindingMatches is al.AppendBindingMatches for p and a under the walk's
+// binding. In a walk with a table the result lives in the table's
+// scratch and is valid for this step only: a caller that keeps it copies
+// it.
+func (sh sharing) bindingMatches(al *expr.Alphabet, p string, a expr.Action) []string {
+	if sh.tab == nil {
+		return al.AppendBindingMatches(nil, p, a, sh.env)
+	}
+	n := len(sh.tab.taint)
+	sh.tab.taint = al.AppendBindingMatches(sh.tab.taint, p, a, sh.env)
+	return sh.tab.taint[n:len(sh.tab.taint):len(sh.tab.taint)]
 }
 
 // trans is τ̂ of the child s within the walk. A cache's walk interns
