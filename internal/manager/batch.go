@@ -80,6 +80,7 @@ type writerQueue struct {
 	mu      sync.Mutex
 	writers []*writer // joined and not yet taken whole, in arrival order
 	leading bool      // some writer leads
+	parked  bool      // the leader waits on an ask/confirm reservation
 	refuse  bool      // m.closed || m.draining, mirrored for a join without m.mu
 	maxSize int
 	// free holds group slices for reuse. A leader waiting for its acks
@@ -93,9 +94,12 @@ type writerQueue struct {
 
 // join queues w and returns once every action of w is settled. A dead
 // context fails w at once, and a context that ends while w waits fails
-// the actions no leader has taken yet. A closed or draining manager
-// turns w away to commitInline, whose admission refuses it as an
-// unbatched call is refused.
+// the actions no leader has taken yet. Only a leader parked on an
+// ask/confirm reservation keeps the queue waiting long, so only then
+// does a waiting writer watch its context; otherwise it sees the end of
+// its context when it is next woken. A closed or draining manager turns
+// w away to commitInline, whose admission refuses it as an unbatched
+// call is refused.
 func (m *Manager) join(w *writer) {
 	if err := w.ctx.Err(); err != nil {
 		for i := range w.errs {
@@ -115,18 +119,18 @@ func (m *Manager) join(w *writer) {
 	q.writers = append(q.writers, w)
 	if q.leading {
 		var stop func() bool
-		if w.ctx.Done() != nil {
-			stop = context.AfterFunc(w.ctx, func() {
-				q.mu.Lock()
-				w.cond.Signal()
-				q.mu.Unlock()
-			})
-		}
 		withdrawn := 0
 		for !w.leads && w.done < len(w.acts) {
 			if w.taken < len(w.acts) && w.ctx.Err() != nil {
 				withdrawn = q.withdraw(w)
 				continue // a leader settles what it took of w
+			}
+			if stop == nil && q.parked && w.ctx.Done() != nil {
+				stop = context.AfterFunc(w.ctx, func() {
+					q.mu.Lock()
+					w.cond.Signal()
+					q.mu.Unlock()
+				})
 			}
 			w.cond.Wait()
 		}
@@ -180,6 +184,7 @@ func (m *Manager) lead(w *writer) {
 		m.mu.Unlock()
 
 		q.mu.Lock()
+		q.parked = false
 		if w.taken == len(w.acts) {
 			q.handOff()
 		}
@@ -223,6 +228,20 @@ func (q *writerQueue) take() []member {
 	clear(q.writers[n:])
 	q.writers = q.writers[:n]
 	return g
+}
+
+// park marks the leader parked on a reservation and wakes the waiting
+// writers, so that each watches its context while the wait lasts. The
+// leader holds m.mu, which is taken before q.mu.
+func (q *writerQueue) park() {
+	q.mu.Lock()
+	if !q.parked {
+		q.parked = true
+		for _, h := range q.writers {
+			h.cond.Signal()
+		}
+	}
+	q.mu.Unlock()
 }
 
 // handOff gives the lead to the writer at the head of the queue.
@@ -397,6 +416,9 @@ func (m *Manager) admitLocked(g []member, ctx context.Context) bool {
 		}
 		if waitCtx == nil {
 			return false // every member gave up waiting
+		}
+		if g[0].w != nil {
+			m.batch.park()
 		}
 		waitCond(m.cond, waitCtx, m.clk, m.timeout)
 	}

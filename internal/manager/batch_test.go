@@ -660,3 +660,54 @@ func TestFailedFlushKeepsFollowerInStep(t *testing.T) {
 		steps(2)
 	}
 }
+
+// TestFailedFlushReplaysOnce: a store whose failed Commit keeps the
+// staged entry logs a write twice when it is retried: the entry the
+// failed flush left and the entry of the write that followed at the same
+// position. Recovery replays the later one only, so a restart holds what
+// the primary held, both when the confirm is retried after the store
+// heals and when the reservation is aborted and another action commits.
+func TestFailedFlushReplaysOnce(t *testing.T) {
+	e := parse.MustParse("(a - c | b)*")
+	for name, settle := range map[string]func(m *Manager, tk Ticket) error{
+		"retried confirm": func(m *Manager, tk Ticket) error { return m.Confirm(tk) },
+		"abort, then another action": func(m *Manager, tk Ticket) error {
+			if err := m.Abort(tk); err != nil {
+				return err
+			}
+			return m.Request(bg, act("b"))
+		},
+	} {
+		for _, batch := range []int{0, 8} {
+			mem := storage.NewMemory()
+			store := &failingStore{Backend: mem}
+			m := MustNew(e, Options{Storage: store, BatchMaxSize: batch})
+			tk, err := m.Ask(bg, act("a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.fail.Store(true)
+			if err := m.Confirm(tk); !errors.Is(err, errFlush) {
+				t.Fatalf("%s, batch %d: confirm with a failing flush: err = %v, want the flush error", name, batch, err)
+			}
+			store.fail.Store(false)
+			if err := settle(m, tk); err != nil {
+				t.Fatalf("%s, batch %d: %v", name, batch, err)
+			}
+			steps, key := m.Steps(), m.StateKey()
+			if steps != 1 {
+				t.Fatalf("%s, batch %d: the primary holds %d steps, want 1", name, batch, steps)
+			}
+			m.crashForTest()
+			r, err := New(e, Options{Storage: mem})
+			if err != nil {
+				t.Fatalf("%s, batch %d: restart: %v", name, batch, err)
+			}
+			if r.Steps() != steps || r.StateKey() != key {
+				t.Errorf("%s, batch %d: the restart holds %d steps, want %d; state keys equal: %t",
+					name, batch, r.Steps(), steps, r.StateKey() == key)
+			}
+			r.Close()
+		}
+	}
+}

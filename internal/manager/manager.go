@@ -275,20 +275,29 @@ func New(e *expr.Expr, opts Options) (*Manager, error) {
 	// Recovery, step 2: replay the log tail. Entries the checkpoint
 	// already covers (seq ≤ steps at checkpoint time) are skipped, which
 	// keeps a crash between checkpoint write and log compaction harmless.
+	// A failed flush may leave its entry in the log, and the write that
+	// follows it at the same position (a retry, or another action after
+	// an abort) logs a second entry with the same seq: the later one is
+	// what the manager applied, so an entry is stepped only once the
+	// next one shows that it was not replaced.
 	if m.store != nil {
 		base := uint64(m.en.Steps())
-		replayed := 0
-		if err := m.store.Replay(func(le storage.Entry) error {
+		var last storage.Entry // read, not yet stepped
+		err := m.store.Replay(func(le storage.Entry) error {
 			if le.Seq <= base {
 				return nil
 			}
-			a := expr.ConcreteAct(le.Name, le.Args...)
-			if err := m.en.Step(a); err != nil {
-				return fmt.Errorf("manager: recovery: logged action %s no longer permitted: %w", a, err)
+			var err error
+			if last.Seq != 0 && last.Seq != le.Seq {
+				err = m.replayStep(last)
 			}
-			replayed++
-			return nil
-		}); err != nil {
+			last = le
+			return err
+		})
+		if err == nil && last.Seq != 0 {
+			err = m.replayStep(last)
+		}
+		if err != nil {
 			m.store.Close()
 			return nil, err
 		}
@@ -297,7 +306,7 @@ func New(e *expr.Expr, opts Options) (*Manager, error) {
 		// region held, and it is freed on settlement. Keeping the phantom
 		// reservation would block every Ask (no timeout) or let a retried
 		// Confirm apply its action twice.
-		if replayed > 0 && m.reserved {
+		if uint64(m.en.Steps()) > base && m.reserved {
 			m.releaseLocked()
 		}
 	}
@@ -313,6 +322,15 @@ func New(e *expr.Expr, opts Options) (*Manager, error) {
 	// queue wiring.
 	m.initMetrics(opts.Metrics)
 	return m, nil
+}
+
+// replayStep applies one logged action during recovery.
+func (m *Manager) replayStep(le storage.Entry) error {
+	a := expr.ConcreteAct(le.Name, le.Args...)
+	if err := m.en.Step(a); err != nil {
+		return fmt.Errorf("manager: recovery: logged action %s no longer permitted: %w", a, err)
+	}
+	return nil
 }
 
 // MustNew is New that panics on error, for tests and examples.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/expr"
@@ -121,8 +122,47 @@ func (o op) String() string {
 
 // serverAskTimeout bounds how long any handler may wait on the
 // coordinator; it must exceed any configured reservation timeout. It is
-// a variable only so the hung-coordinator regression test can shrink it.
+// a variable only so tests can shrink it; a server reads it at start.
 var serverAskTimeout = 30 * time.Second
+
+// opDeadline bounds one op at a time by timeout with one context and one
+// timer that cancels it, re-armed before each op and stopped after it;
+// the context is replaced only once the timer has fired.
+type opDeadline struct {
+	timeout time.Duration
+	ctx     context.Context
+	timer   *time.Timer
+}
+
+// arm returns the context of the next op, which ends timeout from now.
+func (d *opDeadline) arm() context.Context {
+	if d.ctx == nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		d.ctx, d.timer = deadlineCtx{ctx}, time.AfterFunc(d.timeout, cancel) // wallclock-ok: deadline backstop (serverAskTimeout, the replication ack timeout), as context.WithTimeout was
+	} else {
+		d.timer.Reset(d.timeout)
+	}
+	return d.ctx
+}
+
+// disarm ends the op. A timer that fired, or is firing, has cancelled
+// the context or is about to, so the next op gets a new one.
+func (d *opDeadline) disarm() {
+	if !d.timer.Stop() {
+		d.ctx = nil
+	}
+}
+
+// deadlineCtx is cancelled only by its timer, so its end reads as a
+// deadline, as context.WithTimeout's does.
+type deadlineCtx struct{ context.Context }
+
+func (c deadlineCtx) Err() error {
+	if c.Context.Err() != nil {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
 
 // Wire-level error sentinels, for clients that need to distinguish "the
 // request never left this machine" (safe to retry on a fresh connection)
@@ -326,10 +366,11 @@ func CoordinatorFor(m *Manager) Coordinator { return coordAdapter{m: m} }
 
 // Server exposes a Coordinator to interaction clients over TCP.
 type Server struct {
-	co  Coordinator
-	ln  net.Listener
-	sm  serverMetrics
-	ops [len(opNames)]opEntry
+	co        Coordinator
+	ln        net.Listener
+	sm        serverMetrics
+	ops       [len(opNames)]opEntry
+	opTimeout time.Duration // serverAskTimeout when the server started
 
 	mu    sync.Mutex
 	conns map[net.Conn]bool
@@ -388,7 +429,8 @@ func NewCoordServer(co Coordinator, ln net.Listener) *Server {
 	if ms, ok := co.(MetricsSource); ok {
 		reg = ms.MetricsRegistry()
 	}
-	s := &Server{co: co, ln: ln, conns: make(map[net.Conn]bool), done: make(chan struct{}),
+	s := &Server{co: co, ln: ln, opTimeout: serverAskTimeout,
+		conns: make(map[net.Conn]bool), done: make(chan struct{}),
 		sm: serverMetrics{
 			framesIn:  reg.Counter("ix_wire_frames_in_total"),
 			framesOut: reg.Counter("ix_wire_frames_out_total"),
@@ -428,13 +470,15 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState is one connection's writer queue, its dispatch goroutines
+// connState is one connection's writer queue, its handler goroutines
 // and its subscription table. Wire subscriptions to the same action
 // share one coordinator subscription and one forwarder goroutine.
 type connState struct {
 	out      chan wireMsg
 	done     <-chan struct{} // the server's stop signal
-	handlers sync.WaitGroup  // dispatch goroutines in flight
+	handlers sync.WaitGroup  // handler goroutines, parked or serving
+	next     chan wireMsg    // the reader's hand-off to the parked handler
+	parked   atomic.Bool     // a handler waits on next
 
 	mu      sync.Mutex
 	nextSub uint64
@@ -454,7 +498,7 @@ type connActSub struct {
 }
 
 func newConnState(done <-chan struct{}) *connState {
-	return &connState{out: make(chan wireMsg, 64), done: done,
+	return &connState{out: make(chan wireMsg, 64), done: done, next: make(chan wireMsg),
 		byID: make(map[uint64]*connActSub), byAct: make(map[string]*connActSub)}
 }
 
@@ -467,8 +511,9 @@ func (cs *connState) send(msg wireMsg) {
 	}
 }
 
-// serveConn handles one client connection: a reader that dispatches every
-// frame on its own goroutine, and a writer that drains the send queue.
+// serveConn handles one client connection: a reader that hands every
+// frame to the parked handler, or to a new one when none is parked, and
+// a writer that drains the send queue.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -499,6 +544,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	defer func() {
+		close(cs.next) // the parked handler exits
 		cs.handlers.Wait()
 		cs.mu.Lock()
 		cancels := make(map[*connActSub]func())
@@ -526,14 +572,35 @@ func (s *Server) serveConn(conn net.Conn) {
 	// simulator's pacer would mistake for the system waiting on time.
 	<-writerUp
 	dec := newBinDecoder(bufio.NewReader(&countingReader{r: conn, c: s.sm.bytesIn}))
+	var req wireMsg
 	for {
-		req := new(wireMsg)
-		if err := dec.decode(req); err != nil {
+		if err := dec.decode(&req); err != nil {
 			return // connection closed, or a frame the strict decoder refuses
 		}
 		s.sm.framesIn.Inc()
-		cs.handlers.Add(1)
-		go s.dispatch(cs, req)
+		select {
+		case cs.next <- req:
+		default:
+			cs.handlers.Add(1)
+			go s.handle(cs, req)
+		}
+	}
+}
+
+// handle serves req, then parks for the next request the reader hands
+// it, until the connection closes. It parks only when no other handler
+// is parked, so a connection with one request in flight never spawns,
+// and a burst's extra handlers exit. One op deadline serves all its ops.
+func (s *Server) handle(cs *connState, req wireMsg) {
+	defer cs.handlers.Done()
+	dl := opDeadline{timeout: s.opTimeout}
+	for ok := true; ok; {
+		s.dispatch(cs, &req, &dl)
+		if !cs.parked.CompareAndSwap(false, true) {
+			return
+		}
+		req, ok = <-cs.next
+		cs.parked.Store(false)
 	}
 }
 
@@ -552,12 +619,12 @@ type opEntry struct {
 var errReplied = errors.New("manager: reply already sent")
 
 // dispatch serves one request through the op table, with the prologue
-// and epilogue every op shares: a context bounded by serverAskTimeout (a
-// coordinator stuck on a partitioned sync-replication ack must not wedge
-// the handler, or the client, forever), the latency observation, and the
-// reply, whose error text carries the sentinel identity across the wire.
-func (s *Server) dispatch(cs *connState, req *wireMsg) {
-	defer cs.handlers.Done()
+// and epilogue every op shares: the handler's op deadline, re-armed to
+// serverAskTimeout (a coordinator stuck on a partitioned sync-replication
+// ack must not wedge the handler, or the client, forever), the latency
+// observation, and the reply, whose error text carries the sentinel
+// identity across the wire.
+func (s *Server) dispatch(cs *connState, req *wireMsg, dl *opDeadline) {
 	e := &s.ops[req.Op]
 	var resp wireMsg
 	var err error
@@ -568,9 +635,8 @@ func (s *Server) dispatch(cs *connState, req *wireMsg) {
 		if e.hist != nil {
 			start = time.Now() // wallclock-ok: op-latency metric, not a protocol decision
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), serverAskTimeout)
-		resp, err = e.serve(ctx, cs, req)
-		cancel()
+		resp, err = e.serve(dl.arm(), cs, req)
+		dl.disarm()
 		e.hist.Since(start)
 		if err == errReplied {
 			return
@@ -878,7 +944,10 @@ type Client struct {
 	mu      sync.Mutex
 	nextID  uint64
 	waiting map[uint64]chan wireMsg
-	subs    map[uint64]chan Inform
+	// slots are reply channels for reuse. A channel returns here only
+	// after its reply was received, so no late reply can land in it.
+	slots []chan wireMsg
+	subs  map[uint64]chan Inform
 	// pending buffers informs that arrive between the server's subscribe
 	// reply and the local registration of the subscription channel.
 	pending map[uint64][]Inform
@@ -1032,7 +1101,6 @@ func (c *Client) deliverInform(id uint64, inf Inform) {
 
 // call sends one request and waits for its reply.
 func (c *Client) call(ctx context.Context, req wireMsg) (wireMsg, error) {
-	ch := make(chan wireMsg, 1)
 	c.mu.Lock()
 	if c.closed {
 		// Also a send failure: a connection shared by several callers is
@@ -1050,6 +1118,12 @@ func (c *Client) call(ctx context.Context, req wireMsg) (wireMsg, error) {
 		err := c.readErr
 		c.mu.Unlock()
 		return wireMsg{}, fmt.Errorf("%w: %v", ErrSendFailed, err)
+	}
+	var ch chan wireMsg
+	if n := len(c.slots); n > 0 {
+		ch, c.slots = c.slots[n-1], c.slots[:n-1]
+	} else {
+		ch = make(chan wireMsg, 1)
 	}
 	c.nextID++
 	req.ID = c.nextID
@@ -1070,6 +1144,9 @@ func (c *Client) call(ctx context.Context, req wireMsg) (wireMsg, error) {
 		if !ok {
 			return wireMsg{}, fmt.Errorf("%w: %v", ErrConnLost, io.ErrUnexpectedEOF)
 		}
+		c.mu.Lock()
+		c.slots = append(c.slots, ch)
+		c.mu.Unlock()
 		return resp, nil
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -1093,23 +1170,36 @@ func (c *Client) callOK(ctx context.Context, req wireMsg) (wireMsg, error) {
 	return resp, nil
 }
 
+// wireSentinels are the errors whose identity survives the wire.
+var wireSentinels = [...]error{ErrDenied, ErrUnknownTicket, ErrClosed,
+	ErrNotPrimary, ErrStaleEpoch, ErrReplGap, ErrUncertain, ErrDraining}
+
 // wireError reconstructs the sentinel identity of a server-side error
 // from its transported message, so errors.Is works across the wire — the
 // cluster gateway relies on telling a denial (roll back and report) from
 // an infrastructure failure (reconnect).
 func wireError(msg string) error {
-	for _, sentinel := range []error{ErrDenied, ErrUnknownTicket, ErrClosed,
-		ErrNotPrimary, ErrStaleEpoch, ErrReplGap, ErrUncertain, ErrDraining} {
+	for _, sentinel := range wireSentinels {
 		s := sentinel.Error()
 		if msg == s {
 			return sentinel
 		}
-		if strings.HasPrefix(msg, s+":") {
-			return fmt.Errorf("%w%s", sentinel, msg[len(s):])
+		if len(msg) > len(s) && msg[len(s)] == ':' && strings.HasPrefix(msg, s) {
+			return &sentinelError{sentinel: sentinel, msg: msg}
 		}
 	}
 	return errors.New(msg)
 }
+
+// sentinelError is a sentinel's error text with detail, as it crossed
+// the wire: it reads as sent and unwraps to the sentinel.
+type sentinelError struct {
+	sentinel error
+	msg      string
+}
+
+func (e *sentinelError) Error() string { return e.msg }
+func (e *sentinelError) Unwrap() error { return e.sentinel }
 
 // Ask runs step 1/2 of the coordination protocol remotely.
 func (c *Client) Ask(ctx context.Context, a expr.Action) (Ticket, error) {

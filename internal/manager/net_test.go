@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/paper"
 	"repro/internal/parse"
 )
@@ -370,5 +371,164 @@ func TestRetiredOpcodeClosesOnlyItsConnection(t *testing.T) {
 	}
 	if err := good.Request(bg, act("a")); err != nil {
 		t.Fatalf("other connection after the refused frame: %v", err)
+	}
+}
+
+// TestWireRoundTripDoesNotAllocate: a granted Request over loopback, the
+// client's and the server's work together, allocates nothing once the
+// connection is warm — with and without a metrics registry. The server
+// hands each request to the connection's parked handler, whose op
+// deadline is re-armed rather than rebuilt, and the client reuses its
+// reply channels.
+func TestWireRoundTripDoesNotAllocate(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"plain":   {},
+		"metrics": {Metrics: obs.NewRegistry()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := MustNew(parse.MustParse("(a)*"), opts)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewServer(m, ln)
+			t.Cleanup(func() {
+				s.Close()
+				m.Close()
+			})
+			c := dial(t, s)
+			a := act("a")
+			request := func() {
+				if err := c.Request(bg, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			request() // the first request spawns the handler
+			if n := testing.AllocsPerRun(200, request); n != 0 {
+				t.Fatalf("a granted round trip allocates %v times, want 0", n)
+			}
+		})
+	}
+}
+
+// TestHandlerDeadlineRearmed: a connection's handler bounds every op by
+// the server's timeout, measured from that op's start. A request blocked
+// behind a held reservation fails once the timeout elapses; the next
+// request on the same connection gets a fresh deadline, and so does one
+// that follows an idle gap longer than the timeout.
+func TestHandlerDeadlineRearmed(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	saved := serverAskTimeout
+	serverAskTimeout = timeout
+	m := MustNew(parse.MustParse("(a | b)*"), Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(m, ln)
+	serverAskTimeout = saved // the server read it once, at start
+	t.Cleanup(func() {
+		s.Close()
+		m.Close()
+	})
+	holder, c := dial(t, s), dial(t, s)
+
+	start := time.Now()
+	tk, err := holder.Ask(bg, act("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Request(bg, act("b"))
+	if elapsed := time.Since(start); err == nil || elapsed < timeout || elapsed > 5*time.Second {
+		t.Fatalf("a request behind a held reservation returned %v after %v, want its deadline after %v", err, elapsed, timeout)
+	}
+	if !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("err = %v, want a deadline", err)
+	}
+	if err := holder.Confirm(bg, tk); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each request waits behind a reservation that a confirm 30 ms later
+	// settles: a deadline that had fired, or kept running, would fail it.
+	waitBehindReservation := func(step string) {
+		tk, err := holder.Ask(bg, act("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		confirmed := make(chan error, 1)
+		go func() {
+			time.Sleep(30 * time.Millisecond)
+			confirmed <- holder.Confirm(bg, tk)
+		}()
+		if err := c.Request(bg, act("b")); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if err := <-confirmed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitBehindReservation("the request after a timed-out one")
+	time.Sleep(timeout + 100*time.Millisecond)
+	waitBehindReservation("the request after an idle gap")
+}
+
+// TestParkedHandlersBounded: a burst of requests in flight on one
+// connection runs on one handler each, and once it settles the
+// connection keeps at most one parked handler.
+func TestParkedHandlersBounded(t *testing.T) {
+	const burst = 64
+	s, m := startServer(t, "(a | b)*")
+	holder, c := dial(t, s), dial(t, s)
+	if err := holder.Request(bg, act("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Request(bg, act("b")); err != nil {
+		t.Fatal(err)
+	}
+	// Each connection now has its reader, its writer and one parked handler.
+	base := runtime.NumGoroutine()
+
+	tk, err := holder.Ask(bg, act("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- c.Request(bg, act("b"))
+		}()
+	}
+	// Wait until the server holds the burst: 64 callers, and for each
+	// request waiting on the reservation a handler and its wake-up
+	// goroutine.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() < base+2*burst; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines; the burst never ran concurrently", runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := holder.Confirm(bg, tk); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Steps() != 3+burst {
+		t.Fatalf("Steps = %d, want %d", m.Steps(), 3+burst)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after the burst settled, want at most %d", n, base)
 	}
 }

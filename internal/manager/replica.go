@@ -228,8 +228,9 @@ type replStream struct {
 
 	// goroutine-local:
 	cl       *Client
-	syncedTo uint64 // follower steps after the last acked op (skip covered frames)
-	synced   bool   // syncedTo is known (an ack has been seen)
+	syncedTo uint64     // follower steps after the last acked op (skip covered frames)
+	synced   bool       // syncedTo is known (an ack has been seen)
+	ack      opDeadline // each frame's ack timeout
 }
 
 func newReplicator(m *Manager, addrs []string, syncAcks bool, ackTimeout time.Duration) *replicator {
@@ -246,7 +247,8 @@ func newReplicator(m *Manager, addrs []string, syncAcks bool, ackTimeout time.Du
 // addStreamLocked starts one follower stream. Callers hold m.mu (or are
 // the constructor, before the replicator is visible to anyone).
 func (r *replicator) addStreamLocked(addr string) *replStream {
-	st := &replStream{r: r, addr: addr, ch: make(chan replItem, replStreamCap), quit: make(chan struct{})}
+	st := &replStream{r: r, addr: addr, ch: make(chan replItem, replStreamCap), quit: make(chan struct{}),
+		ack: opDeadline{timeout: r.ackTimeout}}
 	r.streams = append(r.streams, st)
 	r.wg.Add(1)
 	go st.run()
@@ -418,10 +420,9 @@ func (st *replStream) ship(f ReplFrame) error {
 			lastErr = err
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), st.r.ackTimeout)
 		ackStart := st.r.m.clk.Now()
-		ack, err := cl.Replicate(ctx, f)
-		cancel()
+		ack, err := cl.Replicate(st.ack.arm(), f)
+		st.ack.disarm()
 		switch {
 		case err == nil:
 			st.r.m.metrics.replAckNs.ObserveDuration(st.r.m.clk.Since(ackStart))
@@ -466,9 +467,8 @@ func (st *replStream) resync() (ReplStatus, error) {
 	if err != nil {
 		return ReplStatus{}, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), st.r.ackTimeout)
-	ack, err := cl.ReplicateSnapshot(ctx, snap)
-	cancel()
+	ack, err := cl.ReplicateSnapshot(st.ack.arm(), snap)
+	st.ack.disarm()
 	if err != nil {
 		if errors.Is(err, ErrStaleEpoch) {
 			st.r.m.demoteTo(ack.Epoch)

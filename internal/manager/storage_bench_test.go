@@ -206,7 +206,14 @@ func TestRecoveryAllocations(t *testing.T) {
 	}
 	// 75 KB when one of the four runs takes a new line-scanner buffer,
 	// 56 KB when all reuse one; 124 KB when every replay made its own.
+	// The buffers come from a sync.Pool, whose Puts the race detector
+	// drops at random (103 KB in 3 of 6 -race runs), so only a plain
+	// build holds the byte bound.
 	if bytes > 94_000 {
-		t.Fatalf("a restart allocates %.0f B, want at most 94,000", bytes)
+		if raceBuild {
+			t.Logf("a restart allocates %.0f B, over 94,000; not a failure under the race detector", bytes)
+		} else {
+			t.Fatalf("a restart allocates %.0f B, want at most 94,000", bytes)
+		}
 	}
 }

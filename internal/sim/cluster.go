@@ -60,7 +60,14 @@ type SimTransport struct {
 // against partitioned peers) are rare per schedule, so a generous
 // threshold costs little and keeps -race runs (where handler steps are
 // 10-20x slower) from firing timers under a live handler.
-const stuckThreshold = 3 * time.Millisecond
+//
+// 30 ms is a stopgap, not a fix. At 3 ms, with two busy processes beside
+// the run, TestAutopilotDeterministic failed in 18 of 20 plain and 6 of
+// 6 -race iterations, and at 30 ms in none; the sim package took 2.8 s
+// against 2.4-2.8 s (ROADMAP, "Tier-1 at this re-anchor"). The threshold
+// still reads the wall clock; ROADMAP item 2a replaces it with exact
+// quiescence, and this constant goes with it.
+const stuckThreshold = 30 * time.Millisecond
 
 // NewSimTransport builds a fresh simulated network and clock and starts
 // the pacer.
